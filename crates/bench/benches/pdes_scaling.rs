@@ -1,65 +1,44 @@
-//! PDES engine scaling — serial vs island-parallel vs time-windowed.
+//! Parallel engine scaling — serial fast-forward vs island-parallel.
 //!
 //! Not a figure from the paper; this tracks the simulation substrate's
-//! parallel stepping engines against the serial fast-forward baseline on
-//! the two workload regimes that distinguish them:
+//! island-parallel engine against the serial fast-forward baseline on the
+//! two workload regimes that distinguish them:
 //!
 //! * `clustered` decomposes into conflict-isolated islands — the
 //!   shard-parallel engine's home turf.
 //! * `hotspot` is one contended conflict component — the island engine
-//!   falls back to serial and only the windowed conservative PDES engine
-//!   can split work (by home bank, one lookahead window at a time).
+//!   falls back to serial fast-forward.
 //!
-//! All engines produce byte-identical reports (pinned by the
+//! Both engines produce byte-identical reports (pinned by the
 //! `engine_differential` suite); this bench records what that exactness
-//! costs or buys in wall-clock. Four arms per cell: `fast-forward`,
-//! `shard-parallel`, `windowed` (lane pool pinned to one worker — the
-//! sequential in-place path) and `windowed-parallel` (lane pool pinned to
-//! four workers, fanning per-window groups out). The pins make each
-//! column mean the same thing on every host. On a single-core host the
-//! parallel arms can only lose (coordination overhead with no cores to
-//! spend it on) — the committed `BENCH_pdes.json` numbers are exactly that
-//! honest baseline, regenerated via `tools/bench_pdes.sh`.
+//! costs or buys in wall-clock. Two arms per cell: `fast-forward` and
+//! `shard-parallel` (islands on the process-wide worker pool). The
+//! committed `BENCH_pdes.json` numbers are regenerated via
+//! `tools/bench_pdes.sh`, which records the commit, the host's core count
+//! and the command.
 
-use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use clockgate_htm::pool::WorkerPool;
 use clockgate_htm::sim::{EngineKind, GatingMode, SimulationBuilder};
 use htm_sim::topology::TopologyConfig;
 use htm_workloads::WorkloadScale;
 
-/// Pinned lane pools, shared across iterations (pool worker threads live
-/// for the life of the process — creating one per iteration would both leak
-/// threads and charge pool spin-up to the measurement).
-fn lane_pool(workers: usize) -> Arc<WorkerPool> {
-    static SERIAL: OnceLock<Arc<WorkerPool>> = OnceLock::new();
-    static PARALLEL: OnceLock<Arc<WorkerPool>> = OnceLock::new();
-    let cell = if workers > 1 { &PARALLEL } else { &SERIAL };
-    Arc::clone(cell.get_or_init(|| Arc::new(WorkerPool::new(workers))))
-}
-
-fn total_cycles(
-    workload: &str,
-    procs: usize,
-    engine: EngineKind,
-    lane_workers: Option<usize>,
-) -> u64 {
-    let mut builder = SimulationBuilder::new()
+fn total_cycles(workload: &str, procs: usize, engine: EngineKind) -> u64 {
+    SimulationBuilder::new()
         .processors(procs)
         .topology(TopologyConfig::sharded_default())
         .workload_by_name(workload, WorkloadScale::Test, 11)
         .unwrap()
         .gating(GatingMode::ClockGate { w0: 8 })
         .cycle_limit(50_000_000)
-        .engine(engine);
-    if let Some(workers) = lane_workers {
-        builder = builder.lane_pool(lane_pool(workers));
-    }
-    builder.run().unwrap().outcome.total_cycles
+        .engine(engine)
+        .run()
+        .unwrap()
+        .outcome
+        .total_cycles
 }
 
 fn bench(c: &mut Criterion) {
@@ -70,14 +49,12 @@ fn bench(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(3));
     for workload in ["hotspot", "clustered"] {
         for procs in [64usize, 256] {
-            for (label, engine, lane_workers) in [
-                ("fast-forward", EngineKind::FastForward, None),
-                ("shard-parallel", EngineKind::ShardParallel, None),
-                ("windowed", EngineKind::Windowed, Some(1)),
-                ("windowed-parallel", EngineKind::Windowed, Some(4)),
+            for (label, engine) in [
+                ("fast-forward", EngineKind::FastForward),
+                ("shard-parallel", EngineKind::ShardParallel),
             ] {
                 group.bench_function(format!("{workload}_{procs}p_{label}"), |b| {
-                    b.iter(|| black_box(total_cycles(workload, procs, engine, lane_workers)));
+                    b.iter(|| black_box(total_cycles(workload, procs, engine)));
                 });
             }
         }

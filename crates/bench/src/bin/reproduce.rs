@@ -16,22 +16,19 @@
 //!
 //! Engine and topology options:
 //!
-//! * `--engine fast|naive|shard|windowed|auto` selects the stepping engine
-//!   (default `fast`, the event-driven fast-forward engine; `naive` is the
+//! * `--engine fast|naive|shard|auto` selects the stepping engine (default
+//!   `fast`, the event-driven fast-forward engine; `naive` is the
 //!   one-step-per-cycle reference; `shard` is the shard-parallel engine
 //!   that simulates conflict-isolated islands on parallel host threads;
-//!   `windowed` is the time-windowed conservative PDES engine that
-//!   parallelizes *within* a contended run by advancing per-bank groups one
-//!   lookahead window at a time; `auto` picks per run — fast-forward on the
-//!   bus, shard-parallel when the workload splits into >1 island, windowed
-//!   for single-island sharded runs). All engines produce byte-identical
-//!   table/figure artifacts — CI runs the smoke matrices with every engine
-//!   and fails on any divergence.
+//!   `auto` picks per run — shard-parallel when a sharded workload splits
+//!   into >1 island, fast-forward otherwise). All engines produce
+//!   byte-identical table/figure artifacts — CI runs the smoke matrices
+//!   with every engine and fails on any divergence.
 //! * `--topology bus|sharded[:BANKS[:mesh|xbar]]` swaps the interconnect
 //!   (default `bus`, the paper's machine; see `docs/SCALING.md`).
-//! * `--threads N` caps the process-wide worker pool: matrix cells,
-//!   shard-parallel islands and windowed per-group lanes all share that one
-//!   budget, so nested parallelism never oversubscribes the host. Purely a
+//! * `--threads N` caps the process-wide worker pool: matrix cells and
+//!   shard-parallel islands share that one budget, so nested parallelism
+//!   never oversubscribes the host. Purely a
 //!   wall-clock knob — output bytes are identical for every `N`.
 //! * `--scale-smoke` is the large-machine CI gate: tiny workloads
 //!   (including the island-friendly `clustered` one) on 64-, 512- and
@@ -113,22 +110,17 @@ fn usage() -> ! {
          \x20                 matrix targets additionally write the per-component\n\
          \x20                 energy_breakdown.json ledger artifact\n\
          \x20 --engine E      stepping engine: fast (default), naive, shard\n\
-         \x20                 (shard-parallel islands on host threads),\n\
-         \x20                 windowed (time-windowed conservative PDES:\n\
-         \x20                 per-bank groups advance a provable lookahead\n\
-         \x20                 window at a time, parallelizing even contended\n\
-         \x20                 single-island runs), or auto (per run: fast on\n\
-         \x20                 the bus or a single-bank fabric, shard when the\n\
-         \x20                 workload splits into >1 island, windowed\n\
-         \x20                 otherwise); artifacts are byte-identical in\n\
-         \x20                 every case\n\
+         \x20                 (shard-parallel islands on host threads), or\n\
+         \x20                 auto (per run: shard when a sharded workload\n\
+         \x20                 splits into >1 island, fast otherwise);\n\
+         \x20                 artifacts are byte-identical in every case\n\
          \x20 --topology T    interconnect: bus (default) or\n\
          \x20                 sharded[:BANKS[:mesh|xbar]] (BANKS=0: one bank per\n\
          \x20                 directory); see docs/SCALING.md\n\
          \x20 --threads N     cap the process-wide worker pool at N threads\n\
          \x20                 (default: the host's available parallelism);\n\
-         \x20                 matrix cells, shard-parallel islands and windowed\n\
-         \x20                 lanes all draw from this one budget. Affects\n\
+         \x20                 matrix cells and shard-parallel islands draw\n\
+         \x20                 from this one budget. Affects\n\
          \x20                 wall-clock only — output bytes are identical for\n\
          \x20                 every N\n\
          \x20 --timing        write BENCH_reproduce.json (wall-clock per matrix\n\
@@ -277,7 +269,7 @@ fn main() {
                 outln!(
                     "\nEvery policy runs on either interconnect topology \
                      (--topology bus|sharded[:BANKS[:mesh|xbar]], default bus) \
-                     and any stepping engine (--engine fast|naive|shard|windowed|auto)."
+                     and any stepping engine (--engine fast|naive|shard|auto)."
                 );
                 return;
             }

@@ -44,7 +44,7 @@ macro_rules! outln {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: sweep --grid NAME | --trace FILE [--out DIR] [--engine fast|naive|shard|windowed|auto] [--topology T] [--threads N] [--objective O]\n\
+        "usage: sweep --grid NAME | --trace FILE [--out DIR] [--engine fast|naive|shard|auto] [--topology T] [--threads N] [--objective O]\n\
          \x20            [--resume] [--checkpoint-every N] [--checkpoint-dir D] [--replay-to CYCLE --replay-key KEY]\n\
          \x20            [--list] [--list-policies]\n\
          \n\
@@ -64,12 +64,10 @@ fn usage() -> ! {
          \x20                 trace or grid is rejected as foreign\n\
          \x20 --out DIR       artifact directory (default sweep-out/<grid>)\n\
          \x20 --engine E      stepping engine: fast (default), naive, shard\n\
-         \x20                 (shard-parallel islands on host threads),\n\
-         \x20                 windowed (time-windowed conservative PDES for\n\
-         \x20                 contended sharded runs), or auto (picks per\n\
-         \x20                 cell: fast on the bus, shard for >1 island,\n\
-         \x20                 windowed otherwise); artifacts are\n\
-         \x20                 byte-identical in every case\n\
+         \x20                 (shard-parallel islands on host threads), or\n\
+         \x20                 auto (picks per cell: shard when a sharded\n\
+         \x20                 workload splits into >1 island, fast otherwise);\n\
+         \x20                 artifacts are byte-identical in every case\n\
          \x20 --topology T    interconnect: bus (default) or\n\
          \x20                 sharded[:BANKS[:mesh|xbar]] (BANKS=0: one bank per\n\
          \x20                 directory); sharded cell keys carry a topology\n\
@@ -77,8 +75,8 @@ fn usage() -> ! {
          \x20                 resume; see docs/SCALING.md\n\
          \x20 --threads N     cap the process-wide worker pool at N threads\n\
          \x20                 (default: the host's available parallelism); sweep\n\
-         \x20                 cells, shard-parallel islands and windowed lanes\n\
-         \x20                 all draw from this one budget. Affects wall-clock\n\
+         \x20                 cells and shard-parallel islands draw from this\n\
+         \x20                 one budget. Affects wall-clock\n\
          \x20                 only — artifacts are byte-identical for every N\n\
          \x20 --objective O   frontier objective: energy (default), edp or ed2p;\n\
          \x20                 only pareto.json depends on it, so a sweep can be\n\
@@ -217,7 +215,7 @@ fn main() {
                 outln!(
                     "\nEvery policy runs on either interconnect topology \
                      (--topology bus|sharded[:BANKS[:mesh|xbar]], default bus) \
-                     and any stepping engine (--engine fast|naive|shard)."
+                     and any stepping engine (--engine fast|naive|shard|auto)."
                 );
                 return;
             }

@@ -1,10 +1,10 @@
 //! Divergence-hunting fuzz harness for the stepping engines.
 //!
 //! The simulator's core robustness claim is the exactness invariant: the
-//! event-driven fast-forward engine, the shard-parallel island engine and
-//! the time-windowed conservative PDES engine must reproduce the
-//! one-step-per-cycle naive reference engine *byte for byte* in every
-//! report field, for every machine configuration and every workload trace. The `engine_differential` suite pins that claim on fixed
+//! event-driven fast-forward engine and the shard-parallel island engine
+//! must reproduce the one-step-per-cycle naive reference engine *byte for
+//! byte* in every report field, for every machine configuration and every
+//! workload trace. The `engine_differential` suite pins that claim on fixed
 //! grids and proptest-generated traces; this module hunts for violations
 //! adversarially and, when it finds one, boils it down to the smallest
 //! reproducing case:
@@ -18,10 +18,8 @@
 //!    and adversarial microbenchmarks), so realistic hotspot/zipfian/ring
 //!    access patterns reach the engine diff too; [`mutate_case`] perturbs an
 //!    existing case the way a coverage-guided fuzzer would.
-//! 2. [`run_case`] runs the case on all four engines — the windowed engine
-//!    both serially and with a pinned four-worker lane pool
-//!    (`parallel-windowed`), so the lane fan-out is fuzzed even on one-core
-//!    hosts — and diffs the full serialized [`SimReport`]s **field-wise**
+//! 2. [`run_case`] runs the case on all three engines and diffs the full
+//!    serialized [`SimReport`]s **field-wise**
 //!    (flattened JSON paths, so a single drifting counter is named
 //!    precisely).
 //! 3. [`shrink_case`] greedily minimizes a diverging case — dropping
@@ -466,32 +464,16 @@ pub struct FieldDiff {
 /// the naive reference, and exactly which report fields differ.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
-    /// Label of the diverging arm (`fast-forward`, `shard-parallel`,
-    /// `windowed` or `parallel-windowed`).
+    /// Label of the diverging engine (`fast-forward` or `shard-parallel`).
     pub engine: String,
     /// The differing fields, in path order.
     pub fields: Vec<FieldDiff>,
-}
-
-/// The lane pool for the `parallel-windowed` arm, pinned to four workers so
-/// the fuzzer exercises genuinely concurrent lanes even on a one-core host.
-/// One pool is shared across every case (worker threads live for the life
-/// of the process — the pool has no shutdown), and it is deliberately not
-/// the process-global pool so the arm's parallelism does not depend on the
-/// host's `--threads` budget.
-fn pinned_lane_pool() -> std::sync::Arc<clockgate_htm::pool::WorkerPool> {
-    static POOL: std::sync::OnceLock<std::sync::Arc<clockgate_htm::pool::WorkerPool>> =
-        std::sync::OnceLock::new();
-    std::sync::Arc::clone(
-        POOL.get_or_init(|| std::sync::Arc::new(clockgate_htm::pool::WorkerPool::new(4))),
-    )
 }
 
 fn run_engine(
     case: &CaseSpec,
     engine: EngineKind,
     inject_bug: bool,
-    pinned_lanes: bool,
 ) -> Result<SimReport, SimError> {
     let topology = TopologyConfig::parse(&case.topology)
         .ok_or_else(|| SimError::BadConfig(format!("unknown topology `{}`", case.topology)))?;
@@ -503,44 +485,30 @@ fn run_engine(
         .gating(case.policy)
         .cycle_limit(CASE_CYCLE_LIMIT)
         .engine(engine);
-    if pinned_lanes {
-        builder = builder.lane_pool(pinned_lane_pool());
-    }
     // The planted bug lives in the batched (fast-forward) accounting path,
     // which the naive engine never takes; perturbing only the fast engine
-    // keeps the reference and the shard/windowed engines honest witnesses.
+    // keeps the reference and the shard engine honest witnesses.
     if inject_bug && engine == EngineKind::FastForward {
         builder = builder.debug_perturb_fast_accounting();
     }
     builder.run()
 }
 
-/// Run a case on all four engines — the windowed engine twice, once serial
-/// and once with a four-worker lane pool pinned (`parallel-windowed`) — and
-/// field-wise diff every report against the naive reference. An empty
+/// Run a case on all three engines and field-wise diff every report
+/// against the naive reference. An empty
 /// vector means the exactness invariant held.
 ///
 /// # Errors
 /// Propagates simulation errors (bad configuration, cycle-limit overrun).
 pub fn run_case(case: &CaseSpec, inject_bug: bool) -> Result<Vec<Divergence>, SimError> {
-    let reference = to_json(&run_engine(case, EngineKind::Naive, inject_bug, false)?);
+    let reference = to_json(&run_engine(case, EngineKind::Naive, inject_bug)?);
     let mut divergences = Vec::new();
-    for (engine, pinned_lanes) in [
-        (EngineKind::FastForward, false),
-        (EngineKind::ShardParallel, false),
-        (EngineKind::Windowed, false),
-        (EngineKind::Windowed, true),
-    ] {
-        let candidate = to_json(&run_engine(case, engine, inject_bug, pinned_lanes)?);
+    for engine in [EngineKind::FastForward, EngineKind::ShardParallel] {
+        let candidate = to_json(&run_engine(case, engine, inject_bug)?);
         let fields = diff_reports(&reference, &candidate);
         if !fields.is_empty() {
-            let label = if pinned_lanes {
-                "parallel-windowed".to_string()
-            } else {
-                engine.label().to_string()
-            };
             divergences.push(Divergence {
-                engine: label,
+                engine: engine.label().to_string(),
                 fields,
             });
         }

@@ -175,11 +175,6 @@ pub struct CheckpointRunInfo {
     /// The stepping engine the run executed under (the resolved kind when
     /// the caller selected `auto`).
     pub engine: EngineKind,
-    /// Windowed-engine counters of the run (all zero under every other
-    /// engine). Monitoring only: a resumed run counts only its own
-    /// remainder, because these counters are deliberately not checkpointed
-    /// (checkpoint bytes stay engine-independent).
-    pub windowed: htm_tcc::system::WindowedStats,
 }
 
 /// The full file name of the checkpoint of run `key` at cycle `cycle`.
@@ -395,30 +390,6 @@ where
     H: GatingHook,
     F: Fn() -> H,
 {
-    run_checkpointed_pooled(cfg, workload, make_hook, engine, limit, ckpt, None)
-}
-
-/// [`run_checkpointed`] with the windowed engine's lane pool pinned to
-/// `lane_pool` instead of the process-wide global pool (`None` keeps the
-/// default). Checkpoint bytes and the final artifacts are pool-size
-/// independent — the pin only controls how many host threads the windowed
-/// engine may fan per-window group lanes onto between snapshots, so
-/// differential tests can sweep pool sizes (including across a kill/resume
-/// boundary) inside one process.
-#[allow(clippy::too_many_arguments)]
-pub fn run_checkpointed_pooled<H, F>(
-    cfg: &SimConfig,
-    workload: &WorkloadTrace,
-    make_hook: F,
-    engine: EngineKind,
-    limit: Cycle,
-    ckpt: &CheckpointConfig,
-    lane_pool: Option<std::sync::Arc<crate::pool::WorkerPool>>,
-) -> Result<(RunOutcome, H, CheckpointRunInfo), CheckpointError>
-where
-    H: GatingHook,
-    F: Fn() -> H,
-{
     if ckpt.every == 0 {
         return Err(CheckpointError::ZeroInterval);
     }
@@ -448,12 +419,6 @@ where
         }
         None => TccSystem::new(cfg.clone(), workload.clone(), make_hook())?,
     };
-    // `restore_checkpoint` builds a pool-less system (the pin is host-side
-    // runtime state, not machine state), so the pin is applied after either
-    // construction path.
-    if let Some(pool) = lane_pool {
-        sys.set_lane_pool(pool);
-    }
     while !sys.is_complete() {
         if sys.now() >= limit {
             return Err(SimError::CycleLimitExceeded { limit }.into());
@@ -470,7 +435,6 @@ where
             info.checkpoints_written += 1;
         }
     }
-    info.windowed = sys.windowed_stats();
     let (outcome, hook) = sys.into_parts();
     Ok((outcome, hook, info))
 }

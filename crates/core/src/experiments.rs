@@ -35,8 +35,7 @@ use crate::checkpoint::{
 };
 use crate::report::{fmt_f, fmt_factor, fmt_percent, format_table};
 use crate::sim::{
-    compare_runs, EngineChoice, EngineKind, GatingMode, RunStats, SimReport, SimulationBuilder,
-    WindowedStats,
+    compare_runs, EngineChoice, EngineKind, GatingMode, SimReport, SimulationBuilder,
 };
 use crate::sweep::TraceWorkload;
 
@@ -235,70 +234,6 @@ pub struct CellTiming {
     /// Stepping engine the cell's runs resolved to (meaningful under
     /// `--engine auto`, where each cell picks its own engine).
     pub engine: String,
-    /// Windowed-engine counters summed over the cell's run pair; present
-    /// only when the cell ran on [`EngineKind::Windowed`].
-    pub windowed: Option<WindowedCellStats>,
-}
-
-/// Windowed-engine diagnostics of one matrix cell, merged over the cell's
-/// ungated + gated run pair (counters summed, high-water marks maxed).
-/// Lives only in the timing artifact (`BENCH_reproduce.json`) — reports stay
-/// engine-independent and byte-comparable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WindowedCellStats {
-    /// Lookahead windows executed across both runs.
-    pub windows: u64,
-    /// Windows whose planner produced two or more independent groups.
-    pub multi_group_windows: u64,
-    /// Largest number of independent groups observed in one window.
-    pub max_groups_in_window: usize,
-    /// Total group advances (sum of group counts over all windows).
-    pub group_advances: u64,
-    /// Largest number of bank shards with at least one active processor
-    /// observed in one window — the "shards active" scaling signal.
-    pub max_banks_active: usize,
-    /// Cross-group messages staged at window barriers.
-    pub staged_messages: u64,
-    /// Histogram of groups-per-window, bucketed as
-    /// [`WindowedStats::GROUP_HIST_BUCKETS`] (1, 2, 3, 4, 5-8, 9-16, 17+).
-    pub group_count_hist: [u64; 7],
-    /// Multi-group windows whose lanes were fanned onto the worker pool
-    /// (zero when the pool has a single worker: the sequential fallback).
-    pub parallel_windows: u64,
-    /// Largest number of lanes that could run concurrently in one parallel
-    /// window: `min(groups, pool workers)`, maxed over parallel windows.
-    /// Deterministic — depends on the plan and pool size, not the schedule.
-    pub max_concurrent_lanes: usize,
-    /// Wall-clock nanoseconds lane jobs spent advancing, summed over lanes.
-    /// Nondeterministic; compare against [`Self::window_wall_nanos`] to see
-    /// how much of the window time was lane work vs barrier replay.
-    pub lane_busy_nanos: u64,
-    /// Wall-clock nanoseconds parallel windows took end to end (fan-out,
-    /// lane advances, reassembly and barrier replay). Nondeterministic.
-    pub window_wall_nanos: u64,
-}
-
-impl WindowedCellStats {
-    /// Merge the two runs of a cell: counters add, high-water marks max.
-    fn merged(a: WindowedStats, b: WindowedStats) -> Self {
-        let mut group_count_hist = a.group_count_hist;
-        for (acc, add) in group_count_hist.iter_mut().zip(b.group_count_hist) {
-            *acc += add;
-        }
-        Self {
-            windows: a.windows + b.windows,
-            multi_group_windows: a.multi_group_windows + b.multi_group_windows,
-            max_groups_in_window: a.max_groups_in_window.max(b.max_groups_in_window),
-            group_advances: a.group_advances + b.group_advances,
-            max_banks_active: a.max_banks_active.max(b.max_banks_active),
-            staged_messages: a.staged_messages + b.staged_messages,
-            group_count_hist,
-            parallel_windows: a.parallel_windows + b.parallel_windows,
-            max_concurrent_lanes: a.max_concurrent_lanes.max(b.max_concurrent_lanes),
-            lane_busy_nanos: a.lane_busy_nanos + b.lane_busy_nanos,
-            window_wall_nanos: a.window_wall_nanos + b.window_wall_nanos,
-        }
-    }
 }
 
 /// Wall-clock timing of a whole [`run_matrix_timed`] invocation; serialized
@@ -366,7 +301,7 @@ fn run_one(
     topology: TopologyConfig,
     ckpt: Option<(&MatrixCheckpoint, &str)>,
     trace: Option<&TraceWorkload>,
-) -> Result<(SimReport, RunStats), SimError> {
+) -> Result<(SimReport, EngineKind), SimError> {
     let builder = SimulationBuilder::new()
         .processors(procs)
         .topology(topology);
@@ -401,13 +336,7 @@ fn run_one(
     if let Err(err) = remove_checkpoints(&spec.dir, &key) {
         eprintln!("warning: run `{key}`: could not clean up checkpoints: {err}");
     }
-    Ok((
-        report,
-        RunStats {
-            engine: info.engine,
-            windowed: info.windowed,
-        },
-    ))
+    Ok((report, info.engine))
 }
 
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
@@ -420,7 +349,7 @@ fn run_pair(
     topology: TopologyConfig,
     ckpt: Option<&MatrixCheckpoint>,
     trace: Option<&TraceWorkload>,
-) -> Result<((SimReport, RunStats), (SimReport, RunStats)), SimError> {
+) -> Result<((SimReport, EngineKind), (SimReport, EngineKind)), SimError> {
     let ungated = run_one(
         workload,
         procs,
@@ -514,16 +443,8 @@ fn run_cell(
     topology: TopologyConfig,
     ckpt: Option<&MatrixCheckpoint>,
     trace: Option<&TraceWorkload>,
-) -> Result<
-    (
-        MatrixCell,
-        CellEnergyBreakdown,
-        EngineKind,
-        Option<WindowedCellStats>,
-    ),
-    SimError,
-> {
-    let ((ungated, ustats), (gated, gstats)) = run_pair(
+) -> Result<(MatrixCell, CellEnergyBreakdown, EngineKind), SimError> {
+    let ((ungated, resolved), (gated, _)) = run_pair(
         workload,
         procs,
         cfg,
@@ -537,9 +458,6 @@ fn run_cell(
     let breakdown = CellEnergyBreakdown::new(workload, procs, ungated.ledger, gated.ledger.clone());
     // Both runs of a pair share (cfg, workload), so `auto` resolves them to
     // the same engine.
-    let resolved = ustats.engine;
-    let windowed = (resolved == EngineKind::Windowed)
-        .then(|| WindowedCellStats::merged(ustats.windowed, gstats.windowed));
     Ok((
         MatrixCell {
             workload: workload.to_string(),
@@ -550,7 +468,6 @@ fn run_cell(
         },
         breakdown,
         resolved,
-        windowed,
     ))
 }
 
@@ -641,15 +558,7 @@ pub fn run_matrix_timed_ckpt_traced(
 
     // One pre-assigned slot per cell; each pool job writes only its own
     // slot, so cell order never depends on the schedule.
-    type CellResult = Result<
-        (
-            MatrixCell,
-            CellEnergyBreakdown,
-            EngineKind,
-            Option<WindowedCellStats>,
-        ),
-        SimError,
-    >;
+    type CellResult = Result<(MatrixCell, CellEnergyBreakdown, EngineKind), SimError>;
     let mut slots: Vec<Option<(CellResult, f64)>> = Vec::new();
     slots.resize_with(params.len(), || None);
     pool.scope(|scope| {
@@ -667,13 +576,12 @@ pub fn run_matrix_timed_ckpt_traced(
     let mut timings = Vec::with_capacity(params.len());
     for slot in slots {
         let (result, wall_ms) = slot.expect("every cell job ran to completion");
-        let (cell, breakdown, resolved, windowed) = result?;
+        let (cell, breakdown, resolved) = result?;
         timings.push(CellTiming {
             workload: cell.workload.clone(),
             procs: cell.procs,
             wall_ms,
             engine: resolved.label().to_string(),
-            windowed,
         });
         cells.push(cell);
         breakdowns.push(breakdown);
@@ -992,7 +900,7 @@ pub fn fig7_ckpt_traced(
         // Baselines per workload.
         let mut baselines = Vec::new();
         for workload in &cfg.workloads {
-            let (ungated, _stats) = run_one(
+            let (ungated, _engine) = run_one(
                 workload,
                 procs,
                 cfg,
@@ -1008,7 +916,7 @@ pub fn fig7_ckpt_traced(
             let mut speedups = Vec::new();
             let kind = format!("fig7-w{w0}");
             for (workload, ungated) in cfg.workloads.iter().zip(&baselines) {
-                let (gated, _stats) = run_one(
+                let (gated, _engine) = run_one(
                     workload,
                     procs,
                     cfg,

@@ -36,7 +36,7 @@ pub fn pow2_ceil_lg(n: u32) -> u64 {
 /// policy keeps a per-victim predictor), so the controller passes the
 /// victim's id and forwards the gate/wake lifecycle events; static policies
 /// ignore all three.
-pub trait ContentionPolicy: Send {
+pub trait ContentionPolicy {
     /// Gating window in cycles for `victim`, whose entry shows `abort_count`
     /// aborts and `renew_count` renewals.
     fn window(&self, victim: ProcId, abort_count: u32, renew_count: u32) -> Cycle;

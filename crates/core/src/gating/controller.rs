@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 
 use htm_sim::checkpoint::{CkptError, CkptReader, CkptWriter};
 use htm_sim::{Cycle, DirId, ProcId};
-use htm_tcc::hooks::{AbortAction, GateCommand, GatingHook, ScopedCmdKey, SystemView};
+use htm_tcc::hooks::{AbortAction, GateCommand, GatingHook, SystemView};
 use htm_tcc::txn::TxId;
 
 use crate::gating::contention::ContentionPolicy;
@@ -150,14 +150,6 @@ pub struct ClockGateController {
     /// merge in eagerly; wake-ups may leave a slot stale-early, which merely
     /// costs one extra no-op scan of that table, never a missed one); a scan
     /// recomputes its own directory's slot exactly.
-    ///
-    /// The bound is deliberately **directory-local**: whether and when a
-    /// table is scanned (and its slot healed) depends only on that
-    /// directory's own abort/renewal history, so a scoped tick
-    /// ([`GatingHook::on_tick_scoped`]) that sees only one window group's
-    /// directories leaves every other slot byte-identical to what a serial
-    /// run would hold — which is what keeps windowed-engine checkpoints
-    /// exact.
     pending_min: Vec<Option<Cycle>>,
 }
 
@@ -216,17 +208,11 @@ impl ClockGateController {
     }
 
     /// Scan one directory's table at `now`: process every expired gating
-    /// timer (renew or emit a wake through `emit`) and recompute the
+    /// timer (renew, or push a wake command into `out`) and recompute the
     /// directory's `pending_min` slot exactly. Callers gate on the slot
     /// being due, so a scan that finds nothing expired only happens to heal
     /// a stale-early bound.
-    fn tick_dir(
-        &mut self,
-        dir: DirId,
-        now: Cycle,
-        view: &SystemView,
-        emit: &mut impl FnMut(ProcId, DirId),
-    ) {
+    fn tick_dir(&mut self, dir: DirId, now: Cycle, view: &SystemView, out: &mut Vec<GateCommand>) {
         let mut next_min: Option<Cycle> = None;
         let mut merge_min = |expires: Cycle| {
             next_min = Some(next_min.map_or(expires, |m: Cycle| m.min(expires)));
@@ -256,7 +242,7 @@ impl ClockGateController {
                 } else {
                     self.stats.ungate_aborter_gone += 1;
                 }
-                emit(proc, dir);
+                out.push(GateCommand::UngateProcessor { proc, dir });
                 continue;
             }
             // The aborter is still marked here: issue a TxInfoReq and
@@ -277,13 +263,13 @@ impl ClockGateController {
                     // Null reply: the aborter has itself been clock-gated.
                     entry.turn_on();
                     self.stats.ungate_null_reply += 1;
-                    emit(proc, dir);
+                    out.push(GateCommand::UngateProcessor { proc, dir });
                 }
                 _ => {
                     // Different transaction (or no stored id): wake up.
                     entry.turn_on();
                     self.stats.ungate_different_tx += 1;
-                    emit(proc, dir);
+                    out.push(GateCommand::UngateProcessor { proc, dir });
                 }
             }
         }
@@ -333,9 +319,7 @@ impl GatingHook for ClockGateController {
         // expired timer, so skipping them changes no command and no entry.
         for dir in 0..self.tables.len() {
             if self.pending_min[dir].is_some_and(|m| m <= now) {
-                self.tick_dir(dir, now, view, &mut |proc, dir| {
-                    commands.push(GateCommand::UngateProcessor { proc, dir });
-                });
+                self.tick_dir(dir, now, view, commands);
             }
         }
     }
@@ -376,55 +360,6 @@ impl GatingHook for ClockGateController {
         if entry.off {
             entry.turn_on();
             self.stats.stale_off_reconciled += 1;
-        }
-    }
-
-    fn windowed_couplings(&self, out: &mut Vec<(DirId, ProcId)>) -> bool {
-        // Every OFF entry couples its directory to two processors: the
-        // *victim*, whose own callbacks (`on_wake` after a wake from another
-        // directory, `on_commit` after a stale-OFF retry, `on_proc_activity`)
-        // mutate this entry while the directory's scoped scan reads and
-        // renews it; and the *aborter*, whose marked bit and `TxInfoReq`
-        // reply the Fig. 2(e) renewal check consults (and whose per-victim
-        // policy state a renewal's `window()` call may read). Extra pairs
-        // only coarsen the window grouping; these are the complete set of
-        // cross-processor accesses a scoped scan can perform.
-        for (dir, table) in self.tables.iter().enumerate() {
-            for (proc, entry) in table.iter() {
-                if entry.off {
-                    out.push((dir, proc));
-                    if let Some(aborter) = entry.aborter_proc {
-                        out.push((dir, aborter));
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    fn on_tick_scoped(
-        &mut self,
-        now: Cycle,
-        view: &SystemView,
-        focus: &[bool],
-        out: &mut Vec<(ScopedCmdKey, GateCommand)>,
-    ) {
-        // Identical to `on_tick` restricted to the focus directories. The
-        // serial tick emits in directory-then-processor order, so the key
-        // `(dir, proc, 0)` reproduces that order at the window barrier.
-        // Out-of-focus slots are left untouched — their groups run their own
-        // scoped scans for the same cycles, and `pending_min` healing is
-        // directory-local, so the merged end-of-window state is
-        // byte-identical to a serial run's.
-        for (dir, &in_focus) in focus.iter().enumerate().take(self.tables.len()) {
-            if in_focus && self.pending_min[dir].is_some_and(|m| m <= now) {
-                self.tick_dir(dir, now, view, &mut |proc, dir| {
-                    out.push((
-                        (dir as u64, proc as u64, 0),
-                        GateCommand::UngateProcessor { proc, dir },
-                    ));
-                });
-            }
         }
     }
 

@@ -14,7 +14,7 @@
 use htm_sim::checkpoint::{CkptError, CkptReader, CkptWriter};
 use htm_sim::config::SimConfig;
 use htm_sim::{Cycle, DirId, ProcId};
-use htm_tcc::hooks::{AbortAction, GateCommand, GatingHook, ScopedCmdKey, SystemView};
+use htm_tcc::hooks::{AbortAction, GateCommand, GatingHook, SystemView};
 use htm_tcc::txn::TxId;
 
 use crate::gating::contention::GatingAwarePolicy;
@@ -119,23 +119,6 @@ impl GatingHook for HybridHook {
 
     fn on_proc_activity(&mut self, proc: ProcId, dir: DirId, now: Cycle) {
         self.inner.on_proc_activity(proc, dir, now);
-    }
-
-    fn windowed_couplings(&self, out: &mut Vec<(DirId, ProcId)>) -> bool {
-        // The ladder is per-victim state touched only by the victim's own
-        // abort/commit callbacks; every cross-processor access lives in the
-        // gating phase, so the inner controller's couplings are complete.
-        self.inner.windowed_couplings(out)
-    }
-
-    fn on_tick_scoped(
-        &mut self,
-        now: Cycle,
-        view: &SystemView,
-        focus: &[bool],
-        out: &mut Vec<(ScopedCmdKey, GateCommand)>,
-    ) {
-        self.inner.on_tick_scoped(now, view, focus, out);
     }
 
     fn snapshot(&self, w: &mut CkptWriter) {

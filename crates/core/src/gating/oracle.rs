@@ -23,19 +23,16 @@
 
 use htm_sim::checkpoint::{CkptError, CkptReader, CkptWriter};
 use htm_sim::{Cycle, DirId, ProcId};
-use htm_tcc::hooks::{AbortAction, GateCommand, GatingHook, ScopedCmdKey, SystemView};
+use htm_tcc::hooks::{AbortAction, GateCommand, GatingHook, SystemView};
 use htm_tcc::txn::TxId;
 
 use crate::gating::controller::GatingStats;
 use crate::gating::policy::{PolicyHook, UncoreCharges};
 
-/// One wake scheduled by `on_commit`, awaiting the next tick. The stamp
-/// `(at, committer, victim)` is the serial push order: commits fire in
-/// ascending processor order within a cycle and each commit scans victims in
-/// ascending order, so keeping the queue sorted by the stamp makes the queue
-/// — and therefore the drain order and the checkpoint bytes — identical
-/// whether the wakes were scheduled serially or by the windowed engine's
-/// groups (which run the same commits bunched by group, not by cycle).
+/// One wake scheduled by `on_commit`, awaiting the next tick. Commits fire
+/// in ascending processor order within a cycle and each commit scans victims
+/// in ascending order, so the queue is always sorted by
+/// `(at, committer, victim)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PendingWake {
     /// Cycle the conflictor's commit scheduled this wake.
@@ -46,12 +43,6 @@ struct PendingWake {
     victim: ProcId,
     /// Directory that issued the victim's Stop Clock.
     dir: DirId,
-}
-
-impl PendingWake {
-    fn stamp(&self) -> (Cycle, ProcId, ProcId) {
-        (self.at, self.committer, self.victim)
-    }
 }
 
 /// The oracle hook (see the module docs).
@@ -65,9 +56,8 @@ pub struct OracleHook {
     /// wake command for statistics/reconciliation).
     gate_dir: Vec<DirId>,
     /// Wake commands scheduled by `on_commit`, issued at the next tick.
-    /// Kept sorted by [`PendingWake::stamp`]; the earliest pending cycle is
-    /// always the head's stamp, so no separate "pending since" cell exists
-    /// to go stale.
+    /// Sorted by scheduling cycle; the earliest pending cycle is always the
+    /// head's, so no separate "pending since" cell exists to go stale.
     pending: Vec<PendingWake>,
     /// Per-processor: cycle of its most recent commit (the same-cycle
     /// stale-abort guard).
@@ -138,7 +128,7 @@ impl GatingHook for OracleHook {
     fn next_deadline(&self, now: Cycle) -> Option<Cycle> {
         // The hook acts spontaneously only to deliver wakes scheduled by a
         // commit; between commits `on_tick` is a no-op, so the earliest
-        // pending stamp bounds the fast-forward horizon exactly (the queue
+        // pending cycle bounds the fast-forward horizon exactly (the queue
         // is sorted, so it is the head's).
         self.pending.first().map(|p| p.at.max(now))
     }
@@ -156,72 +146,13 @@ impl GatingHook for OracleHook {
                     victim,
                     dir: self.gate_dir[victim],
                 };
-                // Serial pushes arrive in stamp order (this is an append);
-                // windowed groups replay the same commits bunched by group,
-                // and the sorted insert restores the serial queue.
-                let idx = self
-                    .pending
-                    .partition_point(|queued| queued.stamp() <= wake.stamp());
-                self.pending.insert(idx, wake);
+                self.pending.push(wake);
             }
         }
     }
 
     fn on_wake(&mut self, proc: ProcId, _now: Cycle) {
         self.waiting_on[proc] = None;
-    }
-
-    fn windowed_couplings(&self, out: &mut Vec<(DirId, ProcId)>) -> bool {
-        // A live subscription `victim -> aborter` couples the gating
-        // directory to both ends: the aborter's commit reads and clears the
-        // subscription and schedules the wake; the victim's own callbacks
-        // (a re-targeting abort, its wake) write the same slot. A pending
-        // wake couples its directory to the victim so the directory's bank
-        // is claimed by some group and the scoped drain runs.
-        for victim in 0..self.waiting_on.len() {
-            if let Some(aborter) = self.waiting_on[victim] {
-                out.push((self.gate_dir[victim], victim));
-                out.push((self.gate_dir[victim], aborter));
-            }
-        }
-        for p in &self.pending {
-            out.push((p.dir, p.victim));
-        }
-        true
-    }
-
-    fn on_tick_scoped(
-        &mut self,
-        now: Cycle,
-        _view: &SystemView,
-        focus: &[bool],
-        out: &mut Vec<(ScopedCmdKey, GateCommand)>,
-    ) {
-        // Drain only the wakes owned by the focus directories; the stamp is
-        // the merge key, so the barrier restores the serial drain order.
-        // Wakes scheduled *during* a window always target a directory of the
-        // scheduling group (the subscription coupling guarantees it), so
-        // every due wake is drained by exactly one group.
-        if self.pending.first().is_none_or(|p| p.at > now) {
-            return;
-        }
-        let mut i = 0;
-        while i < self.pending.len() {
-            let p = self.pending[i];
-            if focus[p.dir] {
-                self.pending.remove(i);
-                self.stats.ungate_aborter_gone += 1;
-                out.push((
-                    (p.at, p.committer as u64, p.victim as u64),
-                    GateCommand::UngateProcessor {
-                        proc: p.victim,
-                        dir: p.dir,
-                    },
-                ));
-            } else {
-                i += 1;
-            }
-        }
     }
 
     fn snapshot(&self, w: &mut CkptWriter) {
@@ -232,7 +163,7 @@ impl GatingHook for OracleHook {
         for &dir in &self.gate_dir {
             w.put_usize(dir);
         }
-        // Pending wakes in queue (stamp) order — the drain order is
+        // Pending wakes in queue order — the drain order is
         // observable in the command stream, so it must survive the round
         // trip verbatim.
         w.put_usize(self.pending.len());

@@ -36,7 +36,7 @@ use htm_sim::config::SimConfig;
 use htm_sim::Cycle;
 use htm_sim::{DirId, ProcId};
 use htm_tcc::hooks::{
-    AbortAction, ExponentialBackoff, GateCommand, GatingHook, NoGating, ScopedCmdKey, SystemView,
+    AbortAction, ExponentialBackoff, GateCommand, GatingHook, NoGating, SystemView,
 };
 use htm_tcc::txn::TxId;
 
@@ -131,23 +131,6 @@ impl GatingHook for Box<dyn PolicyHook> {
 
     fn on_proc_activity(&mut self, proc: ProcId, dir: DirId, now: Cycle) {
         (**self).on_proc_activity(proc, dir, now);
-    }
-
-    // The scoped-windowing pair must forward explicitly: the trait defaults
-    // answer "unsupported", so without these the windowed engine would fall
-    // back to single-group (serial) windows for every registry policy.
-    fn windowed_couplings(&self, out: &mut Vec<(DirId, ProcId)>) -> bool {
-        (**self).windowed_couplings(out)
-    }
-
-    fn on_tick_scoped(
-        &mut self,
-        now: Cycle,
-        view: &SystemView,
-        focus: &[bool],
-        out: &mut Vec<(ScopedCmdKey, GateCommand)>,
-    ) {
-        (**self).on_tick_scoped(now, view, focus, out);
     }
 
     fn snapshot(&self, w: &mut htm_sim::checkpoint::CkptWriter) {

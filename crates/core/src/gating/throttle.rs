@@ -18,7 +18,7 @@
 
 use htm_sim::checkpoint::{CkptError, CkptReader, CkptWriter};
 use htm_sim::{Cycle, DirId, ProcId};
-use htm_tcc::hooks::{AbortAction, GateCommand, GatingHook, ScopedCmdKey, SystemView};
+use htm_tcc::hooks::{AbortAction, GatingHook, SystemView};
 use htm_tcc::txn::TxId;
 
 use crate::gating::contention::pow2_ceil_lg;
@@ -78,21 +78,6 @@ impl GatingHook for ThrottleHook {
         // The throttled window is a processor-local countdown
         // (`Phase::Throttled`); the hook itself never acts spontaneously.
         None
-    }
-
-    fn windowed_couplings(&self, _out: &mut Vec<(DirId, ProcId)>) -> bool {
-        // Per-victim ladders touched only by the victim's own abort/commit
-        // callbacks, and no spontaneous actions: no cross-shard hook state.
-        true
-    }
-
-    fn on_tick_scoped(
-        &mut self,
-        _now: Cycle,
-        _view: &SystemView,
-        _focus: &[bool],
-        _out: &mut Vec<(ScopedCmdKey, GateCommand)>,
-    ) {
     }
 
     fn snapshot(&self, w: &mut CkptWriter) {

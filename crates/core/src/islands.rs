@@ -214,10 +214,10 @@ fn run_lane(
 /// tracker would record — but the tracker *is* a pure function of the
 /// per-cycle count sequence, and that sequence is the cycle-wise sum of the
 /// lane sequences (exhausted lanes contribute zero). The actual summing is
-/// [`htm_sim::interval::zip_sum_segments`], the merge primitive shared with
-/// the windowed engine; lanes that finish before the slowest island are
-/// padded to the global length with a zero-count tail, because a finished
-/// island's processors spend those cycles in no tracked state.
+/// [`htm_sim::interval::zip_sum_segments`]; lanes that finish before the
+/// slowest island are padded to the global length with a zero-count tail,
+/// because a finished island's processors spend those cycles in no tracked
+/// state.
 fn merge_intervals(
     num_procs: usize,
     total_cycles: Cycle,
@@ -238,9 +238,7 @@ fn merge_intervals(
         })
         .collect();
     let mut merged: Vec<IntervalSeg> = Vec::new();
-    htm_sim::interval::zip_sum_segments(&padded, IntervalSeg::default(), total_cycles, |seg| {
-        merged.push(seg);
-    });
+    htm_sim::interval::zip_sum_segments(&padded, total_cycles, |seg| merged.push(seg));
     IntervalTracker::from_segments(num_procs, &merged)
 }
 

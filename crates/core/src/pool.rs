@@ -1,9 +1,8 @@
 //! Re-export of the shared worker pool.
 //!
-//! The pool implementation lives in [`htm_sim::pool`] so that the simulator
-//! core (`htm-tcc`) can fan per-window lane advances onto the same pool the
-//! matrix/sweep drivers in this crate use — one thread budget for the whole
-//! process instead of two competing ones. This module keeps the historical
+//! The pool implementation lives in [`htm_sim::pool`], the lowest layer
+//! every binary and tool already depends on, so there is one thread budget
+//! for the whole process. This module keeps the historical
 //! `crate::pool::WorkerPool` paths working.
 
 pub use htm_sim::pool::{Scope, WorkerPool};

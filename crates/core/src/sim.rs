@@ -25,7 +25,7 @@ use htm_tcc::system::{SimError, TccSystem};
 use htm_tcc::txn::WorkloadTrace;
 use htm_workloads::{by_name, WorkloadScale};
 
-pub use htm_tcc::system::{EngineKind, WindowedStats};
+pub use htm_tcc::system::EngineKind;
 
 /// The historical name of [`PolicySpec`], kept so that pre-framework callers
 /// (and the six legacy variants they construct) compile unchanged.
@@ -76,14 +76,13 @@ impl EngineChoice {
     }
 
     /// Parse a `--engine` CLI value. Accepted: `fast` / `fast-forward`,
-    /// `naive`, `shard` / `shard-parallel`, `windowed`, `auto`.
+    /// `naive`, `shard` / `shard-parallel`, `auto`.
     #[must_use]
     pub fn parse(value: &str) -> Option<Self> {
         match value {
             "fast" | "fast-forward" => Some(EngineKind::FastForward.into()),
             "naive" => Some(EngineKind::Naive.into()),
             "shard" | "shard-parallel" => Some(EngineKind::ShardParallel.into()),
-            "windowed" => Some(EngineKind::Windowed.into()),
             "auto" => Some(EngineChoice::Auto),
             _ => None,
         }
@@ -103,49 +102,25 @@ impl EngineChoice {
 /// for this machine and workload. All engines are byte-exact, so this only
 /// trades wall-clock time:
 ///
-/// * On the shared bus (or a sharded fabric collapsed to a single bank
-///   channel) there is no cross-shard structure to exploit — the serial
-///   event-driven fast-forward engine wins.
-/// * On a sharded fabric whose workload decomposes into two or more
-///   conflict-isolated islands ([`crate::islands::partition_islands`]), the
-///   island engine wins: whole-run parallelism with zero synchronization.
-/// * On a sharded fabric whose workload is a single contended island — the
-///   case islands cannot touch — the time-windowed conservative PDES engine
-///   ([`EngineKind::Windowed`]) still splits most lookahead windows into
-///   independent per-bank groups and fans them onto the worker pool. That
-///   only pays off when the pool can actually run lanes concurrently: with a
-///   single worker (a 1-core container, or `--threads 1`) the windowed
-///   engine degenerates to fast-forward plus window bookkeeping, so the
-///   heuristic weighs the global pool size and falls back to fast-forward.
+/// * On a sharded fabric (two or more bank channels) whose workload
+///   decomposes into two or more conflict-isolated islands
+///   ([`crate::islands::partition_islands`]), the island engine runs them
+///   in parallel with zero synchronization.
+/// * Everywhere else — the shared bus, a fabric collapsed to one bank
+///   channel, or a single contended island — the serial event-driven
+///   fast-forward engine.
+///
+/// The choice depends only on the machine and the workload, never on the
+/// host's thread budget.
 #[must_use]
 pub fn choose_engine(cfg: &SimConfig, workload: &WorkloadTrace) -> EngineKind {
-    if !matches!(cfg.topology, TopologyConfig::Sharded { .. })
-        || cfg.topology.effective_banks(cfg.num_dirs) < 2
-    {
-        return EngineKind::FastForward;
-    }
-    if crate::islands::partition_islands(cfg, workload).len() > 1 {
-        return EngineKind::ShardParallel;
-    }
-    if crate::pool::WorkerPool::global().workers() > 1 {
-        EngineKind::Windowed
+    let banked = matches!(cfg.topology, TopologyConfig::Sharded { .. })
+        && cfg.topology.effective_banks(cfg.num_dirs) >= 2;
+    if banked && crate::islands::partition_islands(cfg, workload).len() > 1 {
+        EngineKind::ShardParallel
     } else {
         EngineKind::FastForward
     }
-}
-
-/// Monitoring by-products of one [`SimulationBuilder::run_with_stats`] run:
-/// which engine actually drove it (resolved per run under
-/// [`EngineChoice::Auto`]) and the windowed-engine counters (all zero under
-/// every other engine). Deliberately not part of [`SimReport`]: reports are
-/// byte-compared across engines, and these fields are engine-dependent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunStats {
-    /// The stepping engine that drove the run.
-    pub engine: EngineKind,
-    /// Windowed-engine counters ([`WindowedStats::default`] unless the
-    /// windowed engine ran).
-    pub windowed: WindowedStats,
 }
 
 /// Result of a single simulation run.
@@ -199,7 +174,6 @@ pub struct SimulationBuilder {
     cycle_limit: Cycle,
     engine: EngineChoice,
     debug_perturb: bool,
-    lane_pool: Option<std::sync::Arc<crate::pool::WorkerPool>>,
 }
 
 impl Default for SimulationBuilder {
@@ -220,20 +194,7 @@ impl SimulationBuilder {
             cycle_limit: DEFAULT_CYCLE_LIMIT,
             engine: EngineChoice::default(),
             debug_perturb: false,
-            lane_pool: None,
         }
-    }
-
-    /// Pin the worker pool the windowed engine fans per-window group lanes
-    /// onto, instead of the process-wide [`crate::pool::WorkerPool::global`]
-    /// pool. A one-worker pool forces the sequential in-place path. Every
-    /// pool size produces byte-identical artifacts (the lanes are exact);
-    /// this knob exists so differential tests can sweep pool sizes inside
-    /// one process, where the global pool's size is fixed at first use.
-    #[must_use]
-    pub fn lane_pool(mut self, pool: std::sync::Arc<crate::pool::WorkerPool>) -> Self {
-        self.lane_pool = Some(pool);
-        self
     }
 
     /// Plant the deliberate fast-engine accounting bug
@@ -358,13 +319,14 @@ impl SimulationBuilder {
 
     /// Run the simulation.
     pub fn run(self) -> Result<SimReport, SimError> {
-        self.run_with_stats().map(|(report, _stats)| report)
+        self.run_with_stats().map(|(report, _engine)| report)
     }
 
-    /// Run the simulation, additionally returning the resolved engine and
-    /// the windowed-engine counters ([`RunStats`]). The report is
-    /// byte-identical to [`Self::run`].
-    pub fn run_with_stats(self) -> Result<(SimReport, RunStats), SimError> {
+    /// Run the simulation, additionally returning the engine that actually
+    /// drove it (resolved per run under [`EngineChoice::Auto`]). The engine
+    /// is deliberately not part of [`SimReport`]: reports are byte-compared
+    /// across engines. The report is byte-identical to [`Self::run`].
+    pub fn run_with_stats(self) -> Result<(SimReport, EngineKind), SimError> {
         let workload = self
             .workload
             .clone()
@@ -373,13 +335,12 @@ impl SimulationBuilder {
         let limit = self.cycle_limit;
         let power = self.power;
         let engine = self.engine.resolve(&self.config, &workload);
-        let mut windowed = WindowedStats::default();
 
         // The shard-parallel engine fans conflict-isolated islands out over
         // host threads when the topology and workload allow it; otherwise
         // (and for the serial engines) the policy spec resolves through the
         // registry into a boxed hook and the whole machine runs in-process.
-        // `run_bounded_full` hands the hook back with the outcome, so the
+        // `run_bounded_parts` hands the hook back with the outcome, so the
         // controller statistics and the policy's uncore-charge declaration
         // come out directly. Both paths are bit-identical.
         let islands_run = if engine == EngineKind::ShardParallel && !self.debug_perturb {
@@ -391,22 +352,20 @@ impl SimulationBuilder {
             Some(run) => (run.outcome, run.gating, run.charges),
             None => {
                 let hook = self.mode.build(&self.config);
-                let (outcome, hook, wstats) = run_system(
+                let (outcome, hook) = run_system(
                     self.config.clone(),
                     workload,
                     hook,
                     limit,
                     engine,
                     self.debug_perturb,
-                    self.lane_pool.clone(),
                 )?;
-                windowed = wstats;
                 (outcome, hook.gating_stats(), hook.uncore_charges())
             }
         };
         Ok((
             assemble_report(label, &power, outcome, gating, charges),
-            RunStats { engine, windowed },
+            engine,
         ))
     }
 
@@ -431,14 +390,13 @@ impl SimulationBuilder {
         })?;
         let label = self.mode.label();
         let engine = self.engine.resolve(&self.config, &workload);
-        let (outcome, hook, info) = crate::checkpoint::run_checkpointed_pooled(
+        let (outcome, hook, info) = crate::checkpoint::run_checkpointed(
             &self.config,
             &workload,
             || self.mode.build(&self.config),
             engine,
             self.cycle_limit,
             ckpt,
-            self.lane_pool.clone(),
         )?;
         let (gating, charges) = (hook.gating_stats(), hook.uncore_charges());
         Ok((
@@ -509,8 +467,8 @@ fn assemble_report(
     }
 }
 
-/// Build and run a system with the chosen engine, returning the outcome,
-/// the hook, and the windowed-engine counters.
+/// Build and run a system with the chosen engine, returning the outcome
+/// and the hook.
 fn run_system<H: GatingHook>(
     cfg: SimConfig,
     workload: WorkloadTrace,
@@ -518,16 +476,12 @@ fn run_system<H: GatingHook>(
     limit: Cycle,
     engine: EngineKind,
     debug_perturb: bool,
-    lane_pool: Option<std::sync::Arc<crate::pool::WorkerPool>>,
-) -> Result<(RunOutcome, H, WindowedStats), SimError> {
+) -> Result<(RunOutcome, H), SimError> {
     let mut system = TccSystem::new(cfg, workload, hook)?;
     if debug_perturb {
         system.debug_perturb_fast_accounting();
     }
-    if let Some(pool) = lane_pool {
-        system.set_lane_pool(pool);
-    }
-    system.run_bounded_full(limit, engine)
+    system.run_bounded_parts(limit, engine)
 }
 
 #[cfg(test)]

@@ -372,9 +372,7 @@ impl SweepGrid {
     /// and 1024 processors (the simulator's [`htm_sim::MAX_PROCS`] ceiling),
     /// under the ungated / Eq. 8 / oracle trio. Meant to be run on the
     /// sharded fabric (`sweep --grid scale --topology sharded`), where the
-    /// shard-parallel engine fans clustered islands out over host threads
-    /// and the windowed engine fans per-bank lane groups out within the
-    /// contended cells.
+    /// shard-parallel engine fans clustered islands out over host threads.
     #[must_use]
     pub fn scale() -> Self {
         Self {

@@ -765,8 +765,8 @@ pub fn run_sweep_ckpt_traced(
 
     if !pending.is_empty() {
         // Sized from the process-wide pool budget (the binaries' `--threads`
-        // cap), so cell-level and window-level parallelism share one budget:
-        // windowed lanes spawned by a cell run on the global pool itself,
+        // cap), so cell-level and island-level parallelism share one budget:
+        // island lanes spawned by a cell run on the global pool itself,
         // whose helping wait() keeps these scoped threads working instead of
         // oversubscribing the host.
         let threads = crate::pool::WorkerPool::global()

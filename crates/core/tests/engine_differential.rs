@@ -5,10 +5,7 @@
 //! (`EngineKind::Naive`); the shard-parallel engine
 //! (`EngineKind::ShardParallel`) — which decomposes a sharded machine into
 //! conflict-isolated islands and simulates them on parallel host threads —
-//! and the time-windowed conservative PDES engine (`EngineKind::Windowed`)
-//! — which advances per-bank groups one provable lookahead window at a time
-//! even when the whole machine is one conflict-connected island — must both
-//! be bit-for-bit exact with respect to them: identical `RunOutcome`s —
+//! must be bit-for-bit exact with respect to them: identical `RunOutcome`s —
 //! total cycles, commits, aborts, gatings, per-state cycle breakdowns,
 //! interval decomposition, bus and shard statistics — identical controller
 //! statistics and identical energy analyses, for **every registered
@@ -188,21 +185,18 @@ fn every_mode_and_workload_is_engine_exact() {
 #[test]
 fn every_mode_and_workload_is_engine_exact_on_the_sharded_fabric() {
     // The same (policy × workload) grid on the banked topology, with the
-    // shard-parallel and windowed engines as third and fourth parties to
-    // the agreement. At four processors most workloads form a single island
-    // (the shard-parallel engine falls back to serial fast-forward, while
-    // the windowed engine is precisely the one that still parallelizes);
-    // the fallback must be invisible in the output.
+    // shard-parallel engine as a third party to the agreement. At four
+    // processors most workloads form a single island (the shard-parallel
+    // engine falls back to serial fast-forward); the fallback must be
+    // invisible in the output.
     for workload in ALL_WORKLOADS {
         for mode in all_modes() {
             let fast = run_named_on(mode, workload, 4, EngineKind::FastForward, sharded());
             let naive = run_named_on(mode, workload, 4, EngineKind::Naive, sharded());
             let shard = run_named_on(mode, workload, 4, EngineKind::ShardParallel, sharded());
-            let windowed = run_named_on(mode, workload, 4, EngineKind::Windowed, sharded());
             let context = format!("sharded workload={workload} mode={}", mode.label());
             assert_identical(&fast, &naive, &context);
             assert_identical(&shard, &fast, &context);
-            assert_identical(&windowed, &fast, &context);
             fast.outcome.check_consistency().unwrap();
         }
     }
@@ -210,15 +204,12 @@ fn every_mode_and_workload_is_engine_exact_on_the_sharded_fabric() {
 
 #[test]
 fn parallel_engines_are_exact_on_the_bus_topology_too() {
-    // On the bus there is nothing to decompose and no lookahead to prove;
-    // the shard-parallel and windowed engines must degrade to plain
-    // fast-forward, not diverge or refuse.
+    // On the bus there is nothing to decompose; the shard-parallel engine
+    // must degrade to plain fast-forward, not diverge or refuse.
     for mode in [GatingMode::Ungated, GatingMode::ClockGate { w0: 8 }] {
         let fast = run_named(mode, "intruder", 4, EngineKind::FastForward);
         let shard = run_named(mode, "intruder", 4, EngineKind::ShardParallel);
-        let windowed = run_named(mode, "intruder", 4, EngineKind::Windowed);
         assert_identical(&shard, &fast, &format!("bus mode={}", mode.label()));
-        assert_identical(&windowed, &fast, &format!("bus mode={}", mode.label()));
     }
 }
 
@@ -234,10 +225,8 @@ fn clustered_64p_islands_are_engine_exact_for_every_policy() {
     for mode in all_modes() {
         let fast = run_named_on(mode, "clustered", 64, EngineKind::FastForward, sharded());
         let shard = run_named_on(mode, "clustered", 64, EngineKind::ShardParallel, sharded());
-        let windowed = run_named_on(mode, "clustered", 64, EngineKind::Windowed, sharded());
         let context = format!("clustered 64p sharded mode={}", mode.label());
         assert_identical(&shard, &fast, &context);
-        assert_identical(&windowed, &fast, &context);
         fast.outcome.check_consistency().unwrap();
     }
     // The naive reference engine is too slow to sweep all ten families at
@@ -255,7 +244,22 @@ fn clustered_64p_islands_are_engine_exact_for_every_policy() {
 }
 
 #[test]
-fn recorded_traces_replay_engine_exact_on_all_four_engines() {
+fn hotspot_16p_sharded_is_engine_exact() {
+    // A contended multi-bank run above four processors: every hotspot
+    // thread hammers the same lines across several bank shards, so the
+    // sharded fabric's per-bank arbitration and the gating timers interact
+    // on every cycle. All three engines must agree byte for byte.
+    let mode = GatingMode::ClockGate { w0: 8 };
+    let fast = run_named_on(mode, "hotspot", 16, EngineKind::FastForward, sharded());
+    let naive = run_named_on(mode, "hotspot", 16, EngineKind::Naive, sharded());
+    let shard = run_named_on(mode, "hotspot", 16, EngineKind::ShardParallel, sharded());
+    assert_identical(&fast, &naive, "hotspot 16p fast-forward vs naive");
+    assert_identical(&fast, &shard, "hotspot 16p fast-forward vs shard-parallel");
+    fast.outcome.check_consistency().unwrap();
+}
+
+#[test]
+fn recorded_traces_replay_engine_exact_on_every_engine() {
     // The trace subsystem's round-trip contract meets the exactness
     // invariant: a workload recorded to htmtrace text and read back is the
     // same value, and replaying it must land on byte-identical reports on
@@ -281,7 +285,6 @@ fn recorded_traces_replay_engine_exact_on_all_four_engines() {
             EngineKind::FastForward,
             EngineKind::Naive,
             EngineKind::ShardParallel,
-            EngineKind::Windowed,
         ] {
             let replay = run_trace(mode, loaded.workload.clone(), engine);
             assert_identical(
@@ -443,175 +446,11 @@ proptest! {
             mode, clustered_trace_from_raw(&threads), EngineKind::FastForward, sharded());
         let shard = run_trace_on(
             mode, clustered_trace_from_raw(&threads), EngineKind::ShardParallel, sharded());
-        let windowed = run_trace_on(
-            mode, clustered_trace_from_raw(&threads), EngineKind::Windowed, sharded());
         prop_assert_eq!(&shard.outcome, &fast.outcome);
         prop_assert_eq!(&shard.gating, &fast.gating);
         prop_assert_eq!(to_json(&shard), to_json(&fast));
-        prop_assert_eq!(&windowed.outcome, &fast.outcome);
-        prop_assert_eq!(&windowed.gating, &fast.gating);
-        prop_assert_eq!(to_json(&windowed), to_json(&fast));
         fast.outcome.check_consistency().unwrap();
     }
-}
-
-#[test]
-fn windowed_engine_parallelizes_a_contended_single_island_run() {
-    // The tentpole's acceptance criterion: on a 64-processor sharded
-    // machine, the hotspot workload is one conflict-connected island — the
-    // island engine has nothing to fan out — yet the windowed engine must
-    // still advance more than one bank shard per lookahead window. The
-    // counters live in `RunStats` (and flow into the timing artifact), not
-    // in the byte-compared report.
-    let build = |engine: EngineChoice| {
-        SimulationBuilder::new()
-            .processors(64)
-            .topology(sharded())
-            .workload_by_name("hotspot", WorkloadScale::Test, 11)
-            .unwrap()
-            .gating(GatingMode::ClockGate { w0: 8 })
-            .cycle_limit(50_000_000)
-            .engine(engine)
-    };
-    let workload = htm_workloads::by_name("hotspot", 64, WorkloadScale::Test, 11).unwrap();
-    let cfg = htm_sim::config::SimConfig::table2_with_topology(64, sharded());
-    assert_eq!(
-        clockgate_htm::islands::partition_islands(&cfg, &workload).len(),
-        1,
-        "hotspot at 64p must be a single island for this test to mean anything"
-    );
-    let (report, stats) = build(EngineKind::Windowed.into()).run_with_stats().unwrap();
-    assert_eq!(stats.engine, EngineKind::Windowed);
-    assert!(
-        stats.windowed.windows > 0,
-        "the windowed engine must actually cut the run into windows"
-    );
-    assert!(
-        stats.windowed.multi_group_windows > 0,
-        "at least one window must split into independent groups: {:?}",
-        stats.windowed
-    );
-    assert!(
-        stats.windowed.max_banks_active > 1,
-        "more than one bank shard must be active in some window: {:?}",
-        stats.windowed
-    );
-    // And the parallelism is free: the report is still byte-identical.
-    let (serial, serial_stats) = build(EngineKind::FastForward.into())
-        .run_with_stats()
-        .unwrap();
-    assert_identical(&report, &serial, "hotspot 64p windowed vs fast-forward");
-    assert_eq!(
-        serial_stats.windowed,
-        Default::default(),
-        "non-windowed engines must report zero windowed counters"
-    );
-}
-
-#[test]
-fn parallel_windowed_lanes_match_every_engine_for_every_pool_size() {
-    // The lane fan-out's differential arm: a contended multi-bank run that
-    // provably splits windows into more than one disjoint group, advanced
-    // with the lane pool pinned to 1, 2 and 8 workers. Every pool size must
-    // reproduce the byte-identical report of all three other engines — the
-    // 1-worker pool through the sequential in-place path (zero parallel
-    // windows), the larger pools through genuinely concurrent lanes.
-    use clockgate_htm::pool::WorkerPool;
-    use std::sync::Arc;
-
-    let build = || {
-        SimulationBuilder::new()
-            .processors(16)
-            .topology(sharded())
-            .workload_by_name("hotspot", WorkloadScale::Test, 11)
-            .unwrap()
-            .gating(GatingMode::ClockGate { w0: 8 })
-            .cycle_limit(50_000_000)
-    };
-    let fast = run_named_on(
-        GatingMode::ClockGate { w0: 8 },
-        "hotspot",
-        16,
-        EngineKind::FastForward,
-        sharded(),
-    );
-    let naive = run_named_on(
-        GatingMode::ClockGate { w0: 8 },
-        "hotspot",
-        16,
-        EngineKind::Naive,
-        sharded(),
-    );
-    let shard = run_named_on(
-        GatingMode::ClockGate { w0: 8 },
-        "hotspot",
-        16,
-        EngineKind::ShardParallel,
-        sharded(),
-    );
-    assert_identical(&fast, &naive, "hotspot 16p fast-forward vs naive");
-    assert_identical(&fast, &shard, "hotspot 16p fast-forward vs shard-parallel");
-    for workers in [1usize, 2, 8] {
-        let (report, stats) = build()
-            .engine(EngineKind::Windowed)
-            .lane_pool(Arc::new(WorkerPool::new(workers)))
-            .run_with_stats()
-            .unwrap();
-        assert!(
-            stats.windowed.multi_group_windows > 0,
-            "the trace must split at least one window into independent \
-             groups for this test to exercise the lanes: {:?}",
-            stats.windowed
-        );
-        if workers == 1 {
-            assert_eq!(
-                stats.windowed.parallel_windows, 0,
-                "a one-worker pool must take the sequential in-place path: {:?}",
-                stats.windowed
-            );
-        } else {
-            assert!(
-                stats.windowed.parallel_windows > 0,
-                "a {workers}-worker pool must fan some windows out: {:?}",
-                stats.windowed
-            );
-            assert!(
-                stats.windowed.max_concurrent_lanes >= 2,
-                "lanes never ran concurrently on a {workers}-worker pool: {:?}",
-                stats.windowed
-            );
-        }
-        assert_identical(
-            &fast,
-            &report,
-            &format!("hotspot 16p windowed ({workers}-worker lane pool) vs fast-forward"),
-        );
-    }
-    // Checkpoint/resume round trip with lanes live: a checkpointed windowed
-    // run with an 8-worker lane pool must hand back the same report again
-    // (snapshots settle the lazy accounting mid-run, and the checkpoint
-    // bytes are pool-size independent — see the system-level tests).
-    let dir = std::env::temp_dir().join(format!("clockgate-lane-diff-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    for workers in [1usize, 8] {
-        let ckpt = clockgate_htm::checkpoint::CheckpointConfig {
-            dir: dir.clone(),
-            every: 2_000,
-            key: format!("lane-diff-w{workers}"),
-            resume: true,
-        };
-        let (report, _info) = build()
-            .engine(EngineKind::Windowed)
-            .lane_pool(Arc::new(WorkerPool::new(workers)))
-            .run_checkpointed(&ckpt)
-            .unwrap();
-        assert_identical(
-            &fast,
-            &report,
-            &format!("hotspot 16p checkpointed windowed ({workers}-worker lane pool)"),
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -631,18 +470,11 @@ fn auto_engine_heuristic_picks_by_topology_and_islands() {
         choose_engine(&sharded64, &workload("clustered", 64)),
         EngineKind::ShardParallel
     );
-    // Sharded, hotspot at 64p: one conflict-connected island → windowed,
-    // unless the global pool has a single worker (1-core host or
-    // `--threads 1`), where windowed lanes cannot run concurrently and the
-    // heuristic falls back to fast-forward.
-    let contended_pick = if clockgate_htm::pool::WorkerPool::global().workers() > 1 {
-        EngineKind::Windowed
-    } else {
-        EngineKind::FastForward
-    };
+    // Sharded, hotspot at 64p: one conflict-connected island → fast-forward,
+    // whatever the worker pool's size.
     assert_eq!(
         choose_engine(&sharded64, &workload("hotspot", 64)),
-        contended_pick
+        EngineKind::FastForward
     );
     // EngineChoice::Auto resolves through the same function and the run is
     // byte-identical to a fixed-engine run.
@@ -656,7 +488,7 @@ fn auto_engine_heuristic_picks_by_topology_and_islands() {
         .engine(EngineChoice::Auto)
         .run_with_stats()
         .unwrap();
-    assert_eq!(auto.1.engine, contended_pick);
+    assert_eq!(auto.1, EngineKind::FastForward);
     let fixed = run_named_on(
         GatingMode::ClockGate { w0: 8 },
         "hotspot",
@@ -665,13 +497,13 @@ fn auto_engine_heuristic_picks_by_topology_and_islands() {
         sharded(),
     );
     assert_identical(&auto.0, &fixed, "auto vs fixed fast-forward at 64p");
-    // Round-trip of the CLI values, including the new ones.
+    // Round-trip of the CLI values; a removed engine name is rejected.
     for (value, expect) in [
-        ("fast", EngineChoice::Fixed(EngineKind::FastForward)),
-        ("windowed", EngineChoice::Fixed(EngineKind::Windowed)),
-        ("auto", EngineChoice::Auto),
+        ("fast", Some(EngineChoice::Fixed(EngineKind::FastForward))),
+        ("auto", Some(EngineChoice::Auto)),
+        ("windowed", None),
     ] {
-        assert_eq!(EngineChoice::parse(value), Some(expect));
+        assert_eq!(EngineChoice::parse(value), expect);
     }
     assert_eq!(EngineChoice::parse("warp"), None);
 }

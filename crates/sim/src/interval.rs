@@ -59,28 +59,20 @@ impl IntervalSeg {
     }
 }
 
-/// Cycle-wise sum of several run-length-encoded segment logs plus a constant
-/// baseline, emitted as maximal coalesced segments.
+/// Cycle-wise sum of several run-length-encoded segment logs, emitted as
+/// maximal coalesced segments.
 ///
 /// Every log must cover exactly `total` cycles. For each simulated cycle the
-/// counts of all logs and the baseline are added; runs of identical summed
-/// counts are coalesced before being handed to `emit`. This is the shared
-/// merge primitive of the parallel engines: the island runner zip-sums
-/// per-lane logs over the whole run, and the windowed engine zip-sums
-/// per-group logs (baseline = the parked processors' constant counts) over
-/// one lookahead window at each barrier. Replaying the emitted segments into
-/// an [`IntervalTracker`] reproduces, bit for bit, the records a serial run
-/// would have accumulated over the same cycles.
+/// counts of all logs are added; runs of identical summed counts are
+/// coalesced before being handed to `emit`. The island runner zip-sums its
+/// per-lane logs over the whole run this way, and replaying the emitted
+/// segments into an [`IntervalTracker`] reproduces, bit for bit, the records
+/// a serial run would have accumulated over the same cycles.
 ///
 /// # Panics
 /// Panics if any log covers fewer than `total` cycles (extra tail cycles
 /// beyond `total` are ignored, which lets callers pad lazily).
-pub fn zip_sum_segments(
-    logs: &[Vec<IntervalSeg>],
-    base: IntervalSeg,
-    total: u64,
-    mut emit: impl FnMut(IntervalSeg),
-) {
+pub fn zip_sum_segments(logs: &[Vec<IntervalSeg>], total: u64, mut emit: impl FnMut(IntervalSeg)) {
     if total == 0 {
         return;
     }
@@ -90,7 +82,7 @@ pub fn zip_sum_segments(
     let mut pending: Option<IntervalSeg> = None;
     while remaining > 0 {
         let mut span = remaining;
-        let mut sum = base;
+        let mut sum = IntervalSeg::default();
         for (log, cursor) in logs.iter().zip(cursors.iter()) {
             let seg = log
                 .get(cursor.0)
@@ -461,27 +453,25 @@ mod tests {
             committing,
             throttled,
         };
-        // Two logs with different segmentations of the same 10 cycles, plus
-        // a parked baseline of one permanently gated processor.
+        // Two logs with different segmentations of the same 10 cycles.
         let a = vec![seg(4, 1, 0, 0, 0), seg(6, 0, 1, 0, 0)];
         let b = vec![seg(7, 0, 0, 1, 0), seg(3, 0, 0, 0, 2)];
-        let base = seg(0, 1, 0, 0, 0);
         let mut merged = Vec::new();
-        zip_sum_segments(&[a, b], base, 10, |s| merged.push(s));
+        zip_sum_segments(&[a, b], 10, |s| merged.push(s));
         assert_eq!(
             merged,
-            vec![seg(4, 2, 0, 1, 0), seg(3, 1, 1, 1, 0), seg(3, 1, 1, 0, 2),]
+            vec![seg(4, 1, 0, 1, 0), seg(3, 0, 1, 1, 0), seg(3, 0, 1, 0, 2),]
         );
         assert_eq!(merged.iter().map(|s| s.cycles).sum::<u64>(), 10);
         // Adjacent equal-count spans coalesce across input boundaries.
         let c = vec![seg(5, 1, 0, 0, 0), seg(5, 1, 0, 0, 0)];
         let mut out = Vec::new();
-        zip_sum_segments(&[c], IntervalSeg::default(), 10, |s| out.push(s));
+        zip_sum_segments(&[c], 10, |s| out.push(s));
         assert_eq!(out, vec![seg(10, 1, 0, 0, 0)]);
-        // No logs: the baseline is emitted for the whole span.
-        let mut only_base = Vec::new();
-        zip_sum_segments(&[], seg(0, 0, 2, 0, 0), 7, |s| only_base.push(s));
-        assert_eq!(only_base, vec![seg(7, 0, 2, 0, 0)]);
+        // No logs: one all-zero segment spans the whole run.
+        let mut empty = Vec::new();
+        zip_sum_segments(&[], 7, |s| empty.push(s));
+        assert_eq!(empty, vec![seg(7, 0, 0, 0, 0)]);
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! A persistent, process-wide worker pool with a scoped-spawn API.
 //!
-//! The parallel runners — the island fan-out, the windowed engine's
-//! per-window lane fan-out, the evaluation-matrix driver, and the sweep
-//! executor — all follow the same shape: fan a batch of independent,
-//! deterministic jobs out over host threads and wait for every one before
-//! merging. Spawning an OS thread per job (the original
+//! The parallel runners — the island fan-out, the evaluation-matrix driver
+//! and the sweep executor — all follow the same shape: fan a batch of
+//! independent, deterministic jobs out over host threads and wait for every
+//! one before merging. Spawning an OS thread per job (the original
 //! `std::thread::scope` pattern) is correct but pays thread start-up and
 //! teardown on every run, which dominates at matrix scale where a single
 //! sweep issues thousands of short cells. [`WorkerPool::global`] amortises
 //! that cost into one process-lifetime set of workers, sized to the host's
 //! available parallelism (or to an explicit [`WorkerPool::configure_global`]
 //! cap, which is what the binaries' `--threads` flag sets — one budget
-//! shared by matrix-level and window-level parallelism).
+//! shared by matrix-level and island-level parallelism).
 //!
 //! [`WorkerPool::scope`] mirrors `std::thread::scope`: jobs may borrow from
 //! the caller's stack, every job is finished (or was never started) before
@@ -23,7 +22,7 @@
 //! Waiting scopes *help*: while a scope owner blocks on its pending count it
 //! pops queued jobs — anyone's — and runs them inline. This makes nesting
 //! deadlock-free by construction (a matrix cell running on a pool worker can
-//! itself open an island or lane scope: the worker drains jobs instead of
+//! itself open an island scope: the worker drains jobs instead of
 //! parking) and means the pool degrades to plain serial execution, never a
 //! hang, on a single-core host.
 
@@ -252,24 +251,6 @@ impl<'env> Scope<'_, 'env> {
         };
         self.pool.push(job);
     }
-
-    /// [`Self::spawn`] with panic routing: if `f` panics, the payload is
-    /// re-raised at the scope boundary prefixed with `label`, so a fan-out
-    /// over many lanes reports *which* lane failed instead of an anonymous
-    /// payload.
-    pub fn spawn_labeled(&self, label: &str, f: impl FnOnce() + Send + 'env) {
-        let label = label.to_string();
-        self.spawn(move || {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "job panicked with a non-string payload".into());
-                panic!("{label}: {msg}");
-            }
-        });
-    }
 }
 
 #[cfg(test)]
@@ -337,22 +318,6 @@ mod tests {
         assert_eq!(msg, "lane failed");
         // The sibling job still ran to completion before the re-raise.
         assert_eq!(after.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn labeled_spawn_prefixes_the_panic_payload() {
-        let pool = WorkerPool::new(2);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|scope| {
-                scope.spawn_labeled("windowed lane 3", || panic!("bad deadline"));
-            });
-        }));
-        let payload = caught.expect_err("scope re-raises the labeled panic");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "non-string payload".into());
-        assert_eq!(msg, "windowed lane 3: bad deadline");
     }
 
     #[test]

@@ -160,13 +160,6 @@ impl<T> TimedQueue<T> {
         Ok(Self { heap, next_seq })
     }
 
-    /// Iterate over all undelivered messages as `(deliver_at, payload)`
-    /// pairs, in no particular order. Used by the windowed engine's planner
-    /// to inspect pending protocol events without disturbing the queue.
-    pub fn iter(&self) -> impl Iterator<Item = (Cycle, &T)> {
-        self.heap.iter().map(|e| (e.deliver_at, &e.payload))
-    }
-
     /// Delivery cycle of the earliest pending message if it lies strictly in
     /// the future of `now`. Callers use this *after* draining all ready
     /// messages to decide how far the engine may skip idle cycles; it returns

@@ -117,21 +117,6 @@ pub trait Topology {
     fn shard_stats(&self) -> Vec<BusStats> {
         Vec::new()
     }
-
-    /// Conservative lower bound on the delivery latency of any
-    /// directory→processor control notification: a message entered into the
-    /// fabric at cycle `t` (via [`Topology::request`] or
-    /// [`Topology::schedule_future`]) is delivered no earlier than
-    /// `t + min_notify_latency()`.
-    ///
-    /// The bound is provable from the occupancy model: a transfer pays at
-    /// least its unloaded channel occupancy (payload cycles plus
-    /// arbitration — queueing behind earlier transfers only increases the
-    /// latency) plus the smallest receiver-side hop latency any route can
-    /// have under the fabric's [`LatencyModel`]. The windowed PDES engine
-    /// uses this as its lookahead: events produced inside a window of this
-    /// length can only be delivered in later windows.
-    fn min_notify_latency(&self) -> u64;
 }
 
 impl Topology for SplitTransactionBus {
@@ -149,12 +134,6 @@ impl Topology for SplitTransactionBus {
 
     fn stats(&self) -> BusStats {
         SplitTransactionBus::stats(self)
-    }
-
-    fn min_notify_latency(&self) -> u64 {
-        // Routes are ignored on the shared bus: the floor is the unloaded
-        // occupancy of a control transfer.
-        self.transfer_latency(BusTraffic::Control)
     }
 }
 
@@ -519,30 +498,6 @@ impl ShardedInterconnect {
         })
     }
 
-    /// Copy the full state of bank `bank` (queue occupancy and stats) from
-    /// `other`. Used by the windowed engine's lane barrier: each lane owns a
-    /// disjoint set of banks for the window, and the master copies those
-    /// banks back wholesale when the lane rejoins.
-    pub fn copy_bank_from(&mut self, other: &ShardedInterconnect, bank: usize) {
-        self.banks[bank].clone_from(&other.banks[bank]);
-    }
-
-    /// Zero the vendor-link counters. A windowed lane starts from a zeroed
-    /// vendor ledger so that, at the barrier, its counters are exactly the
-    /// in-window delta to fold back into the master with
-    /// [`Self::absorb_vendor_stats`]. Sound because the vendor link is
-    /// latency-only: it carries no queued state, so the counters are the
-    /// only thing a transfer mutates.
-    pub fn reset_vendor_stats(&mut self) {
-        self.vendor_stats = BusStats::default();
-    }
-
-    /// Fold another interconnect's vendor-link counters into this one's
-    /// (the inverse of [`Self::reset_vendor_stats`] at the lane barrier).
-    pub fn absorb_vendor_stats(&mut self, other: &ShardedInterconnect) {
-        self.vendor_stats.absorb(&other.vendor_stats);
-    }
-
     /// Charge a transfer on the latency-only vendor link.
     fn vendor_transfer(&mut self, kind: BusTraffic) -> u64 {
         match kind {
@@ -604,22 +559,6 @@ impl Topology for ShardedInterconnect {
     fn shard_stats(&self) -> Vec<BusStats> {
         self.banks.iter().map(SplitTransactionBus::stats).collect()
     }
-
-    fn min_notify_latency(&self) -> u64 {
-        // Every bank channel is built from the same configuration, so the
-        // unloaded control occupancy of any one of them is the channel floor.
-        let channel_floor = self.banks.first().map_or(self.control_cycles, |b| {
-            b.transfer_latency(BusTraffic::Control)
-        });
-        // Hop floor: the crossbar charges every route the same traversal;
-        // on the mesh, directory `d` is co-located with processor `d`, so a
-        // zero-hop directory→processor route always exists.
-        let hop_floor = match self.model {
-            LatencyModel::Crossbar { hop_cycles } => hop_cycles,
-            LatencyModel::Mesh { .. } => 0,
-        };
-        channel_floor + hop_floor
-    }
 }
 
 /// The concrete interconnect a [`crate::config::SimConfig`] machine holds:
@@ -677,28 +616,6 @@ impl Interconnect {
             }
         }
     }
-
-    /// [`ShardedInterconnect::copy_bank_from`], lifted to the enum. No-op on
-    /// a bus (the windowed engine never splits a bus machine into lanes).
-    pub fn copy_bank_from(&mut self, other: &Interconnect, bank: usize) {
-        if let (Interconnect::Sharded(s), Interconnect::Sharded(o)) = (self, other) {
-            s.copy_bank_from(o, bank);
-        }
-    }
-
-    /// [`ShardedInterconnect::reset_vendor_stats`], lifted to the enum.
-    pub fn reset_vendor_stats(&mut self) {
-        if let Interconnect::Sharded(s) = self {
-            s.reset_vendor_stats();
-        }
-    }
-
-    /// [`ShardedInterconnect::absorb_vendor_stats`], lifted to the enum.
-    pub fn absorb_vendor_stats(&mut self, other: &Interconnect) {
-        if let (Interconnect::Sharded(s), Interconnect::Sharded(o)) = (self, other) {
-            s.absorb_vendor_stats(o);
-        }
-    }
 }
 
 impl Topology for Interconnect {
@@ -734,13 +651,6 @@ impl Topology for Interconnect {
         match self {
             Interconnect::Bus(_) => Vec::new(),
             Interconnect::Sharded(s) => Topology::shard_stats(s),
-        }
-    }
-
-    fn min_notify_latency(&self) -> u64 {
-        match self {
-            Interconnect::Bus(b) => Topology::min_notify_latency(b),
-            Interconnect::Sharded(s) => Topology::min_notify_latency(s),
         }
     }
 }
@@ -786,61 +696,6 @@ mod tests {
         assert_eq!(four.bank_of(13, 16), 1);
         assert_eq!(TopologyConfig::Bus.effective_banks(16), 1);
         assert_eq!(TopologyConfig::Bus.bank_of(13, 16), 0);
-    }
-
-    #[test]
-    fn min_notify_latency_is_a_delivery_floor() {
-        // Bus: unloaded control occupancy (payload + arbitration).
-        let bus = SplitTransactionBus::new(2, 4, 1);
-        assert_eq!(Topology::min_notify_latency(&bus), 3);
-
-        // Crossbar fabric: channel floor + constant traversal.
-        let cfg = sharded_cfg(8, TopologyConfig::sharded_default());
-        let net = ShardedInterconnect::from_config(&cfg);
-        let floor = Topology::min_notify_latency(&net);
-        assert!(floor >= 1);
-        // An unloaded request can achieve exactly the floor.
-        let mut probe = ShardedInterconnect::from_config(&cfg);
-        let route = Route {
-            src: Node::Dir(3),
-            dst: Node::Proc(5),
-        };
-        assert_eq!(
-            probe.request(100, route, BusTraffic::Control),
-            100 + floor,
-            "crossbar routes all pay the same traversal, so the floor is tight"
-        );
-
-        // Mesh fabric: co-located Dir(d)/Proc(d) makes the hop floor zero.
-        let mesh = sharded_cfg(
-            8,
-            TopologyConfig::parse("sharded:0:mesh").expect("valid spec"),
-        );
-        let mut mesh_net = ShardedInterconnect::from_config(&mesh);
-        let mesh_floor = Topology::min_notify_latency(&mesh_net);
-        let colocated = Route {
-            src: Node::Dir(2),
-            dst: Node::Proc(2),
-        };
-        assert_eq!(
-            mesh_net.request(50, colocated, BusTraffic::Control),
-            50 + mesh_floor,
-            "the co-located route achieves the mesh floor exactly"
-        );
-        // No route can beat the floor, loaded or not.
-        for d in 0..8 {
-            for p in 0..8 {
-                let done = mesh_net.request(
-                    200,
-                    Route {
-                        src: Node::Dir(d),
-                        dst: Node::Proc(p),
-                    },
-                    BusTraffic::Control,
-                );
-                assert!(done >= 200 + mesh_floor, "dir {d} -> proc {p}");
-            }
-        }
     }
 
     #[test]

@@ -74,18 +74,9 @@ pub enum GateCommand {
     },
 }
 
-/// Ordering key attached to every command a hook emits from a *scoped* tick
-/// ([`GatingHook::on_tick_scoped`]).
+/// Ordering key of the commands in [`GatingHook::on_tick_scoped`]'s output.
 ///
-/// The windowed engine advances bank-disjoint groups of the machine
-/// independently within one lookahead window, so commands emitted for the
-/// same cycle by different groups are staged and merged at the window
-/// barrier. The merge sorts by `(key.0, key.1, key.2)` ascending, and the
-/// hook must choose keys so that this order reproduces the emission order of
-/// one serial `on_tick` call at that cycle (the clock-gating controller uses
-/// `(dir, proc, 0)` — its serial tick scans tables in directory-then-
-/// processor order; the oracle uses its pending-queue FIFO stamps). Keys
-/// only ever compare against keys from the same hook at the same cycle.
+/// Never used by any engine; kept so out-of-tree implementors compile.
 pub type ScopedCmdKey = (u64, u64, u64);
 
 /// Read-only snapshot of the system state exposed to hooks.
@@ -158,16 +149,11 @@ impl SystemView {
 /// All methods have sensible no-op defaults except [`GatingHook::on_abort`],
 /// which every implementation must decide.
 ///
-/// The trait requires `Send` because the windowed engine advances
-/// bank-disjoint groups on worker-pool threads, sharing one hook behind a
-/// mutex (see `system/windowed.rs`). Hooks are plain data — tables, counters
-/// and timers — so the bound is free in practice. The *semantic* obligation
-/// that parallelism adds is documented on [`GatingHook::windowed_couplings`]:
-/// callbacks for processors/directories in different groups must commute,
-/// which the couplings contract guarantees by construction (any state shared
-/// between an action's readers and writers forces its parties into one
-/// group).
-pub trait GatingHook: Send {
+/// A hook is owned by exactly one [`crate::system::TccSystem`] and only
+/// ever called from the thread driving that system, so the trait asks for
+/// no thread-safety bounds: parallel runners (sweep cells, island lanes)
+/// build their own hook on the worker thread that runs it.
+pub trait GatingHook {
     /// A committing processor (`aborter`, executing static transaction
     /// `aborter_tx`) has invalidated a line speculatively read by `victim`;
     /// the invalidation was generated by directory `dir`. Decide what the
@@ -223,49 +209,12 @@ pub trait GatingHook: Send {
     /// has been turned on by some other directory").
     fn on_proc_activity(&mut self, _proc: ProcId, _dir: DirId, _now: Cycle) {}
 
-    /// Declare the hook's cross-shard couplings for the windowed engine's
-    /// conservative grouping, returning `true` if the hook supports scoped
-    /// ticking at all.
-    ///
-    /// A pair `(d, p)` pushed into `out` means: a spontaneous hook action
-    /// scoped to directory `d` (see [`GatingHook::on_tick_scoped`]) may read
-    /// or write state associated with processor `p` this window (for the
-    /// clock-gating controller: the aborter recorded in an OFF gating-table
-    /// entry, whose marked bit and `TxInfoReq` reply the Fig. 2(e) renewal
-    /// check consults). The windowed engine then places `d`'s home bank and
-    /// `p` in the same group. Pairs may be conservative (extra pairs only
-    /// coarsen the grouping); *missing* pairs break engine equivalence.
-    ///
-    /// The default returns `false`: the hook makes no promises, and the
-    /// windowed engine falls back to advancing each window as a single
-    /// group (exact, but with no intra-window parallelism). Hooks that never
-    /// act spontaneously ([`NoGating`], back-off, throttling) return `true`
-    /// with no pairs.
-    ///
-    /// **Lane contract.** Since the lane fan-out, groups of one window may
-    /// run on different threads, so the declared pairs also serve as a
-    /// commutativity certificate: every hook callback triggered from group
-    /// *A* must leave any state that a concurrently running group *B* could
-    /// read or write untouched. That holds automatically when the pairs are
-    /// complete — state linking `(d, p)` puts `d`'s bank and `p` in one
-    /// group, so cross-group callbacks only touch disjoint table entries —
-    /// and cross-group *reads* of shared aggregates (a global cycle counter,
-    /// say) are safe only if no in-window callback writes them.
+    /// Never called by any engine; kept so out-of-tree implementors compile.
     fn windowed_couplings(&self, _out: &mut Vec<(DirId, ProcId)>) -> bool {
         false
     }
 
-    /// Scoped variant of [`GatingHook::on_tick`] used by the windowed engine
-    /// while advancing one bank-disjoint group: the hook must act *only* on
-    /// state belonging to directories with `focus[dir] == true`, and must
-    /// leave every decision it would have taken for out-of-focus directories
-    /// untouched (their groups run their own scoped ticks for the same
-    /// cycles). Each emitted command carries a [`ScopedCmdKey`] so the
-    /// barrier merge can restore the serial emission order.
-    ///
-    /// Only called on hooks whose [`GatingHook::windowed_couplings`]
-    /// returned `true`; the default is therefore unreachable and panics in
-    /// debug builds.
+    /// Never called by any engine; kept so out-of-tree implementors compile.
     fn on_tick_scoped(
         &mut self,
         _now: Cycle,
@@ -273,10 +222,6 @@ pub trait GatingHook: Send {
         _focus: &[bool],
         _out: &mut Vec<(ScopedCmdKey, GateCommand)>,
     ) {
-        debug_assert!(
-            false,
-            "on_tick_scoped requires windowed_couplings() support"
-        );
     }
 
     /// Serialize the hook's mutable state into a checkpoint payload. The
@@ -316,20 +261,6 @@ impl GatingHook for NoGating {
         // Never issues commands, so it never constrains the fast-forward
         // horizon.
         None
-    }
-
-    fn windowed_couplings(&self, _out: &mut Vec<(DirId, ProcId)>) -> bool {
-        // Stateless: nothing couples shards through this hook.
-        true
-    }
-
-    fn on_tick_scoped(
-        &mut self,
-        _now: Cycle,
-        _view: &SystemView,
-        _focus: &[bool],
-        _out: &mut Vec<(ScopedCmdKey, GateCommand)>,
-    ) {
     }
 }
 
@@ -383,21 +314,6 @@ impl GatingHook for ExponentialBackoff {
         // The back-off spin happens inside the processor (`Phase::Backoff`);
         // the hook itself never issues commands.
         None
-    }
-
-    fn windowed_couplings(&self, _out: &mut Vec<(DirId, ProcId)>) -> bool {
-        // Per-victim counters only, touched by the victim's own abort/commit
-        // callbacks: no cross-shard hook state.
-        true
-    }
-
-    fn on_tick_scoped(
-        &mut self,
-        _now: Cycle,
-        _view: &SystemView,
-        _focus: &[bool],
-        _out: &mut Vec<(ScopedCmdKey, GateCommand)>,
-    ) {
     }
 
     fn snapshot(&self, w: &mut CkptWriter) {

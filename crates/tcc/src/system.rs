@@ -19,19 +19,15 @@ use htm_sim::bus::BusTraffic;
 use htm_sim::checkpoint::{CkptError, CkptReader, CkptWriter};
 use htm_sim::config::SimConfig;
 use htm_sim::interval::{IntervalSeg, IntervalTracker};
-use htm_sim::pool::WorkerPool;
 use htm_sim::topology::{Interconnect, Node, Route, Topology, TopologyConfig};
 use htm_sim::{Cycle, DirId, ProcId, ProcSet};
 
 use crate::dirctrl::DirCtrl;
-use crate::hooks::{AbortAction, GateCommand, GatingHook, ScopedCmdKey, SystemView};
+use crate::hooks::{AbortAction, GateCommand, GatingHook, SystemView};
 use crate::processor::{CommitStep, Phase, ProcEvent, Processor, RetryAfter};
 use crate::stats::{PowerState, RunOutcome};
 use crate::token::TokenVendor;
 use crate::txn::{fingerprint_parts, Op, WorkloadTrace};
-
-mod windowed;
-pub use windowed::WindowedStats;
 
 /// Errors that can occur when constructing or running a simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,20 +92,6 @@ pub enum EngineKind {
     /// bit-reproducible. Falls back to plain fast-forward when the workload
     /// forms a single island or the topology is the shared bus.
     ShardParallel,
-    /// Time-windowed conservative PDES stepping for sharded topologies: the
-    /// run is cut into lookahead windows no longer than the interconnect's
-    /// provable minimum cross-shard notification latency
-    /// ([`Topology::min_notify_latency`]). Within a window the machine is
-    /// partitioned into bank-disjoint groups (by home bank, not by conflict
-    /// component) that are advanced independently on their own deadline
-    /// heaps; every protocol message created inside a window provably
-    /// delivers at or after the barrier, so cross-group messages are staged
-    /// and exchanged at the barrier in the exact order a serial run would
-    /// have enqueued them. Bit-for-bit identical to
-    /// [`EngineKind::FastForward`]; falls back to plain fast-forward
-    /// windows (a single group) on the shared bus or whenever the gating
-    /// hook cannot declare its cross-shard couplings.
-    Windowed,
 }
 
 impl EngineKind {
@@ -120,7 +102,6 @@ impl EngineKind {
             EngineKind::FastForward => "fast-forward",
             EngineKind::Naive => "naive",
             EngineKind::ShardParallel => "shard-parallel",
-            EngineKind::Windowed => "windowed",
         }
     }
 }
@@ -215,36 +196,6 @@ pub struct TccSystem<H: GatingHook> {
     /// cycle-by-cycle and replays them to reconstruct the exact
     /// [`IntervalTracker`] a serial run would have produced.
     interval_log: Option<Vec<IntervalSeg>>,
-    /// Windowed-engine context ([`EngineKind::Windowed`]): set while one
-    /// bank-disjoint group is advanced inside a lookahead window. Redirects
-    /// inbox pushes into `wstage` and scopes hook ticks and view refreshes
-    /// to the group's directories. `None` under every other engine.
-    wfocus: Option<windowed::WindowFocus>,
-    /// Messages created during a multi-group window, staged for delivery at
-    /// the barrier in the exact order a serial run would have pushed them
-    /// (so every inbox's FIFO sequence numbers match the serial run's).
-    wstage: Vec<windowed::StagedMsg>,
-    /// Scratch buffer for scoped hook commands (windowed engine only).
-    wscratch: Vec<(ScopedCmdKey, GateCommand)>,
-    /// Cycle just after the most recent processor-completion transition.
-    /// The windowed engine uses it to stop at the exact cycle the serial
-    /// engines would have stopped at when a run completes mid-window.
-    last_done_cycle: Cycle,
-    /// Windowed-engine counters. Monitoring only: deliberately excluded
-    /// from checkpoints so engine-independent state digests stay
-    /// comparable across engines.
-    wstats: windowed::WindowedStats,
-    /// Worker pool override for the windowed engine's lane fan-out. `None`
-    /// (the default) uses [`WorkerPool::global`]; tests pin explicit pool
-    /// sizes to prove byte-exactness is independent of worker count.
-    lane_pool: Option<std::sync::Arc<WorkerPool>>,
-    /// Cached per-lane placeholder machines for the windowed engine's
-    /// parallel branch: full-size component vectors whose slots are
-    /// mem-swapped with the group's real components each window, so lane
-    /// construction is O(group size) swaps instead of a machine clone.
-    /// Empty until the first parallel window; runtime-only (never
-    /// checkpointed).
-    lane_shells: Vec<windowed::LaneShell>,
 }
 
 impl<H: GatingHook> TccSystem<H> {
@@ -326,13 +277,6 @@ impl<H: GatingHook> TccSystem<H> {
             fast_state_stale: true,
             perturb_accounting: false,
             interval_log: None,
-            wfocus: None,
-            wstage: Vec::new(),
-            wscratch: Vec::new(),
-            last_done_cycle: 0,
-            wstats: windowed::WindowedStats::default(),
-            lane_pool: None,
-            lane_shells: Vec::new(),
         };
         // Populate the hook-visible snapshot once; from here on the engines
         // keep it current (the naive engine by full refresh, the fast engine
@@ -345,14 +289,6 @@ impl<H: GatingHook> TccSystem<H> {
     #[must_use]
     pub fn config(&self) -> &SimConfig {
         &self.cfg
-    }
-
-    /// Pin the worker pool the windowed engine fans per-window lanes onto,
-    /// instead of the process-wide [`WorkerPool::global`]. Purely a
-    /// scheduling knob: results are byte-identical for every pool size
-    /// (a pool of one worker takes the sequential in-place path).
-    pub fn set_lane_pool(&mut self, pool: std::sync::Arc<WorkerPool>) {
-        self.lane_pool = Some(pool);
     }
 
     /// Current simulation cycle.
@@ -382,23 +318,10 @@ impl<H: GatingHook> TccSystem<H> {
     /// `Rc<RefCell<..>>` cell (which used to cost an interior-mutability
     /// dispatch on every hook call).
     pub fn run_bounded_parts(
-        self,
-        limit: Cycle,
-        engine: EngineKind,
-    ) -> Result<(RunOutcome, H), SimError> {
-        self.run_bounded_full(limit, engine)
-            .map(|(outcome, hook, _stats)| (outcome, hook))
-    }
-
-    /// [`Self::run_bounded_parts`] plus the windowed-engine counters of the
-    /// run ([`WindowedStats`]; all zero under every other engine). The
-    /// counters are monitoring-only by-products — the outcome and hook are
-    /// byte-identical to the plain entry point.
-    pub fn run_bounded_full(
         mut self,
         limit: Cycle,
         engine: EngineKind,
-    ) -> Result<(RunOutcome, H, windowed::WindowedStats), SimError> {
+    ) -> Result<(RunOutcome, H), SimError> {
         while self.done_count < self.procs.len() {
             if self.now >= limit {
                 return Err(SimError::CycleLimitExceeded { limit });
@@ -417,28 +340,10 @@ impl<H: GatingHook> TccSystem<H> {
                     // the naive engine reports after grinding to `limit`.
                     StepPlan::Quiescent => self.fast_forward(limit - self.now),
                 },
-                // Window-at-a-time conservative stepping; falls back to the
-                // fast-forward plan above when the topology offers no
-                // cross-shard structure (shared bus / single bank).
-                EngineKind::Windowed => {
-                    if self.windowed_lookahead().is_some() {
-                        self.advance_window(limit);
-                    } else {
-                        match self.plan_step() {
-                            StepPlan::Jump(n) => self.fast_forward(n),
-                            StepPlan::Cycle { active, hook_due } => {
-                                self.step_cycle(active, hook_due);
-                            }
-                            StepPlan::Quiescent => self.fast_forward(limit - self.now),
-                        }
-                    }
-                }
                 EngineKind::Naive => self.step_naive(),
             }
         }
-        let stats = self.wstats;
-        let (outcome, hook) = self.into_parts();
-        Ok((outcome, hook, stats))
+        Ok(self.into_parts())
     }
 
     /// Run to completion (with a very large implicit safety bound).
@@ -684,15 +589,6 @@ impl<H: GatingHook> TccSystem<H> {
     pub fn advance_until_engine(&mut self, target: Cycle, engine: EngineKind) {
         match engine {
             EngineKind::FastForward | EngineKind::ShardParallel => self.advance_until(target),
-            EngineKind::Windowed => {
-                if self.windowed_lookahead().is_some() {
-                    while self.done_count < self.procs.len() && self.now < target {
-                        self.advance_window(target);
-                    }
-                } else {
-                    self.advance_until(target);
-                }
-            }
             EngineKind::Naive => {
                 while self.done_count < self.procs.len() && self.now < target {
                     self.step_naive();
@@ -911,22 +807,9 @@ impl<H: GatingHook> TccSystem<H> {
             self.view.proc_tx[i] = self.procs[i].current_tx_id();
             self.view.proc_gated[i] = self.procs[i].phase.is_gated_like();
         }
-        // Under a window focus only the group's directories can change their
-        // marked sets, so refreshing just those keeps the snapshot exact.
-        let wfocus = self.wfocus.take();
-        match &wfocus {
-            Some(f) => {
-                for &d in &f.dir_list {
-                    self.view.dir_marked[d] = self.dirs[d].marked_bits();
-                }
-            }
-            None => {
-                for (d, dir) in self.dirs.iter().enumerate() {
-                    self.view.dir_marked[d] = dir.marked_bits();
-                }
-            }
+        for (d, dir) in self.dirs.iter().enumerate() {
+            self.view.dir_marked[d] = dir.marked_bits();
         }
-        self.wfocus = wfocus;
 
         if hook_due {
             self.apply_hook_commands();
@@ -967,9 +850,6 @@ impl<H: GatingHook> TccSystem<H> {
             }
             if proc.is_done() && !pre_done {
                 self.done_count += 1;
-                // Cycle just after the completion step: exactly where the
-                // serial run loops stop when this was the last processor.
-                self.last_done_cycle = self.last_done_cycle.max(now + 1);
             }
             if matches!(proc.phase, Phase::SpinCommit { .. }) {
                 self.spin_mask.insert(i);
@@ -978,8 +858,8 @@ impl<H: GatingHook> TccSystem<H> {
                 // this entry a pending delivery is unreachable whenever the
                 // rest of the machine is quiescent at its arrival cycle:
                 // the emission-time entry may have been collapsed into a
-                // phase deadline by a heap rebuild (the windowed engine
-                // reseeds the heap at every window boundary).
+                // phase deadline by a heap rebuild (after naive steps or a
+                // checkpoint restore).
                 if let Some(d) = proc.inbox.next_delivery() {
                     self.deadlines.push(std::cmp::Reverse((d, i)));
                 }
@@ -1126,12 +1006,6 @@ impl<H: GatingHook> TccSystem<H> {
     }
 
     fn apply_hook_commands(&mut self) {
-        if self.wfocus.is_some() {
-            // Windowed group advance: the tick is scoped to the group's
-            // directories and its commands are staged for the barrier.
-            self.apply_hook_commands_scoped();
-            return;
-        }
         let mut commands = std::mem::take(&mut self.tick_scratch);
         commands.clear();
         self.hook.on_tick(self.now, &self.view, &mut commands);
@@ -1595,22 +1469,8 @@ impl<H: GatingHook> TccSystem<H> {
                     aborter: i,
                     aborter_tx,
                 };
-                if self.wfocus.is_some() {
-                    // Windowed group advance: the lookahead proves this
-                    // delivery lands beyond the window barrier, so it is
-                    // staged and applied there in serial push order.
-                    self.wstage.push(windowed::StagedMsg {
-                        cycle: self.now,
-                        phase: windowed::STAGE_PHASE_PROC,
-                        key: (i as u64, 0, 0),
-                        target: victim,
-                        deliver_at: deliver,
-                        ev,
-                    });
-                } else {
-                    self.procs[victim].inbox.push(deliver, ev);
-                    self.deadlines.push(std::cmp::Reverse((deliver, victim)));
-                }
+                self.procs[victim].inbox.push(deliver, ev);
+                self.deadlines.push(std::cmp::Reverse((deliver, victim)));
             }
         }
         self.dirs[step.dir].occupy(i, self.now, t);
@@ -2222,252 +2082,5 @@ mod tests {
         assert_eq!(a.total_cycles, b.total_cycles);
         assert_eq!(a.total_aborts, b.total_aborts);
         assert_eq!(a.state_cycles, b.state_cycles);
-    }
-
-    // ----- windowed engine -------------------------------------------------------
-
-    fn sharded_cfg(procs: usize) -> SimConfig {
-        SimConfig::table2_with_topology(procs, TopologyConfig::sharded_default())
-    }
-
-    /// Mixed workload for the windowed engine: every processor mostly works
-    /// a private line homed at its own directory (cross-bank spread), with
-    /// one contended read-modify-write of line 0 per thread mixed in so the
-    /// groups exchange invalidations across windows.
-    fn spread_workload(procs: usize) -> WorkloadTrace {
-        let threads = (0..procs)
-            .map(|p| {
-                let base = (p as u64) * 4096;
-                let mut txs = vec![
-                    Transaction::new(
-                        (p as u64) * 10 + 1,
-                        vec![Op::Read(base), Op::Compute(12), Op::Write(base)],
-                    ),
-                    Transaction::new(
-                        (p as u64) * 10 + 2,
-                        vec![Op::Read(0), Op::Compute(8), Op::Write(0)],
-                    ),
-                    Transaction::new(
-                        (p as u64) * 10 + 3,
-                        vec![Op::Read(base + 64), Op::Compute(20), Op::Write(base + 64)],
-                    ),
-                ];
-                if p % 2 == 0 {
-                    txs.push(Transaction::new(
-                        (p as u64) * 10 + 4,
-                        vec![Op::Read(base + 128), Op::Compute(5), Op::Write(base)],
-                    ));
-                }
-                ThreadTrace::new(txs)
-            })
-            .collect();
-        WorkloadTrace::new("spread", threads)
-    }
-
-    #[test]
-    fn windowed_matches_fast_forward_on_sharded_contention() {
-        for procs in [4usize, 8] {
-            let (fast, _) = TccSystem::new(sharded_cfg(procs), spread_workload(procs), NoGating)
-                .unwrap()
-                .run_bounded_parts(2_000_000, EngineKind::FastForward)
-                .unwrap();
-            let sys = TccSystem::new(sharded_cfg(procs), spread_workload(procs), NoGating).unwrap();
-            assert!(sys.windowed_lookahead().is_some());
-            let (windowed, _) = sys
-                .run_bounded_parts(2_000_000, EngineKind::Windowed)
-                .unwrap();
-            assert_eq!(fast, windowed, "windowed diverged at {procs}p");
-        }
-    }
-
-    #[test]
-    fn windowed_matches_fast_forward_with_backoff_hook() {
-        let procs = 8;
-        let hook = || ExponentialBackoff::new(procs, 16, 6);
-        let (fast, _) = TccSystem::new(sharded_cfg(procs), spread_workload(procs), hook())
-            .unwrap()
-            .run_bounded_parts(2_000_000, EngineKind::FastForward)
-            .unwrap();
-        let (windowed, _) = TccSystem::new(sharded_cfg(procs), spread_workload(procs), hook())
-            .unwrap()
-            .run_bounded_parts(2_000_000, EngineKind::Windowed)
-            .unwrap();
-        assert_eq!(fast, windowed);
-    }
-
-    #[test]
-    fn windowed_splits_windows_into_multiple_groups() {
-        let procs = 8;
-        let mut sys = TccSystem::new(sharded_cfg(procs), spread_workload(procs), NoGating).unwrap();
-        sys.advance_until_engine(Cycle::MAX / 2, EngineKind::Windowed);
-        assert!(sys.is_complete());
-        let stats = sys.windowed_stats();
-        assert!(stats.windows > 0);
-        assert!(
-            stats.multi_group_windows > 0,
-            "cross-bank workload must split at least one window: {stats:?}"
-        );
-        assert!(stats.max_groups_in_window > 1);
-        assert!(stats.max_banks_active > 1);
-    }
-
-    #[test]
-    fn windowed_without_hook_scoping_falls_back_and_matches() {
-        // FixedWindowGate keeps the default `windowed_couplings` (false), so
-        // every window degenerates to a single serial group — and must still
-        // be bit-exact.
-        let tx = |id: u64| Transaction::new(id, vec![Op::Read(0), Op::Compute(80), Op::Write(0)]);
-        let build = || {
-            WorkloadTrace::new(
-                "gated-conflict",
-                vec![
-                    ThreadTrace::new(vec![tx(1), tx(2), tx(3)]),
-                    ThreadTrace::new(vec![tx(11), tx(12), tx(13)]),
-                ],
-            )
-        };
-        let (fast, _) = TccSystem::new(sharded_cfg(2), build(), FixedWindowGate::new(2, 200))
-            .unwrap()
-            .run_bounded_parts(2_000_000, EngineKind::FastForward)
-            .unwrap();
-        let sys = TccSystem::new(sharded_cfg(2), build(), FixedWindowGate::new(2, 200)).unwrap();
-        let (windowed, _) = sys
-            .run_bounded_parts(2_000_000, EngineKind::Windowed)
-            .unwrap();
-        assert_eq!(fast, windowed);
-    }
-
-    #[test]
-    fn windowed_on_bus_is_fast_forward() {
-        // The shared bus offers no bank structure: the windowed engine must
-        // refuse the windowed loop and behave exactly like fast-forward.
-        let sys = TccSystem::new(cfg(2), ckpt_workload(), NoGating).unwrap();
-        assert!(sys.windowed_lookahead().is_none());
-        let (windowed, _) = sys
-            .run_bounded_parts(2_000_000, EngineKind::Windowed)
-            .unwrap();
-        let (fast, _) = TccSystem::new(cfg(2), ckpt_workload(), NoGating)
-            .unwrap()
-            .run_bounded_parts(2_000_000, EngineKind::FastForward)
-            .unwrap();
-        assert_eq!(fast, windowed);
-    }
-
-    #[test]
-    fn windowed_checkpoint_state_matches_fast_forward_mid_run() {
-        // Engine-independent state digests: stopping both engines at an
-        // arbitrary boundary must yield byte-identical checkpoints.
-        let procs = 8;
-        for boundary in [137u64, 1000, 4096] {
-            let mut fast =
-                TccSystem::new(sharded_cfg(procs), spread_workload(procs), NoGating).unwrap();
-            fast.advance_until_engine(boundary, EngineKind::FastForward);
-            let mut win =
-                TccSystem::new(sharded_cfg(procs), spread_workload(procs), NoGating).unwrap();
-            win.advance_until_engine(boundary, EngineKind::Windowed);
-            assert_eq!(fast.now(), win.now());
-            assert_eq!(
-                fast.save_checkpoint(),
-                win.save_checkpoint(),
-                "checkpoint bytes diverged at cycle {boundary}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_lanes_are_byte_identical_for_every_pool_size() {
-        use std::sync::Arc;
-        let procs = 8;
-        let (reference, _) = TccSystem::new(sharded_cfg(procs), spread_workload(procs), NoGating)
-            .unwrap()
-            .run_bounded_parts(2_000_000, EngineKind::FastForward)
-            .unwrap();
-        for workers in [1usize, 2, 8] {
-            let mut sys =
-                TccSystem::new(sharded_cfg(procs), spread_workload(procs), NoGating).unwrap();
-            sys.set_lane_pool(Arc::new(WorkerPool::new(workers)));
-            sys.advance_until_engine(Cycle::MAX / 2, EngineKind::Windowed);
-            assert!(sys.is_complete());
-            let stats = sys.windowed_stats();
-            assert!(stats.multi_group_windows > 0, "{stats:?}");
-            if workers == 1 {
-                // Satellite guarantee for 1-core containers: a one-worker
-                // pool must take the in-place sequential path.
-                assert_eq!(stats.parallel_windows, 0, "{stats:?}");
-                assert_eq!(stats.max_concurrent_lanes, 0, "{stats:?}");
-            } else {
-                assert!(
-                    stats.parallel_windows > 0,
-                    "multi-worker pool never fanned lanes out: {stats:?}"
-                );
-                assert!(stats.max_concurrent_lanes >= 2, "{stats:?}");
-            }
-            let (outcome, _) = sys.into_parts();
-            assert_eq!(reference, outcome, "{workers}-worker pool diverged");
-        }
-    }
-
-    #[test]
-    fn parallel_lanes_match_with_backoff_hook_across_pool_sizes() {
-        use std::sync::Arc;
-        let procs = 8;
-        let hook = || ExponentialBackoff::new(procs, 16, 6);
-        let (reference, _) = TccSystem::new(sharded_cfg(procs), spread_workload(procs), hook())
-            .unwrap()
-            .run_bounded_parts(2_000_000, EngineKind::FastForward)
-            .unwrap();
-        for workers in [2usize, 8] {
-            let mut sys =
-                TccSystem::new(sharded_cfg(procs), spread_workload(procs), hook()).unwrap();
-            sys.set_lane_pool(Arc::new(WorkerPool::new(workers)));
-            sys.advance_until_engine(Cycle::MAX / 2, EngineKind::Windowed);
-            assert!(sys.windowed_stats().parallel_windows > 0);
-            let (outcome, _) = sys.into_parts();
-            assert_eq!(reference, outcome, "{workers}-worker pool diverged");
-        }
-    }
-
-    #[test]
-    fn windowed_checkpoint_bytes_are_pool_size_independent() {
-        use std::sync::Arc;
-        let procs = 8;
-        for boundary in [137u64, 1000, 4096] {
-            let mut fast =
-                TccSystem::new(sharded_cfg(procs), spread_workload(procs), NoGating).unwrap();
-            fast.advance_until_engine(boundary, EngineKind::FastForward);
-            let reference = fast.save_checkpoint();
-            for workers in [1usize, 2, 8] {
-                let mut win =
-                    TccSystem::new(sharded_cfg(procs), spread_workload(procs), NoGating).unwrap();
-                win.set_lane_pool(Arc::new(WorkerPool::new(workers)));
-                win.advance_until_engine(boundary, EngineKind::Windowed);
-                assert_eq!(fast.now(), win.now());
-                assert_eq!(
-                    reference,
-                    win.save_checkpoint(),
-                    "checkpoint bytes diverged at cycle {boundary} with {workers} workers"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn windowed_resumes_from_fast_forward_checkpoint() {
-        let procs = 4;
-        let mut sys = TccSystem::new(sharded_cfg(procs), spread_workload(procs), NoGating).unwrap();
-        sys.advance_until(500);
-        let payload = sys.save_checkpoint();
-        sys.advance_until_engine(Cycle::MAX / 2, EngineKind::FastForward);
-        let reference = sys.into_parts().0;
-
-        let mut resumed = TccSystem::restore_checkpoint(
-            sharded_cfg(procs),
-            spread_workload(procs),
-            NoGating,
-            &payload,
-        )
-        .unwrap();
-        resumed.advance_until_engine(Cycle::MAX / 2, EngineKind::Windowed);
-        assert_eq!(reference, resumed.into_parts().0);
     }
 }

@@ -96,18 +96,6 @@ impl TokenVendor {
         self.issued
     }
 
-    /// Fold `delta` additional issued TIDs into the counter. Used by the
-    /// windowed engine's lane barrier: each lane clones the (pipelined)
-    /// vendor, and the master absorbs each lane's in-window issue count.
-    /// Only meaningful for a pipelined vendor, whose TIDs are derived from
-    /// the request cycle and never from `issued`; a serial vendor is never
-    /// lane-split (the windowed engine requires a sharded machine, which
-    /// always builds a pipelined vendor).
-    pub(crate) fn absorb_issued(&mut self, delta: u64) {
-        debug_assert!(self.pipelined || delta == 0);
-        self.issued += delta;
-    }
-
     /// The TID a serial vendor will hand out next (pipelined TIDs depend on
     /// the arrival cycle, so this is only meaningful in serial mode).
     #[must_use]

@@ -3,24 +3,25 @@
 #
 # Usage: tools/bench_pdes.sh [output-file]
 #
-# Runs the full engine matrix (hotspot + clustered at 64p and 256p on the
-# default sharded fabric): fast-forward, shard-parallel, windowed with a
-# one-worker lane pool (sequential in-place path) and windowed-parallel
-# with a four-worker lane pool (per-window group lanes fanned out), and
-# records the honest wall-clock numbers for the host it ran on. On a
-# single-core host the parallel arms can only lose — commit those numbers
-# anyway; the point of the artifact is tracking the overhead, not
+# Runs the engine matrix (hotspot + clustered at 64p and 256p on the
+# default sharded fabric): fast-forward and shard-parallel, and records the
+# honest wall-clock numbers for the host it ran on, together with the
+# commit (`-dirty` when the tree had uncommitted changes), the host's core
+# count and the bench command. Commit the numbers whichever engine wins;
+# the point of the artifact is tracking the island engine's overhead, not
 # advertising a speedup.
 set -eu
 
 out="${1:-BENCH_pdes.json}"
 cd "$(dirname "$0")/.."
 
-raw=$(cargo bench -p htm-bench --bench pdes_scaling 2>/dev/null | grep '^bench: pdes_scaling/')
+cmd="cargo bench -p htm-bench --bench pdes_scaling"
+raw=$($cmd 2>/dev/null | grep '^bench: pdes_scaling/')
 
 threads=$( (nproc || sysctl -n hw.ncpu || echo 1) 2>/dev/null | head -n1 )
+commit=$(git describe --always --dirty 2>/dev/null || echo unknown)
 
-printf '%s\n' "$raw" | awk -v threads="$threads" '
+printf '%s\n' "$raw" | awk -v threads="$threads" -v commit="$commit" -v cmd="$cmd" '
 function to_ms(v, u) {
     if (u == "ns") return v / 1e6
     if (u == "µs" || u == "us") return v / 1e3
@@ -47,6 +48,8 @@ function to_ms(v, u) {
 END {
     print "{"
     print "  \"bench\": \"pdes_scaling\","
+    print "  \"commit\": \"" commit "\","
+    print "  \"command\": \"" cmd "\","
     print "  \"topology\": \"sharded directories (one bank per directory; crossbar, 2-cycle traversal)\","
     print "  \"gating\": \"clock-gate w0=8\","
     print "  \"workload_scale\": \"test\","
