@@ -40,7 +40,7 @@ fn run_monomorphized(engine: EngineKind) -> u64 {
     );
     TccSystem::new(cfg, workload(), hook)
         .unwrap()
-        .run_bounded_parts(50_000_000, engine)
+        .run_bounded(50_000_000, engine)
         .unwrap()
         .0
         .total_cycles
@@ -52,7 +52,7 @@ fn run_boxed(engine: EngineKind) -> u64 {
     let hook = PolicySpec::ClockGate { w0: 8 }.build(&cfg);
     TccSystem::new(cfg, workload(), hook)
         .unwrap()
-        .run_bounded_parts(50_000_000, engine)
+        .run_bounded(50_000_000, engine)
         .unwrap()
         .0
         .total_cycles
@@ -62,7 +62,7 @@ fn run_monomorphized_ungated(engine: EngineKind) -> u64 {
     let cfg = SimConfig::table2(PROCS);
     TccSystem::new(cfg, workload(), NoGating)
         .unwrap()
-        .run_bounded_parts(50_000_000, engine)
+        .run_bounded(50_000_000, engine)
         .unwrap()
         .0
         .total_cycles
@@ -73,7 +73,7 @@ fn run_boxed_ungated(engine: EngineKind) -> u64 {
     let hook = PolicySpec::Ungated.build(&cfg);
     TccSystem::new(cfg, workload(), hook)
         .unwrap()
-        .run_bounded_parts(50_000_000, engine)
+        .run_bounded(50_000_000, engine)
         .unwrap()
         .0
         .total_cycles

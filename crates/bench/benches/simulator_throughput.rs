@@ -22,7 +22,7 @@ fn simulated_cycles(procs: usize, engine: EngineKind) -> u64 {
     let w = by_name("intruder", procs, WorkloadScale::Test, 7).unwrap();
     TccSystem::new(SimConfig::table2(procs), w, NoGating)
         .unwrap()
-        .run_bounded_parts(50_000_000, engine)
+        .run_bounded(50_000_000, engine)
         .unwrap()
         .0
         .total_cycles

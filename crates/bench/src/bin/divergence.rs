@@ -19,13 +19,14 @@
 
 use std::path::PathBuf;
 
+use htm_bench::cli;
 use htm_bench::divergence::{
     mutate_case, parse_case, random_case, render_case, run_case, shrink_case, CaseSpec, Divergence,
 };
 use htm_sim::rng::DeterministicRng;
 
 fn usage() -> ! {
-    eprintln!(
+    cli::fail(
         "usage: divergence [--budget N] [--seed S] [--out DIR] [--case FILE] [--inject-bug]\n\
          \n\
          Fuzz the exactness invariant: run random/mutated conflict traces and\n\
@@ -42,22 +43,17 @@ fn usage() -> ! {
          \x20                exit 1 if it diverges, 0 if engine-exact\n\
          \x20 --inject-bug   plant the deliberate fast-engine accounting bug\n\
          \x20                (self-test: the harness must catch and shrink it)\n\
-         \x20 -h, --help     this text"
+         \x20 -h, --help     this text",
     );
-    std::process::exit(2);
 }
 
 fn parse_number(flag: &str, value: Option<String>) -> u64 {
     let Some(raw) = value else {
-        eprintln!("{flag} needs a number");
-        std::process::exit(2);
+        cli::fail(&format!("{flag} needs a number"));
     };
     match raw.parse::<u64>() {
         Ok(n) => n,
-        Err(err) => {
-            eprintln!("{flag}: `{raw}` is not a number ({err})");
-            std::process::exit(2);
-        }
+        Err(err) => cli::fail(&format!("{flag}: `{raw}` is not a number ({err})")),
     }
 }
 
@@ -98,17 +94,11 @@ fn main() {
             "--seed" => seed = parse_number("--seed", args.next()),
             "--out" => match args.next() {
                 Some(dir) => out_dir = PathBuf::from(dir),
-                None => {
-                    eprintln!("--out needs a directory path");
-                    std::process::exit(2);
-                }
+                None => cli::fail("--out needs a directory path"),
             },
             "--case" => match args.next() {
                 Some(file) => case_file = Some(PathBuf::from(file)),
-                None => {
-                    eprintln!("--case needs a `.case` file path");
-                    std::process::exit(2);
-                }
+                None => cli::fail("--case needs a `.case` file path"),
             },
             "--inject-bug" => inject_bug = true,
             "-h" | "--help" => usage(),
@@ -123,24 +113,15 @@ fn main() {
     if let Some(path) = case_file {
         let text = match std::fs::read_to_string(&path) {
             Ok(text) => text,
-            Err(err) => {
-                eprintln!("cannot read {}: {err}", path.display());
-                std::process::exit(2);
-            }
+            Err(err) => cli::fail(&format!("cannot read {}: {err}", path.display())),
         };
         let case = match parse_case(&text) {
             Ok(case) => case,
-            Err(err) => {
-                eprintln!("{}: {err}", path.display());
-                std::process::exit(2);
-            }
+            Err(err) => cli::fail(&format!("{}: {err}", path.display())),
         };
         let divergences = match run_case(&case, inject_bug) {
             Ok(d) => d,
-            Err(err) => {
-                eprintln!("{}: simulation failed: {err}", path.display());
-                std::process::exit(2);
-            }
+            Err(err) => cli::fail(&format!("{}: simulation failed: {err}", path.display())),
         };
         if divergences.is_empty() {
             eprintln!("{}: engine-exact on all three engines", path.display());
@@ -185,13 +166,11 @@ fn main() {
         );
         print_divergences(&shrunk_divs);
         if let Err(err) = std::fs::create_dir_all(&out_dir) {
-            eprintln!("cannot create {}: {err}", out_dir.display());
-            std::process::exit(2);
+            cli::fail(&format!("cannot create {}: {err}", out_dir.display()));
         }
         let path = out_dir.join(format!("divergence-seed{seed}-case{i}.case"));
         if let Err(err) = std::fs::write(&path, render_case(&shrunk)) {
-            eprintln!("cannot write {}: {err}", path.display());
-            std::process::exit(2);
+            cli::fail(&format!("cannot write {}: {err}", path.display()));
         }
         eprintln!("wrote {}", path.display());
         std::process::exit(1);

@@ -42,38 +42,16 @@
 //!   NAME[:PROCS[:SCALE[:SEED[:xTILES]]]]` produces such a file (see
 //!   `docs/REPRODUCING.md`, "Bring your own trace").
 
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use clockgate_htm::experiments::{
-    self, EvaluationMatrix, ExperimentConfig, Fig7Result, MatrixCheckpoint,
-};
+use clockgate_htm::experiments::{self, EvaluationMatrix, ExperimentConfig, Fig7Result};
 use clockgate_htm::report;
-use clockgate_htm::sim::EngineChoice;
+use htm_bench::cli::{self, RunFlags, RUN_FLAGS_HELP};
+use htm_bench::outln;
 use htm_power::model::PowerModel;
-use htm_sim::topology::TopologyConfig;
-
-/// Print one line to stdout, exiting quietly if the reader went away
-/// (`reproduce table1 | head` must not panic on the broken pipe).
-fn outln(text: std::fmt::Arguments<'_>) {
-    let mut stdout = std::io::stdout().lock();
-    let ok = stdout
-        .write_fmt(text)
-        .and_then(|()| stdout.write_all(b"\n"))
-        .is_ok();
-    if !ok {
-        std::process::exit(0);
-    }
-}
-
-macro_rules! outln {
-    ($($t:tt)*) => {
-        outln(format_args!($($t)*))
-    };
-}
 
 fn usage() -> ! {
-    eprintln!(
+    cli::fail(&format!(
         "usage: reproduce [options] [all|table1|table2|fig3|fig4|fig5|fig6|fig7|summary|breakdown]...\n\
          \n\
          Regenerate the paper's tables and figures (default target: all).\n\
@@ -91,14 +69,6 @@ fn usage() -> ! {
          \x20                 to keep the cycle-stepping naive reference arm of\n\
          \x20                 the scale smoke at 64p while the event-driven\n\
          \x20                 engines take the full 512-1024p corpus\n\
-         \x20 --trace FILE    drive the matrix targets from a recorded htmtrace\n\
-         \x20                 file instead of the synthetic generators: the\n\
-         \x20                 trace becomes the only workload (on its recorded\n\
-         \x20                 processor count) and is streamed through a\n\
-         \x20                 fingerprint-verified bounded-memory reader; a\n\
-         \x20                 corrupt, truncated or future-format file is a\n\
-         \x20                 pre-flight error (exit 2); excludes --smoke,\n\
-         \x20                 --scale-smoke and --quick\n\
          \x20 --record-trace FILE  record a workload as an htmtrace file and\n\
          \x20                 exit; the source is --from\n\
          \x20 --from SPEC     what --record-trace records, as\n\
@@ -109,53 +79,21 @@ fn usage() -> ! {
          \x20 --out DIR       write each produced table/figure as DIR/<name>.json;\n\
          \x20                 matrix targets additionally write the per-component\n\
          \x20                 energy_breakdown.json ledger artifact\n\
-         \x20 --engine E      stepping engine: fast (default), naive, shard\n\
-         \x20                 (shard-parallel islands on host threads), or\n\
-         \x20                 auto (per run: shard when a sharded workload\n\
-         \x20                 splits into >1 island, fast otherwise);\n\
-         \x20                 artifacts are byte-identical in every case\n\
-         \x20 --topology T    interconnect: bus (default) or\n\
-         \x20                 sharded[:BANKS[:mesh|xbar]] (BANKS=0: one bank per\n\
-         \x20                 directory); see docs/SCALING.md\n\
-         \x20 --threads N     cap the process-wide worker pool at N threads\n\
-         \x20                 (default: the host's available parallelism);\n\
-         \x20                 matrix cells and shard-parallel islands draw\n\
-         \x20                 from this one budget. Affects\n\
-         \x20                 wall-clock only — output bytes are identical for\n\
-         \x20                 every N\n\
          \x20 --timing        write BENCH_reproduce.json (wall-clock per matrix\n\
          \x20                 cell and cells/second)\n\
-         \x20 --checkpoint-every N  checkpoint every simulation run every N\n\
-         \x20                 simulated cycles; interrupted runs auto-resume\n\
-         \x20                 from the newest valid checkpoint with identical\n\
-         \x20                 output bytes (torn/corrupt files are skipped\n\
-         \x20                 loudly, future-format files are a hard error)\n\
-         \x20 --checkpoint-dir D    checkpoint directory (default:\n\
-         \x20                 <out-dir>/checkpoints); requires --checkpoint-every\n\
          \x20 --list-policies list every registered contention policy and exit\n\
          \x20                 (every policy runs on either topology and engine)\n\
          \x20 -h, --help      this text\n\
          \n\
+         {RUN_FLAGS_HELP}\n\
+         \n\
+         With --trace, the trace becomes the only workload of the matrix\n\
+         targets, on the processor count it was recorded with; it excludes\n\
+         --smoke, --scale-smoke and --quick.\n\
+         \n\
          For sensitivity sweeps beyond the paper's operating point, see the\n\
          `sweep` binary (`cargo run -p htm-bench --bin sweep -- --list`)."
-    );
-    std::process::exit(2);
-}
-
-/// Parse a `--flag CYCLES` value, exiting with an actionable message (not a
-/// panic) on a missing or malformed number.
-fn parse_cycles(flag: &str, value: Option<String>) -> u64 {
-    let Some(raw) = value else {
-        eprintln!("{flag} needs a cycle count, e.g. `{flag} 100000`");
-        std::process::exit(2);
-    };
-    match raw.parse::<u64>() {
-        Ok(n) => n,
-        Err(err) => {
-            eprintln!("{flag}: `{raw}` is not a cycle count ({err})");
-            std::process::exit(2);
-        }
-    }
+    ))
 }
 
 /// What `--record-trace` records: a registered workload generator plus the
@@ -172,12 +110,11 @@ struct RecordSpec {
 /// an actionable message on any malformed segment.
 fn parse_record_spec(spec: &str) -> RecordSpec {
     fn bad(spec: &str, why: &str) -> ! {
-        eprintln!(
+        cli::fail(&format!(
             "--from: `{spec}`: {why}\n\
              expected NAME[:PROCS[:SCALE[:SEED[:xTILES]]]], e.g. `intruder`, \
              `zipfian:8:full:7:x40` (SCALE is test, small or full)"
-        );
-        std::process::exit(2);
+        ));
     }
     let mut parts = spec.split(':');
     let name = parts.next().unwrap_or_default().to_string();
@@ -246,12 +183,8 @@ fn main() {
     let mut smoke = false;
     let mut scale_smoke = false;
     let mut timing = false;
-    let mut engine = EngineChoice::default();
-    let mut topology = TopologyConfig::Bus;
+    let mut run_flags = RunFlags::default();
     let mut out_dir: Option<PathBuf> = None;
-    let mut checkpoint_every: Option<u64> = None;
-    let mut checkpoint_dir: Option<PathBuf> = None;
-    let mut trace_path: Option<PathBuf> = None;
     let mut record_path: Option<PathBuf> = None;
     let mut record_from: Option<String> = None;
     let mut max_procs: Option<usize> = None;
@@ -265,105 +198,54 @@ fn main() {
             "--scale-smoke" => scale_smoke = true,
             "--timing" => timing = true,
             "--list-policies" => {
-                outln!("{}", clockgate_htm::gating::policy::render_policy_list());
-                outln!(
-                    "\nEvery policy runs on either interconnect topology \
-                     (--topology bus|sharded[:BANKS[:mesh|xbar]], default bus) \
-                     and any stepping engine (--engine fast|naive|shard|auto)."
-                );
+                cli::print_policy_list();
                 return;
             }
-            "--engine" => match args.next().as_deref().and_then(EngineChoice::parse) {
-                Some(choice) => engine = choice,
-                None => usage(),
-            },
-            "--topology" => match args.next().as_deref().and_then(TopologyConfig::parse) {
-                Some(t) => topology = t,
-                None => usage(),
-            },
-            "--threads" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => {
-                    // Must land before anything touches the pool; arg parsing
-                    // is the first thing main does, so this always wins.
-                    htm_sim::pool::WorkerPool::configure_global(n);
-                }
-                _ => {
-                    eprintln!("--threads needs a positive worker count, e.g. `--threads 4`");
-                    std::process::exit(2);
-                }
-            },
             "--max-procs" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
                 Some(n) if n > 0 => max_procs = Some(n),
                 _ => {
-                    eprintln!(
-                        "--max-procs needs a positive processor count, e.g. `--max-procs 64`"
-                    );
-                    std::process::exit(2);
+                    cli::fail("--max-procs needs a positive processor count, e.g. `--max-procs 64`")
                 }
             },
             "--out" => match args.next() {
                 Some(dir) => out_dir = Some(PathBuf::from(dir)),
                 None => usage(),
             },
-            "--trace" => match args.next() {
-                Some(path) => trace_path = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("--trace needs a file path (a recorded htmtrace file)");
-                    std::process::exit(2);
-                }
-            },
             "--record-trace" => match args.next() {
                 Some(path) => record_path = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("--record-trace needs an output file path");
-                    std::process::exit(2);
-                }
+                None => cli::fail("--record-trace needs an output file path"),
             },
             "--from" => match args.next() {
                 Some(spec) => record_from = Some(spec),
                 None => {
-                    eprintln!("--from needs a workload spec: NAME[:PROCS[:SCALE[:SEED[:xTILES]]]]");
-                    std::process::exit(2);
-                }
-            },
-            "--checkpoint-every" => {
-                let every = parse_cycles("--checkpoint-every", args.next());
-                if every == 0 {
-                    eprintln!("--checkpoint-every: the interval must be at least 1 cycle");
-                    std::process::exit(2);
-                }
-                checkpoint_every = Some(every);
-            }
-            "--checkpoint-dir" => match args.next() {
-                Some(dir) => checkpoint_dir = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("--checkpoint-dir needs a directory path");
-                    std::process::exit(2);
+                    cli::fail("--from needs a workload spec: NAME[:PROCS[:SCALE[:SEED[:xTILES]]]]")
                 }
             },
             "-h" | "--help" => usage(),
-            other => targets.push(other.to_string()),
+            other => match run_flags.take(other, &mut args) {
+                Ok(true) => {}
+                Ok(false) => targets.push(other.to_string()),
+                Err(message) => cli::fail(&message),
+            },
         }
     }
+    run_flags.configure_pool();
     // Trace recording is its own mode: write the file and exit.
     if let Some(path) = record_path {
         let Some(spec) = record_from else {
-            eprintln!("--record-trace needs --from NAME[:PROCS[:SCALE[:SEED[:xTILES]]]]");
-            std::process::exit(2);
+            cli::fail("--record-trace needs --from NAME[:PROCS[:SCALE[:SEED[:xTILES]]]]");
         };
-        if trace_path.is_some() {
-            eprintln!("--record-trace and --trace are mutually exclusive");
-            std::process::exit(2);
+        if run_flags.trace.is_some() {
+            cli::fail("--record-trace and --trace are mutually exclusive");
         }
         let spec = parse_record_spec(&spec);
         let Some(workload) = htm_workloads::by_name(&spec.name, spec.procs, spec.scale, spec.seed)
         else {
-            eprintln!(
+            cli::fail(&format!(
                 "--from: unknown workload `{}` (available: {})",
                 spec.name,
                 htm_workloads::workload_names().join(", ")
-            );
-            std::process::exit(2);
+            ));
         };
         let workload = workload.tiled(spec.tiles);
         if let Err(e) = htm_workloads::trace::record_to_path(&path, &workload) {
@@ -382,8 +264,7 @@ fn main() {
         return;
     }
     if record_from.is_some() {
-        eprintln!("--from does nothing without --record-trace FILE");
-        std::process::exit(2);
+        cli::fail("--from does nothing without --record-trace FILE");
     }
     if targets.is_empty() {
         targets.push("all".to_string());
@@ -436,63 +317,33 @@ fn main() {
     if let Some(cap) = max_procs {
         cfg.processor_counts.retain(|&p| p <= cap);
         if cfg.processor_counts.is_empty() {
-            eprintln!("--max-procs {cap} drops every matrix cell; raise the cap");
-            std::process::exit(2);
+            cli::fail(&format!(
+                "--max-procs {cap} drops every matrix cell; raise the cap"
+            ));
         }
     }
     // A recorded trace replaces the synthetic workload axis entirely: the
     // matrix runs the trace (under its fingerprinted axis name) on exactly
     // the processor count it was recorded with.
-    let trace: Option<clockgate_htm::sweep::TraceWorkload> = trace_path.map(|path| {
+    let trace = run_flags.trace.as_deref().map(|path| {
         if smoke || scale_smoke || quick {
-            eprintln!(
+            cli::fail(
                 "--trace is mutually exclusive with --smoke/--scale-smoke/--quick: \
-                 those presets fix their own workload lists"
+                 those presets fix their own workload lists",
             );
-            std::process::exit(2);
         }
-        let loaded = match htm_workloads::trace::read_from_path(&path) {
-            Ok(loaded) => loaded,
-            Err(e) => {
-                eprintln!("--trace {}: {e}", path.display());
-                std::process::exit(2);
-            }
-        };
-        let trace = clockgate_htm::sweep::TraceWorkload::from_loaded(&loaded);
-        eprintln!(
-            "trace {}: workload `{}`, {} threads, {} transactions, {} memory references, \
-             fingerprint {:016x} -> axis `{}`",
-            path.display(),
-            loaded.workload.name,
-            loaded.workload.num_threads(),
-            loaded.workload.total_transactions(),
-            loaded.workload.total_memory_refs(),
-            loaded.fingerprint,
-            trace.axis_name
-        );
+        let trace = cli::load_trace(path);
         cfg.workloads = vec![trace.axis_name.clone()];
-        cfg.processor_counts = vec![loaded.workload.num_threads()];
+        cfg.processor_counts = vec![trace.workload.num_threads()];
         trace
     });
     if (smoke || scale_smoke) && out_dir.is_none() {
         out_dir = Some(PathBuf::from("reproduce-out"));
     }
-    if checkpoint_dir.is_some() && checkpoint_every.is_none() {
-        eprintln!(
-            "--checkpoint-dir does nothing without --checkpoint-every N; \
-             add an interval or drop the directory flag"
-        );
-        std::process::exit(2);
-    }
-    let ckpt: Option<MatrixCheckpoint> = checkpoint_every.map(|every| MatrixCheckpoint {
-        dir: checkpoint_dir.unwrap_or_else(|| {
-            out_dir
-                .clone()
-                .unwrap_or_else(|| PathBuf::from("reproduce-out"))
-                .join("checkpoints")
-        }),
-        every,
-    });
+    let ctx = run_flags.context(
+        out_dir.as_deref().unwrap_or(Path::new("reproduce-out")),
+        trace.as_ref(),
+    );
 
     if wants("table1") {
         outln!("{}", experiments::render_table1());
@@ -534,23 +385,17 @@ fn main() {
             "running the evaluation matrix ({} workloads x {:?} processors, with and without gating, {} engine, {})...",
             cfg.workloads.len(),
             cfg.processor_counts,
-            engine.label(),
-            topology.describe()
+            ctx.engine.label(),
+            ctx.topology.describe()
         );
-        if let Some(spec) = &ckpt {
+        if let Some(spec) = &ctx.checkpoint {
             eprintln!(
                 "checkpointing every {} cycles into {}",
                 spec.every,
                 spec.dir.display()
             );
         }
-        let (matrix, matrix_timing, breakdown) = match experiments::run_matrix_timed_ckpt_traced(
-            &cfg,
-            engine,
-            topology,
-            ckpt.as_ref(),
-            trace.as_ref(),
-        ) {
+        let (matrix, matrix_timing, breakdown) = match experiments::run_matrix(&cfg, &ctx) {
             Ok(results) => results,
             Err(err) => {
                 eprintln!("the evaluation matrix failed: {err}");
@@ -618,14 +463,7 @@ fn main() {
     if wants("fig7") {
         eprintln!("running the W0 sensitivity sweep...");
         let w0_values = [1, 2, 4, 8, 16, 32, 64];
-        let f: Fig7Result = match experiments::fig7_ckpt_traced(
-            &cfg,
-            &w0_values,
-            engine,
-            topology,
-            ckpt.as_ref(),
-            trace.as_ref(),
-        ) {
+        let f: Fig7Result = match experiments::fig7(&cfg, &w0_values, &ctx) {
             Ok(result) => result,
             Err(err) => {
                 eprintln!("the fig7 sweep failed: {err}");

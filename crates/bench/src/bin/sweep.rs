@@ -15,35 +15,16 @@
 //! processor-count slice), `sweep_summary.json` and `grid.json`, and this
 //! binary prints the frontier and summary tables.
 
-use std::io::Write;
 use std::path::PathBuf;
 
+use clockgate_htm::context::RunContext;
 use clockgate_htm::report;
-use clockgate_htm::sim::EngineChoice;
 use clockgate_htm::sweep::{self, SweepGrid, SweepObjective};
-use htm_sim::topology::TopologyConfig;
-
-/// Print one line to stdout, exiting quietly if the reader went away
-/// (`sweep ... | head` must not panic on the broken pipe).
-fn outln(text: std::fmt::Arguments<'_>) {
-    let mut stdout = std::io::stdout().lock();
-    let ok = stdout
-        .write_fmt(text)
-        .and_then(|()| stdout.write_all(b"\n"))
-        .is_ok();
-    if !ok {
-        std::process::exit(0);
-    }
-}
-
-macro_rules! outln {
-    ($($t:tt)*) => {
-        outln(format_args!($($t)*))
-    };
-}
+use htm_bench::cli::{self, RunFlags, RUN_FLAGS_HELP};
+use htm_bench::outln;
 
 fn usage() -> ! {
-    eprintln!(
+    cli::fail(&format!(
         "usage: sweep --grid NAME | --trace FILE [--out DIR] [--engine fast|naive|shard|auto] [--topology T] [--threads N] [--objective O]\n\
          \x20            [--resume] [--checkpoint-every N] [--checkpoint-dir D] [--replay-to CYCLE --replay-key KEY]\n\
          \x20            [--list] [--list-policies]\n\
@@ -55,41 +36,14 @@ fn usage() -> ! {
          \n\
          options:\n\
          \x20 --grid NAME     grid to run: {names} (required unless --list/--trace)\n\
-         \x20 --trace FILE    sweep a recorded htmtrace file instead of a named\n\
-         \x20                 grid: the trace becomes the single workload-axis\n\
-         \x20                 entry (named trace-<workload>-<fp8> after its\n\
-         \x20                 fingerprint) and is swept over the trio of gating\n\
-         \x20                 modes; a corrupt or truncated file is a pre-flight\n\
-         \x20                 error, and --resume against records from any other\n\
-         \x20                 trace or grid is rejected as foreign\n\
          \x20 --out DIR       artifact directory (default sweep-out/<grid>)\n\
-         \x20 --engine E      stepping engine: fast (default), naive, shard\n\
-         \x20                 (shard-parallel islands on host threads), or\n\
-         \x20                 auto (picks per cell: shard when a sharded\n\
-         \x20                 workload splits into >1 island, fast otherwise);\n\
-         \x20                 artifacts are byte-identical in every case\n\
-         \x20 --topology T    interconnect: bus (default) or\n\
-         \x20                 sharded[:BANKS[:mesh|xbar]] (BANKS=0: one bank per\n\
-         \x20                 directory); sharded cell keys carry a topology\n\
-         \x20                 segment, so bus and sharded sweeps never mix on\n\
-         \x20                 resume; see docs/SCALING.md\n\
-         \x20 --threads N     cap the process-wide worker pool at N threads\n\
-         \x20                 (default: the host's available parallelism); sweep\n\
-         \x20                 cells and shard-parallel islands draw from this\n\
-         \x20                 one budget. Affects wall-clock\n\
-         \x20                 only — artifacts are byte-identical for every N\n\
          \x20 --objective O   frontier objective: energy (default), edp or ed2p;\n\
          \x20                 only pareto.json depends on it, so a sweep can be\n\
          \x20                 resumed under any objective\n\
          \x20 --resume        skip cells already recorded in <out>/sweep.jsonl\n\
-         \x20                 (a torn final line from a killed run is dropped)\n\
-         \x20 --checkpoint-every N  durably checkpoint every in-flight cell's\n\
-         \x20                 simulator state every N cycles; an interrupted\n\
-         \x20                 sweep resumed with --resume restores each cell\n\
-         \x20                 from its newest valid checkpoint instead of\n\
-         \x20                 restarting it (artifacts stay byte-identical)\n\
-         \x20 --checkpoint-dir D  where the .ckpt files live (default\n\
-         \x20                 <out>/checkpoints)\n\
+         \x20                 (a torn final line from a killed run is dropped);\n\
+         \x20                 with --checkpoint-every, every in-flight cell\n\
+         \x20                 restores from its newest valid checkpoint\n\
          \x20 --replay-to CYCLE   time travel: restore the nearest checkpoint\n\
          \x20                 of cell --replay-key at or before CYCLE,\n\
          \x20                 fast-forward to exactly CYCLE, print the state\n\
@@ -98,23 +52,16 @@ fn usage() -> ! {
          \x20 --list          print the available grids and their cell counts\n\
          \x20 --list-policies list every registered contention policy and exit\n\
          \x20                 (every policy runs on either topology and engine)\n\
-         \x20 -h, --help      this text",
+         \x20 -h, --help      this text\n\
+         \n\
+         {RUN_FLAGS_HELP}\n\
+         \n\
+         With --trace instead of --grid, the trace becomes the single\n\
+         workload-axis entry (named trace-<workload>-<fp8> after its\n\
+         fingerprint), swept over the trio of gating modes; --resume against\n\
+         records from any other trace or grid is rejected as foreign.",
         names = sweep::grid::GRID_NAMES.join("|")
-    );
-    std::process::exit(2);
-}
-
-/// Parse a required numeric flag value with an actionable message instead of
-/// a panic.
-fn parse_cycles(flag: &str, value: Option<String>) -> u64 {
-    match value.as_deref().map(str::parse::<u64>) {
-        Some(Ok(n)) => n,
-        Some(Err(e)) => {
-            eprintln!("{flag}: `{}` is not a cycle count: {e}", value.unwrap());
-            std::process::exit(2);
-        }
-        None => usage(),
-    }
+    ))
 }
 
 fn list_grids() {
@@ -137,14 +84,10 @@ fn list_grids() {
 
 fn main() {
     let mut grid_name: Option<String> = None;
-    let mut trace_path: Option<PathBuf> = None;
+    let mut run_flags = RunFlags::default();
     let mut out_dir: Option<PathBuf> = None;
-    let mut engine = EngineChoice::default();
-    let mut topology = TopologyConfig::Bus;
     let mut objective = SweepObjective::Energy;
     let mut resume = false;
-    let mut checkpoint_every: Option<u64> = None;
-    let mut checkpoint_dir: Option<PathBuf> = None;
     let mut replay_to: Option<u64> = None;
     let mut replay_key: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -154,54 +97,16 @@ fn main() {
                 Some(name) => grid_name = Some(name),
                 None => usage(),
             },
-            "--trace" => match args.next() {
-                Some(path) => trace_path = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("--trace needs a file path (a recorded htmtrace file)");
-                    std::process::exit(2);
-                }
-            },
             "--out" => match args.next() {
                 Some(dir) => out_dir = Some(PathBuf::from(dir)),
                 None => usage(),
-            },
-            "--engine" => match args.next().as_deref().and_then(EngineChoice::parse) {
-                Some(choice) => engine = choice,
-                None => usage(),
-            },
-            "--topology" => match args.next().as_deref().and_then(TopologyConfig::parse) {
-                Some(t) => topology = t,
-                None => usage(),
-            },
-            "--threads" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => {
-                    // Must land before anything touches the pool; arg parsing
-                    // is the first thing main does, so this always wins.
-                    htm_sim::pool::WorkerPool::configure_global(n);
-                }
-                _ => {
-                    eprintln!("--threads needs a positive worker count, e.g. `--threads 4`");
-                    std::process::exit(2);
-                }
             },
             "--objective" => match args.next().as_deref().and_then(SweepObjective::parse) {
                 Some(o) => objective = o,
                 None => usage(),
             },
             "--resume" => resume = true,
-            "--checkpoint-every" => {
-                let n = parse_cycles("--checkpoint-every", args.next());
-                if n == 0 {
-                    eprintln!("--checkpoint-every must be at least 1 cycle");
-                    std::process::exit(2);
-                }
-                checkpoint_every = Some(n);
-            }
-            "--checkpoint-dir" => match args.next() {
-                Some(dir) => checkpoint_dir = Some(PathBuf::from(dir)),
-                None => usage(),
-            },
-            "--replay-to" => replay_to = Some(parse_cycles("--replay-to", args.next())),
+            "--replay-to" => replay_to = Some(cli::parse_cycles("--replay-to", args.next())),
             "--replay-key" => match args.next() {
                 Some(key) => replay_key = Some(key),
                 None => usage(),
@@ -211,98 +116,74 @@ fn main() {
                 return;
             }
             "--list-policies" => {
-                outln!("{}", clockgate_htm::gating::policy::render_policy_list());
-                outln!(
-                    "\nEvery policy runs on either interconnect topology \
-                     (--topology bus|sharded[:BANKS[:mesh|xbar]], default bus) \
-                     and any stepping engine (--engine fast|naive|shard|auto)."
-                );
+                cli::print_policy_list();
                 return;
             }
-            _ => usage(),
+            other => match run_flags.take(other, &mut args) {
+                Ok(true) => {}
+                Ok(false) => usage(),
+                Err(message) => cli::fail(&message),
+            },
         }
     }
-    let (grid, trace) = match (grid_name, trace_path) {
+    run_flags.configure_pool();
+    let (grid, trace) = match (grid_name, run_flags.trace.as_deref()) {
         (Some(_), Some(_)) => {
-            eprintln!("--grid and --trace are mutually exclusive; pass one workload source");
-            std::process::exit(2);
+            cli::fail("--grid and --trace are mutually exclusive; pass one workload source")
         }
         (None, None) => usage(),
         (Some(grid_name), None) => {
             let Some(grid) = SweepGrid::by_name(&grid_name) else {
-                eprintln!(
+                cli::fail(&format!(
                     "unknown grid `{grid_name}` (available: {})",
                     sweep::grid::GRID_NAMES.join(", ")
-                );
-                std::process::exit(2);
+                ));
             };
             (grid, None)
         }
         (None, Some(path)) => {
-            let loaded = match htm_workloads::trace::read_from_path(&path) {
-                Ok(loaded) => loaded,
-                Err(e) => {
-                    eprintln!("--trace {}: {e}", path.display());
-                    std::process::exit(2);
-                }
-            };
-            let trace = sweep::TraceWorkload::from_loaded(&loaded);
-            eprintln!(
-                "trace {}: workload `{}`, {} threads, {} transactions, fingerprint {:016x} -> axis `{}`",
-                path.display(),
-                loaded.workload.name,
-                loaded.workload.num_threads(),
-                loaded.workload.total_transactions(),
-                loaded.fingerprint,
-                trace.axis_name
-            );
-            let grid = SweepGrid::for_trace(&trace.axis_name, loaded.workload.num_threads());
+            let trace = cli::load_trace(path);
+            let grid = SweepGrid::for_trace(&trace.axis_name, trace.workload.num_threads());
             (grid, Some(trace))
         }
     };
     let out_dir = out_dir.unwrap_or_else(|| PathBuf::from("sweep-out").join(&grid.name));
-    let ckpt_dir = checkpoint_dir
-        .clone()
-        .unwrap_or_else(|| out_dir.join("checkpoints"));
 
     let cells = grid.expand();
 
-    // Time travel: replay one cell to a cycle and exit (no sweep runs).
+    // Time travel: replay one cell to a cycle and exit (no sweep runs). The
+    // replay reads the checkpoint directory without writing checkpoints, so
+    // it needs no --checkpoint-every.
     if let Some(target) = replay_to {
+        let ckpt_dir = run_flags.checkpoint_dir(&out_dir);
+        let ctx = RunContext {
+            engine: run_flags.engine,
+            topology: run_flags.topology,
+            checkpoint: None,
+            trace: trace.as_ref(),
+        };
         let Some(key) = replay_key else {
-            eprintln!(
+            cli::fail(&format!(
                 "--replay-to needs --replay-key KEY naming the cell to replay \
                  (a key from {})",
                 out_dir.join(sweep::runner::JSONL_NAME).display()
-            );
-            std::process::exit(2);
+            ));
         };
-        let Some(cell) = cells
-            .iter()
-            .find(|c| sweep::runner::cell_key_on(c, topology) == key)
-        else {
-            eprintln!(
+        let Some(cell) = cells.iter().find(|c| ctx.key(&c.key()) == key) else {
+            cli::fail(&format!(
                 "no cell of grid `{}` on the {} topology has key `{key}`; \
                  the first cells are: {}",
                 grid.name,
-                topology.describe(),
+                ctx.topology.describe(),
                 cells
                     .iter()
                     .take(4)
-                    .map(|c| sweep::runner::cell_key_on(c, topology))
+                    .map(|c| ctx.key(&c.key()))
                     .collect::<Vec<_>>()
                     .join(", ")
-            );
-            std::process::exit(2);
+            ));
         };
-        match sweep::runner::replay_cell_traced_to(
-            cell,
-            engine,
-            topology,
-            &ckpt_dir,
-            target,
-            trace.as_ref(),
-        ) {
+        match sweep::replay_cell_to(cell, &ctx, &ckpt_dir, target) {
             Ok((report, skipped)) => {
                 for (path, why) in &skipped {
                     eprintln!("skipping corrupt checkpoint '{}': {why}", path.display());
@@ -338,30 +219,19 @@ fn main() {
         }
     }
     if replay_key.is_some() {
-        eprintln!("--replay-key without --replay-to CYCLE has no effect");
-        std::process::exit(2);
+        cli::fail("--replay-key without --replay-to CYCLE has no effect");
     }
-    if checkpoint_dir.is_some() && checkpoint_every.is_none() {
-        eprintln!(
-            "--checkpoint-dir without --checkpoint-every N does nothing; \
-             pass an interval to enable checkpointing"
-        );
-        std::process::exit(2);
-    }
-    let ckpt = checkpoint_every.map(|every| sweep::SweepCheckpoint {
-        dir: ckpt_dir.clone(),
-        every,
-    });
+    let ctx = run_flags.context(&out_dir, trace.as_ref());
     eprintln!(
         "sweep `{}`: {} cells -> {} ({} engine, {}, {} objective{}{})",
         grid.name,
         cells.len(),
         out_dir.display(),
-        engine.label(),
-        topology.describe(),
+        ctx.engine.label(),
+        ctx.topology.describe(),
         objective.label(),
         if resume { ", resume" } else { "" },
-        match &ckpt {
+        match &ctx.checkpoint {
             Some(spec) => format!(
                 ", checkpoint every {} cycles -> {}",
                 spec.every,
@@ -371,16 +241,7 @@ fn main() {
         }
     );
     let started = std::time::Instant::now();
-    let outcome = match sweep::run_sweep_ckpt_traced(
-        &grid,
-        engine,
-        &out_dir,
-        resume,
-        objective,
-        topology,
-        ckpt.as_ref(),
-        trace.as_ref(),
-    ) {
+    let outcome = match sweep::run_sweep(&grid, &out_dir, resume, objective, &ctx) {
         Ok(outcome) => outcome,
         Err(e) => {
             eprintln!("sweep failed: {e}");

@@ -8,7 +8,8 @@
 //!   `clockgate_htm::sweep` and reports energy-vs-time Pareto frontiers
 //!   (`cargo run --release -p htm-bench --bin sweep -- --grid w0`), and
 //! * one Criterion benchmark per table/figure plus ablation and
-//!   simulator-throughput benches (`cargo bench`).
+//!   simulator-throughput benches (`cargo bench`),
+//! * [`cli`], the flag parsing and help text both binaries share.
 //!
 //! The Criterion benches intentionally run reduced workload scales so that
 //! `cargo bench --workspace` completes in minutes; the `reproduce` binary is
@@ -24,6 +25,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod divergence;
 
 use clockgate_htm::experiments::ExperimentConfig;

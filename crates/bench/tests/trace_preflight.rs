@@ -163,6 +163,10 @@ fn sweep_rejects_the_same_corruptions() {
     assert_preflight_error(&out, "fingerprint mismatch", "sweep with edited trace");
 }
 
+/// Both binaries document the trace flags, and their full `--help` text is
+/// pinned by the committed files under `tests/help/` (regenerate them with
+/// `cargo run -p htm-bench --bin reproduce -- --help 2> crates/bench/tests/help/reproduce.txt`,
+/// and likewise for `sweep`, after a deliberate help change).
 #[test]
 fn both_binaries_document_the_trace_flags_in_help() {
     for (mut cmd, name, extra) in [
@@ -178,6 +182,16 @@ fn both_binaries_document_the_trace_flags_in_help() {
         assert!(
             stderr.contains(extra),
             "{name} --help must document {extra}:\n{stderr}"
+        );
+        let expected_path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/help")
+            .join(format!("{name}.txt"));
+        let expected = std::fs::read_to_string(&expected_path).unwrap();
+        assert_eq!(
+            stderr,
+            expected,
+            "{name} --help differs from {}",
+            expected_path.display()
         );
     }
 }

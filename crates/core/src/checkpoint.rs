@@ -158,6 +158,17 @@ impl From<SimError> for CheckpointError {
     }
 }
 
+/// Unwraps a simulation failure; every other checkpoint failure becomes a
+/// [`SimError::Checkpoint`] carrying its message.
+impl From<CheckpointError> for SimError {
+    fn from(e: CheckpointError) -> Self {
+        match e {
+            CheckpointError::Sim(sim) => sim,
+            other => SimError::Checkpoint(other.to_string()),
+        }
+    }
+}
+
 /// What the checkpointed runner did besides simulating: where it resumed
 /// from, how many checkpoints it wrote, and which on-disk files it had to
 /// skip as corrupt. Callers (the binaries) surface `skipped` to the user —
@@ -365,11 +376,31 @@ pub fn latest_valid_payload(
     Ok(None)
 }
 
+/// Rebuild the machine from a checkpoint found by [`latest_valid_payload`],
+/// or build it fresh when none was found. Returns the system and the cycle
+/// it resumed from.
+fn restore_or_new<H: GatingHook>(
+    cfg: &SimConfig,
+    workload: &WorkloadTrace,
+    hook: H,
+    found: Option<(Cycle, PathBuf, Vec<u8>)>,
+) -> Result<(TccSystem<H>, Option<Cycle>), CheckpointError> {
+    let Some((cycle, path, payload)) = found else {
+        return Ok((TccSystem::new(cfg.clone(), workload.clone(), hook)?, None));
+    };
+    let sys = TccSystem::restore_checkpoint(cfg.clone(), workload.clone(), hook, &payload)
+        .map_err(|e| CheckpointError::Restore {
+            path,
+            detail: e.to_string(),
+        })?;
+    Ok((sys, Some(cycle)))
+}
+
 /// Run a simulation to completion with periodic durable checkpoints,
 /// auto-resuming from the newest valid checkpoint when one exists.
 ///
 /// This is the checkpointed counterpart of
-/// [`TccSystem::run_bounded_parts`] and produces the **identical**
+/// [`TccSystem::run_bounded`] and produces the **identical**
 /// `(RunOutcome, hook)` pair: taking a checkpoint settles the lazy
 /// accounting (bit-exact, see [`TccSystem::save_checkpoint`]) and advancing
 /// in `every`-sized windows splits every engine jump additively (see
@@ -406,19 +437,8 @@ where
     } else {
         None
     };
-    let mut sys = match found {
-        Some((cycle, path, payload)) => {
-            let sys =
-                TccSystem::restore_checkpoint(cfg.clone(), workload.clone(), make_hook(), &payload)
-                    .map_err(|e| CheckpointError::Restore {
-                        path,
-                        detail: e.to_string(),
-                    })?;
-            info.resumed_from = Some(cycle);
-            sys
-        }
-        None => TccSystem::new(cfg.clone(), workload.clone(), make_hook())?,
-    };
+    let (mut sys, resumed_from) = restore_or_new(cfg, workload, make_hook(), found)?;
+    info.resumed_from = resumed_from;
     while !sys.is_complete() {
         if sys.now() >= limit {
             return Err(SimError::CycleLimitExceeded { limit }.into());
@@ -481,21 +501,7 @@ where
 {
     let mut skipped = Vec::new();
     let found = latest_valid_payload(dir, key, Some(target), &mut skipped)?;
-    let (mut sys, resumed_from) = match found {
-        Some((cycle, path, payload)) => {
-            let sys =
-                TccSystem::restore_checkpoint(cfg.clone(), workload.clone(), make_hook(), &payload)
-                    .map_err(|e| CheckpointError::Restore {
-                        path,
-                        detail: e.to_string(),
-                    })?;
-            (sys, Some(cycle))
-        }
-        None => (
-            TccSystem::new(cfg.clone(), workload.clone(), make_hook())?,
-            None,
-        ),
-    };
+    let (mut sys, resumed_from) = restore_or_new(cfg, workload, make_hook(), found)?;
     sys.advance_until_engine(target, engine);
     let reached = sys.now();
     let completed = sys.is_complete();
@@ -564,7 +570,7 @@ mod tests {
         let hook = spec.build(&cfg);
         let (expected, _) = TccSystem::new(cfg.clone(), workload.clone(), hook)
             .unwrap()
-            .run_bounded_parts(1_000_000, EngineKind::FastForward)
+            .run_bounded(1_000_000, EngineKind::FastForward)
             .unwrap();
 
         for engine in [
@@ -596,7 +602,7 @@ mod tests {
         let hook = spec.build(&cfg);
         let (expected, _) = TccSystem::new(cfg.clone(), workload.clone(), hook)
             .unwrap()
-            .run_bounded_parts(1_000_000, EngineKind::FastForward)
+            .run_bounded(1_000_000, EngineKind::FastForward)
             .unwrap();
 
         // Simulate a killed run: advance partway, leave one checkpoint.

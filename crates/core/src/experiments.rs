@@ -24,20 +24,14 @@ use htm_power::energy::ComparisonReport;
 use htm_power::ledger::EnergyLedgerReport;
 use htm_power::model::PowerModel;
 use htm_sim::config::SimConfig;
-use htm_sim::topology::TopologyConfig;
 use htm_sim::Cycle;
 use htm_tcc::system::SimError;
 use htm_workloads::registry::PAPER_WORKLOADS;
 use htm_workloads::WorkloadScale;
 
-use crate::checkpoint::{
-    remove_checkpoints, validate_checkpoint_dir, CheckpointConfig, CheckpointError,
-};
+use crate::context::RunContext;
 use crate::report::{fmt_f, fmt_factor, fmt_percent, format_table};
-use crate::sim::{
-    compare_runs, EngineChoice, EngineKind, GatingMode, SimReport, SimulationBuilder,
-};
-use crate::sweep::TraceWorkload;
+use crate::sim::{compare_runs, EngineKind, GatingMode, SimReport};
 
 pub use htm_workloads::registry::PAPER_WORKLOADS as EVALUATED_WORKLOADS;
 
@@ -236,7 +230,7 @@ pub struct CellTiming {
     pub engine: String,
 }
 
-/// Wall-clock timing of a whole [`run_matrix_timed`] invocation; serialized
+/// Wall-clock timing of a whole [`run_matrix`] invocation; serialized
 /// as the `BENCH_reproduce.json` artifact by the `reproduce --timing` flag.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MatrixTiming {
@@ -254,123 +248,23 @@ pub struct MatrixTiming {
     pub cells_per_sec: f64,
 }
 
-/// On-disk checkpointing options for the simulation-backed experiment entry
-/// points (the `reproduce --checkpoint-every N --checkpoint-dir D` flags).
-///
-/// Deliberately not part of [`ExperimentConfig`]: the config struct is
-/// serialized into the golden `evaluation_matrix.json` artifacts, which must
-/// stay byte-identical whether or not a run was checkpointed. The exactness
-/// contract (see `DESIGN.md`) makes that a real guarantee, not an
-/// approximation: a checkpoint-resumed run produces the same bytes as an
-/// uninterrupted one.
-#[derive(Debug, Clone)]
-pub struct MatrixCheckpoint {
-    /// Directory holding the per-run checkpoint files (created if missing).
-    pub dir: std::path::PathBuf,
-    /// Checkpoint interval in simulated cycles (must be at least 1).
-    pub every: Cycle,
-}
-
-/// Checkpoint-file key of one experiment run: workload, processor count, a
-/// run-kind tag (`ungated`, `gated`, `fig7-w<N>`, ...) and the topology key
-/// segment when not on the default bus.
-fn run_key(workload: &str, procs: usize, kind: &str, topology: TopologyConfig) -> String {
-    match topology.key_segment() {
-        None => format!("{workload}-p{procs}-{kind}"),
-        Some(segment) => format!("{workload}-p{procs}-{kind}-{segment}"),
-    }
-}
-
-/// Run one simulation, optionally under on-disk checkpointing. With a
-/// [`MatrixCheckpoint`] (paired with the run-kind tag that disambiguates
-/// the checkpoint key) the run auto-resumes from the newest valid checkpoint
-/// for its key, reports skipped (torn/corrupt) files loudly on stderr, and
-/// cleans its checkpoints up once the run completes — the artifact row
-/// supersedes them.
-///
-/// When a recorded [`TraceWorkload`] is supplied and its fingerprinted axis
-/// name matches the cell's workload name, the trace drives the run instead of
-/// the synthetic generator (the `reproduce --trace` path).
-#[allow(clippy::too_many_arguments)]
+/// Run one simulation of `workload` on `procs` processors under `mode`.
+/// `kind` tags the run (`ungated`, `gated`, `fig7-w<N>`, ...) so that its
+/// checkpoint key `{workload}-p{procs}-{kind}` (plus the topology segment
+/// off the bus) is unique within a checkpoint directory.
 fn run_one(
     workload: &str,
     procs: usize,
     cfg: &ExperimentConfig,
     mode: GatingMode,
-    engine: EngineChoice,
-    topology: TopologyConfig,
-    ckpt: Option<(&MatrixCheckpoint, &str)>,
-    trace: Option<&TraceWorkload>,
+    kind: &str,
+    ctx: &RunContext<'_>,
 ) -> Result<(SimReport, EngineKind), SimError> {
-    let builder = SimulationBuilder::new()
-        .processors(procs)
-        .topology(topology);
-    let builder = match trace {
-        Some(t) if t.axis_name == workload => builder.workload(t.workload.clone()),
-        _ => builder
-            .workload_by_name(workload, cfg.scale, cfg.seed)
-            .map_err(SimError::BadWorkload)?,
-    };
-    let builder = builder
+    let builder = ctx
+        .builder(procs, workload, cfg.scale, cfg.seed)?
         .gating(mode)
-        .cycle_limit(cfg.cycle_limit)
-        .engine(engine);
-    let Some((spec, kind)) = ckpt else {
-        return builder.run_with_stats();
-    };
-    let key = run_key(workload, procs, kind, topology);
-    let cc = CheckpointConfig::new(spec.dir.clone(), spec.every, key.clone());
-    let (report, info) = builder.run_checkpointed(&cc).map_err(|err| match err {
-        CheckpointError::Sim(sim) => sim,
-        other => SimError::Checkpoint(other.to_string()),
-    })?;
-    for (path, why) in &info.skipped {
-        eprintln!(
-            "warning: run `{key}`: skipped unusable checkpoint {}: {why}",
-            path.display()
-        );
-    }
-    if let Some(cycle) = info.resumed_from {
-        eprintln!("run `{key}`: resumed from checkpoint at cycle {cycle}");
-    }
-    if let Err(err) = remove_checkpoints(&spec.dir, &key) {
-        eprintln!("warning: run `{key}`: could not clean up checkpoints: {err}");
-    }
-    Ok((report, info.engine))
-}
-
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-fn run_pair(
-    workload: &str,
-    procs: usize,
-    cfg: &ExperimentConfig,
-    mode: GatingMode,
-    engine: EngineChoice,
-    topology: TopologyConfig,
-    ckpt: Option<&MatrixCheckpoint>,
-    trace: Option<&TraceWorkload>,
-) -> Result<((SimReport, EngineKind), (SimReport, EngineKind)), SimError> {
-    let ungated = run_one(
-        workload,
-        procs,
-        cfg,
-        GatingMode::Ungated,
-        engine,
-        topology,
-        ckpt.map(|spec| (spec, "ungated")),
-        trace,
-    )?;
-    let gated = run_one(
-        workload,
-        procs,
-        cfg,
-        mode,
-        engine,
-        topology,
-        ckpt.map(|spec| (spec, "gated")),
-        trace,
-    )?;
-    Ok((ungated, gated))
+        .cycle_limit(cfg.cycle_limit);
+    Ok(ctx.run(builder, &ctx.key(&format!("{workload}-p{procs}-{kind}")))?)
 }
 
 /// Component-resolved energy ledgers of one matrix cell (both runs of the
@@ -439,21 +333,11 @@ fn run_cell(
     workload: &str,
     procs: usize,
     cfg: &ExperimentConfig,
-    engine: EngineChoice,
-    topology: TopologyConfig,
-    ckpt: Option<&MatrixCheckpoint>,
-    trace: Option<&TraceWorkload>,
+    ctx: &RunContext<'_>,
 ) -> Result<(MatrixCell, CellEnergyBreakdown, EngineKind), SimError> {
-    let ((ungated, resolved), (gated, _)) = run_pair(
-        workload,
-        procs,
-        cfg,
-        GatingMode::ClockGate { w0: cfg.w0 },
-        engine,
-        topology,
-        ckpt,
-        trace,
-    )?;
+    let (ungated, resolved) = run_one(workload, procs, cfg, GatingMode::Ungated, "ungated", ctx)?;
+    let gated_mode = GatingMode::ClockGate { w0: cfg.w0 };
+    let (gated, _) = run_one(workload, procs, cfg, gated_mode, "gated", ctx)?;
     let comparison = compare_runs(&ungated, &gated);
     let breakdown = CellEnergyBreakdown::new(workload, procs, ungated.ledger, gated.ledger.clone());
     // Both runs of a pair share (cfg, workload), so `auto` resolves them to
@@ -471,82 +355,29 @@ fn run_cell(
     ))
 }
 
-/// Run the full evaluation matrix (every workload × processor count, with and
-/// without clock gating) on the default (fast-forward) engine.
-pub fn run_matrix(cfg: &ExperimentConfig) -> Result<EvaluationMatrix, SimError> {
-    run_matrix_timed(cfg, EngineKind::FastForward).map(|(matrix, _timing, _breakdown)| matrix)
-}
-
-/// Run the full evaluation matrix with the chosen engine, spreading the
-/// independent (workload × processor-count) cells over the persistent
-/// worker pool ([`crate::pool::WorkerPool::global`]) and collecting per-cell
+/// Run the full evaluation matrix (every workload × processor count, with
+/// and without clock gating) in the given [`RunContext`], spreading the
+/// independent (workload × processor-count) cells over the persistent worker
+/// pool ([`crate::pool::WorkerPool::global`]) and collecting per-cell
 /// wall-clock timings plus the per-component energy breakdown of every cell.
 ///
 /// Every cell is a self-contained deterministic simulation pair, so the
 /// schedule cannot influence the results; cells are written back into their
 /// pre-assigned slot, which keeps the output ordering (workload-major, then
-/// processor count — the paper's figure order) byte-identical to the old
-/// serial loop. On error, the first failing cell *in that deterministic
-/// order* is reported, regardless of which worker hit an error first.
-pub fn run_matrix_timed(
-    cfg: &ExperimentConfig,
-    engine: EngineKind,
-) -> Result<(EvaluationMatrix, MatrixTiming, EnergyBreakdownReport), SimError> {
-    run_matrix_timed_on(cfg, engine, TopologyConfig::Bus)
-}
-
-/// [`run_matrix_timed`] on an explicit interconnect topology. The default
-/// entry points use [`TopologyConfig::Bus`] (the paper's machine); the
-/// `reproduce --topology` flag and the scale-smoke CI job run the same
-/// matrix on a sharded fabric, where the shard-parallel engine can
-/// additionally parallelize *within* each simulation (see [`crate::islands`]).
+/// processor count — the paper's figure order) byte-identical to a serial
+/// loop. On error, the first failing cell *in that deterministic order* is
+/// reported, regardless of which worker hit an error first.
 ///
-/// The topology is deliberately not part of [`ExperimentConfig`]: the config
-/// struct is serialized into the golden `evaluation_matrix.json` artifacts,
-/// which must stay byte-identical for bus runs.
-pub fn run_matrix_timed_on(
+/// Under checkpointing the checkpoint directory is pre-flighted before any
+/// cell runs, so a future-format checkpoint file is a dedicated error up
+/// front rather than a mid-matrix surprise. Nothing in the context changes
+/// an output byte: a checkpointed, killed and resumed matrix, a traced one
+/// and one on any engine produce the same matrix and energy breakdown.
+pub fn run_matrix(
     cfg: &ExperimentConfig,
-    engine: EngineKind,
-    topology: TopologyConfig,
+    ctx: &RunContext<'_>,
 ) -> Result<(EvaluationMatrix, MatrixTiming, EnergyBreakdownReport), SimError> {
-    run_matrix_timed_ckpt(cfg, engine, topology, None)
-}
-
-/// [`run_matrix_timed_on`] with optional on-disk checkpointing: each of the
-/// matrix's simulation runs checkpoints every [`MatrixCheckpoint::every`]
-/// cycles and auto-resumes from the newest valid checkpoint after a crash.
-/// The checkpoint directory is pre-flighted before any cell runs, so a
-/// future-format checkpoint file is a dedicated error up front (mirroring
-/// the sweep's schema gate) rather than a mid-matrix surprise.
-///
-/// Checkpointing does not change a single output byte: the resulting matrix,
-/// timing cell list and energy breakdown are identical to an uninterrupted
-/// [`run_matrix_timed_on`] run.
-pub fn run_matrix_timed_ckpt(
-    cfg: &ExperimentConfig,
-    engine: impl Into<EngineChoice>,
-    topology: TopologyConfig,
-    ckpt: Option<&MatrixCheckpoint>,
-) -> Result<(EvaluationMatrix, MatrixTiming, EnergyBreakdownReport), SimError> {
-    run_matrix_timed_ckpt_traced(cfg, engine, topology, ckpt, None)
-}
-
-/// [`run_matrix_timed_ckpt`] with an optional recorded trace: matrix cells
-/// whose workload name equals the trace's fingerprinted axis name are driven
-/// by the recorded [`TraceWorkload`] instead of the synthetic generators.
-/// This is the engine of `reproduce --trace`, which sets the config's
-/// workload list to exactly that axis name.
-pub fn run_matrix_timed_ckpt_traced(
-    cfg: &ExperimentConfig,
-    engine: impl Into<EngineChoice>,
-    topology: TopologyConfig,
-    ckpt: Option<&MatrixCheckpoint>,
-    trace: Option<&TraceWorkload>,
-) -> Result<(EvaluationMatrix, MatrixTiming, EnergyBreakdownReport), SimError> {
-    let engine = engine.into();
-    if let Some(spec) = ckpt {
-        validate_checkpoint_dir(&spec.dir).map_err(|err| SimError::Checkpoint(err.to_string()))?;
-    }
+    ctx.preflight()?;
     let params: Vec<(&str, usize)> = cfg
         .workloads
         .iter()
@@ -565,7 +396,7 @@ pub fn run_matrix_timed_ckpt_traced(
         for (slot, &(workload, procs)) in slots.iter_mut().zip(&params) {
             scope.spawn(move || {
                 let cell_started = Instant::now();
-                let result = run_cell(workload, procs, cfg, engine, topology, ckpt, trace);
+                let result = run_cell(workload, procs, cfg, ctx);
                 *slot = Some((result, cell_started.elapsed().as_secs_f64() * 1e3));
             });
         }
@@ -588,8 +419,8 @@ pub fn run_matrix_timed_ckpt_traced(
     }
     let total_wall_ms = started.elapsed().as_secs_f64() * 1e3;
     let timing = MatrixTiming {
-        engine: engine.label().to_string(),
-        topology: topology.describe(),
+        engine: ctx.engine.label().to_string(),
+        topology: ctx.topology.describe(),
         threads,
         cells_per_sec: if total_wall_ms > 0.0 {
             cells.len() as f64 / (total_wall_ms / 1e3)
@@ -839,62 +670,16 @@ pub struct Fig7Result {
     pub rows: Vec<Fig7Row>,
 }
 
-/// Sweep `W0` and the processor count; the ungated baseline per
-/// (workload, procs) is computed once and reused across `W0` values.
-pub fn fig7(cfg: &ExperimentConfig, w0_values: &[Cycle]) -> Result<Fig7Result, SimError> {
-    fig7_with_engine(cfg, w0_values, EngineKind::FastForward)
-}
-
-/// [`fig7`] with an explicit stepping engine (the CI divergence check runs
-/// the sweep on both engines and compares the artifacts).
-pub fn fig7_with_engine(
+/// Sweep `W0` and the processor count in the given [`RunContext`]; the
+/// ungated baseline per (workload, procs) is computed once and reused
+/// across `W0` values. Checkpoint keys carry a `fig7-` tag so the sweep can
+/// share a checkpoint directory with the evaluation matrix.
+pub fn fig7(
     cfg: &ExperimentConfig,
     w0_values: &[Cycle],
-    engine: EngineKind,
+    ctx: &RunContext<'_>,
 ) -> Result<Fig7Result, SimError> {
-    fig7_on(cfg, w0_values, engine, TopologyConfig::Bus)
-}
-
-/// [`fig7_with_engine`] on an explicit interconnect topology (see
-/// [`run_matrix_timed_on`] for why the topology is a parameter rather than
-/// an [`ExperimentConfig`] field).
-pub fn fig7_on(
-    cfg: &ExperimentConfig,
-    w0_values: &[Cycle],
-    engine: EngineKind,
-    topology: TopologyConfig,
-) -> Result<Fig7Result, SimError> {
-    fig7_ckpt(cfg, w0_values, engine, topology, None)
-}
-
-/// [`fig7_on`] with optional on-disk checkpointing (see
-/// [`run_matrix_timed_ckpt`]). Checkpoint keys carry a `fig7-` prefix so the
-/// sweep can share a checkpoint directory with the evaluation matrix.
-pub fn fig7_ckpt(
-    cfg: &ExperimentConfig,
-    w0_values: &[Cycle],
-    engine: impl Into<EngineChoice>,
-    topology: TopologyConfig,
-    ckpt: Option<&MatrixCheckpoint>,
-) -> Result<Fig7Result, SimError> {
-    fig7_ckpt_traced(cfg, w0_values, engine, topology, ckpt, None)
-}
-
-/// [`fig7_ckpt`] with an optional recorded trace (see
-/// [`run_matrix_timed_ckpt_traced`]): sweep runs whose workload name equals
-/// the trace's axis name replay the recorded trace.
-pub fn fig7_ckpt_traced(
-    cfg: &ExperimentConfig,
-    w0_values: &[Cycle],
-    engine: impl Into<EngineChoice>,
-    topology: TopologyConfig,
-    ckpt: Option<&MatrixCheckpoint>,
-    trace: Option<&TraceWorkload>,
-) -> Result<Fig7Result, SimError> {
-    let engine = engine.into();
-    if let Some(spec) = ckpt {
-        validate_checkpoint_dir(&spec.dir).map_err(|err| SimError::Checkpoint(err.to_string()))?;
-    }
+    ctx.preflight()?;
     let mut rows = Vec::new();
     for &procs in &cfg.processor_counts {
         // Baselines per workload.
@@ -905,10 +690,8 @@ pub fn fig7_ckpt_traced(
                 procs,
                 cfg,
                 GatingMode::Ungated,
-                engine,
-                topology,
-                ckpt.map(|spec| (spec, "fig7-ungated")),
-                trace,
+                "fig7-ungated",
+                ctx,
             )?;
             baselines.push(ungated);
         }
@@ -916,16 +699,8 @@ pub fn fig7_ckpt_traced(
             let mut speedups = Vec::new();
             let kind = format!("fig7-w{w0}");
             for (workload, ungated) in cfg.workloads.iter().zip(&baselines) {
-                let (gated, _engine) = run_one(
-                    workload,
-                    procs,
-                    cfg,
-                    GatingMode::ClockGate { w0 },
-                    engine,
-                    topology,
-                    ckpt.map(|spec| (spec, kind.as_str())),
-                    trace,
-                )?;
+                let mode = GatingMode::ClockGate { w0 };
+                let (gated, _engine) = run_one(workload, procs, cfg, mode, &kind, ctx)?;
                 speedups.push(compare_runs(ungated, &gated).speedup);
             }
             let avg = speedups.iter().sum::<f64>() / speedups.len().max(1) as f64;
@@ -969,6 +744,8 @@ pub fn render_fig7(result: &Fig7Result) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::CheckpointSpec;
+    use htm_sim::topology::TopologyConfig;
 
     #[test]
     fn table1_matches_the_paper() {
@@ -1011,7 +788,7 @@ mod tests {
     #[test]
     fn quick_matrix_runs_and_renders() {
         let cfg = ExperimentConfig::quick();
-        let matrix = run_matrix(&cfg).unwrap();
+        let (matrix, _, _) = run_matrix(&cfg, &RunContext::default()).unwrap();
         assert_eq!(
             matrix.cells.len(),
             3,
@@ -1036,7 +813,7 @@ mod tests {
     #[test]
     fn parallel_matrix_keeps_deterministic_cell_order_and_reports_timing() {
         let cfg = ExperimentConfig::quick();
-        let (matrix, timing, _) = run_matrix_timed(&cfg, EngineKind::FastForward).unwrap();
+        let (matrix, timing, _) = run_matrix(&cfg, &RunContext::default()).unwrap();
         let order: Vec<(String, usize)> = matrix
             .cells
             .iter()
@@ -1067,8 +844,12 @@ mod tests {
     #[test]
     fn naive_and_fast_matrices_serialize_identically() {
         let cfg = ExperimentConfig::quick();
-        let (fast, _, fast_breakdown) = run_matrix_timed(&cfg, EngineKind::FastForward).unwrap();
-        let (naive, _, naive_breakdown) = run_matrix_timed(&cfg, EngineKind::Naive).unwrap();
+        let (fast, _, fast_breakdown) = run_matrix(&cfg, &RunContext::default()).unwrap();
+        let naive_ctx = RunContext {
+            engine: EngineKind::Naive.into(),
+            ..RunContext::default()
+        };
+        let (naive, _, naive_breakdown) = run_matrix(&cfg, &naive_ctx).unwrap();
         assert_eq!(
             crate::report::to_json(&fast),
             crate::report::to_json(&naive),
@@ -1084,7 +865,7 @@ mod tests {
     #[test]
     fn breakdown_cells_cross_check_against_the_matrix_comparisons() {
         let cfg = ExperimentConfig::quick();
-        let (matrix, _, breakdown) = run_matrix_timed(&cfg, EngineKind::FastForward).unwrap();
+        let (matrix, _, breakdown) = run_matrix(&cfg, &RunContext::default()).unwrap();
         assert_eq!(breakdown.cells.len(), matrix.cells.len());
         for (b, m) in breakdown.cells.iter().zip(&matrix.cells) {
             assert_eq!(
@@ -1131,7 +912,8 @@ mod tests {
         // to be meaningful (see docs/REPRODUCING.md for the full-scale
         // numbers);
         // this only checks that the summary is computed consistently.
-        let matrix = run_matrix(&ExperimentConfig::quick()).unwrap();
+        let (matrix, _, _) =
+            run_matrix(&ExperimentConfig::quick(), &RunContext::default()).unwrap();
         let s = summary(&matrix);
         assert_eq!(s.configurations, matrix.cells.len());
         assert!(s.avg_energy_savings_percent.is_finite());
@@ -1142,12 +924,59 @@ mod tests {
     #[test]
     fn fig7_quick_sweep_produces_rows_per_w0() {
         let cfg = ExperimentConfig::quick();
-        let f = fig7(&cfg, &[2, 8, 32]).unwrap();
+        let f = fig7(&cfg, &[2, 8, 32], &RunContext::default()).unwrap();
         assert_eq!(f.rows.len(), 3);
         assert!(f.rows.iter().all(|r| r.speedups.len() == 3));
         let rendered = render_fig7(&f);
         assert!(rendered.contains("W0"));
         assert!(rendered.contains("average"));
+    }
+
+    /// A completed run deletes every checkpoint file of its key, so files
+    /// planted under the expected keys must all be gone after the runs,
+    /// while a decoy under a foreign key stays. This pins the checkpoint
+    /// key of every matrix and fig7 run on both topology kinds: a drifted
+    /// key would silently strand the in-flight checkpoints of a resume.
+    #[test]
+    fn matrix_and_fig7_checkpoint_keys_are_pinned() {
+        use crate::checkpoint::checkpoint_path;
+        let cfg = ExperimentConfig::quick();
+        for (topology, suffix) in [
+            (TopologyConfig::Bus, ""),
+            (TopologyConfig::sharded_default(), "-sh0x"),
+        ] {
+            let dir = std::env::temp_dir()
+                .join(format!("clockgate-run-keys{suffix}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let kinds = ["ungated", "gated", "fig7-ungated", "fig7-w8"];
+            let planted: Vec<_> = cfg
+                .workloads
+                .iter()
+                .flat_map(|w| kinds.map(|kind| format!("{w}-p4-{kind}{suffix}")))
+                .chain(std::iter::once(format!("genome-p4-bogus{suffix}")))
+                .map(|key| checkpoint_path(&dir, &key, 1))
+                .collect();
+            for path in &planted {
+                std::fs::write(path, b"not a checkpoint").unwrap();
+            }
+            let ctx = RunContext {
+                topology,
+                checkpoint: Some(CheckpointSpec {
+                    dir: dir.clone(),
+                    every: 1 << 40,
+                }),
+                ..RunContext::default()
+            };
+            run_matrix(&cfg, &ctx).unwrap();
+            fig7(&cfg, &[8], &ctx).unwrap();
+            let (decoy, keyed) = planted.split_last().unwrap();
+            for path in keyed {
+                assert!(!path.exists(), "no run used the key of {}", path.display());
+            }
+            assert!(decoy.exists(), "cleanup must only touch the run's own key");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

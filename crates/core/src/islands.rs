@@ -491,7 +491,7 @@ mod tests {
             let hook = mode.build(&cfg);
             let (serial, hook) = TccSystem::new(cfg, w, hook)
                 .unwrap()
-                .run_bounded_parts(1_000_000, EngineKind::FastForward)
+                .run_bounded(1_000_000, EngineKind::FastForward)
                 .unwrap();
             assert_eq!(parallel.outcome, serial, "{mode:?}");
             assert_eq!(parallel.gating, hook.gating_stats(), "{mode:?}");

@@ -31,6 +31,9 @@
 //!   configuration and a gating mode together — [`sim`],
 //! * the **experiments** reproducing Tables I–II and Figures 3–7 —
 //!   [`experiments`], with text/JSON rendering in [`report`],
+//! * the **run context** every experiment and sweep runs in —
+//!   [`context::RunContext`]: stepping engine, interconnect topology,
+//!   checkpointing and a recorded trace, none of which reaches an artifact,
 //! * the **sensitivity sweeps** exploring the energy/performance trade-off
 //!   surface beyond the paper's single operating point — [`sweep`]
 //!   (Cartesian grids, a resumable parallel runner, Pareto frontiers per
@@ -69,6 +72,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod checkpoint;
+pub mod context;
 pub mod experiments;
 pub mod gating;
 pub mod islands;
@@ -78,6 +82,7 @@ pub mod sim;
 pub mod sweep;
 
 pub use checkpoint::{CheckpointConfig, CheckpointError, CheckpointRunInfo, ReplayReport};
+pub use context::{CheckpointSpec, RunContext, TraceWorkload};
 pub use gating::contention::{AdaptiveW0Policy, ContentionPolicy, FixedWindow, GatingAwarePolicy};
 pub use gating::controller::{ClockGateController, ControllerConfig, GatingStats};
 pub use gating::hybrid::HybridHook;

@@ -11,6 +11,8 @@
 //! and returns a [`SimReport`] containing both the protocol-level outcome
 //! and the energy analysis of Section IV.
 
+use std::path::{Path, PathBuf};
+
 use serde::{Deserialize, Serialize};
 
 use htm_power::energy::{self, ComparisonReport, EnergyReport};
@@ -19,7 +21,6 @@ use htm_power::model::{PowerModel, PowerModelConfig};
 use htm_sim::config::SimConfig;
 use htm_sim::topology::TopologyConfig;
 use htm_sim::Cycle;
-use htm_tcc::hooks::GatingHook;
 use htm_tcc::stats::RunOutcome;
 use htm_tcc::system::{SimError, TccSystem};
 use htm_tcc::txn::WorkloadTrace;
@@ -32,6 +33,7 @@ pub use htm_tcc::system::EngineKind;
 pub use crate::gating::policy::PolicySpec as GatingMode;
 pub use crate::gating::policy::PolicySpec;
 
+use crate::checkpoint::{CheckpointConfig, CheckpointError, CheckpointRunInfo, ReplayReport};
 use crate::gating::controller::GatingStats;
 
 /// Default safety bound on simulated cycles (well above anything the paper's
@@ -326,21 +328,17 @@ impl SimulationBuilder {
     /// drove it (resolved per run under [`EngineChoice::Auto`]). The engine
     /// is deliberately not part of [`SimReport`]: reports are byte-compared
     /// across engines. The report is byte-identical to [`Self::run`].
-    pub fn run_with_stats(self) -> Result<(SimReport, EngineKind), SimError> {
-        let workload = self
-            .workload
-            .clone()
-            .ok_or_else(|| SimError::BadWorkload("no workload was provided".into()))?;
+    pub fn run_with_stats(mut self) -> Result<(SimReport, EngineKind), SimError> {
+        let (workload, engine) = self.take_workload()?;
         let label = self.mode.label();
         let limit = self.cycle_limit;
         let power = self.power;
-        let engine = self.engine.resolve(&self.config, &workload);
 
         // The shard-parallel engine fans conflict-isolated islands out over
         // host threads when the topology and workload allow it; otherwise
         // (and for the serial engines) the policy spec resolves through the
         // registry into a boxed hook and the whole machine runs in-process.
-        // `run_bounded_parts` hands the hook back with the outcome, so the
+        // `run_bounded` hands the hook back with the outcome, so the
         // controller statistics and the policy's uncore-charge declaration
         // come out directly. Both paths are bit-identical.
         let islands_run = if engine == EngineKind::ShardParallel && !self.debug_perturb {
@@ -352,14 +350,11 @@ impl SimulationBuilder {
             Some(run) => (run.outcome, run.gating, run.charges),
             None => {
                 let hook = self.mode.build(&self.config);
-                let (outcome, hook) = run_system(
-                    self.config.clone(),
-                    workload,
-                    hook,
-                    limit,
-                    engine,
-                    self.debug_perturb,
-                )?;
+                let mut system = TccSystem::new(self.config, workload, hook)?;
+                if self.debug_perturb {
+                    system.debug_perturb_fast_accounting();
+                }
+                let (outcome, hook) = system.run_bounded(limit, engine)?;
                 (outcome, hook.gating_stats(), hook.uncore_charges())
             }
         };
@@ -379,17 +374,11 @@ impl SimulationBuilder {
     /// the shard engine *is* the fast-forward engine, so the report is
     /// unchanged — there is simply one coherent machine state to snapshot.
     pub fn run_checkpointed(
-        self,
-        ckpt: &crate::checkpoint::CheckpointConfig,
-    ) -> Result<(SimReport, crate::checkpoint::CheckpointRunInfo), crate::checkpoint::CheckpointError>
-    {
-        let workload = self.workload.ok_or_else(|| {
-            crate::checkpoint::CheckpointError::Sim(SimError::BadWorkload(
-                "no workload was provided".into(),
-            ))
-        })?;
+        mut self,
+        ckpt: &CheckpointConfig,
+    ) -> Result<(SimReport, CheckpointRunInfo), CheckpointError> {
+        let (workload, engine) = self.take_workload()?;
         let label = self.mode.label();
-        let engine = self.engine.resolve(&self.config, &workload);
         let (outcome, hook, info) = crate::checkpoint::run_checkpointed(
             &self.config,
             &workload,
@@ -409,23 +398,12 @@ impl SimulationBuilder {
     /// or before `target` and fast-forward to exactly that cycle (see
     /// [`crate::checkpoint::replay_to`]).
     pub fn replay_to(
-        self,
-        dir: &std::path::Path,
+        mut self,
+        dir: &Path,
         key: &str,
         target: Cycle,
-    ) -> Result<
-        (
-            crate::checkpoint::ReplayReport,
-            Vec<(std::path::PathBuf, String)>,
-        ),
-        crate::checkpoint::CheckpointError,
-    > {
-        let workload = self.workload.ok_or_else(|| {
-            crate::checkpoint::CheckpointError::Sim(SimError::BadWorkload(
-                "no workload was provided".into(),
-            ))
-        })?;
-        let engine = self.engine.resolve(&self.config, &workload);
+    ) -> Result<(ReplayReport, Vec<(PathBuf, String)>), CheckpointError> {
+        let (workload, engine) = self.take_workload()?;
         crate::checkpoint::replay_to(
             &self.config,
             &workload,
@@ -435,6 +413,16 @@ impl SimulationBuilder {
             key,
             target,
         )
+    }
+
+    /// Move the workload out of the builder and resolve the engine for it.
+    fn take_workload(&mut self) -> Result<(WorkloadTrace, EngineKind), SimError> {
+        let workload = self
+            .workload
+            .take()
+            .ok_or_else(|| SimError::BadWorkload("no workload was provided".into()))?;
+        let engine = self.engine.resolve(&self.config, &workload);
+        Ok((workload, engine))
     }
 }
 
@@ -465,23 +453,6 @@ fn assemble_report(
         ledger,
         gating,
     }
-}
-
-/// Build and run a system with the chosen engine, returning the outcome
-/// and the hook.
-fn run_system<H: GatingHook>(
-    cfg: SimConfig,
-    workload: WorkloadTrace,
-    hook: H,
-    limit: Cycle,
-    engine: EngineKind,
-    debug_perturb: bool,
-) -> Result<(RunOutcome, H), SimError> {
-    let mut system = TccSystem::new(cfg, workload, hook)?;
-    if debug_perturb {
-        system.debug_perturb_fast_accounting();
-    }
-    system.run_bounded_parts(limit, engine)
 }
 
 #[cfg(test)]

@@ -10,8 +10,8 @@
 //!   scale, seed, L1 cache geometry and the power model's leakage-share
 //!   (technology-node) axis, and expands it into a deterministic list of
 //!   [`grid::SweepCell`]s, each with a stable string key,
-//! * [`runner`] — [`runner::run_sweep`] executes the cells across all cores
-//!   (same `std::thread::scope` pattern as the evaluation matrix), streams
+//! * [`runner`] — [`runner::run_sweep`] executes the cells on scoped
+//!   threads sized to the process-wide worker-pool budget, streams
 //!   one compact JSON record per cell to a `sweep.jsonl` artifact in
 //!   deterministic cell order, and skips already-recorded cells when resumed
 //!   (old-schema files are rejected with
@@ -56,10 +56,7 @@ pub use pareto::{
     dominates, pareto_frontiers, pareto_frontiers_with, summarize_slices, ParetoPoint,
     SliceFrontier, SliceSummary, SweepObjective,
 };
-pub use runner::{
-    replay_cell_to, run_sweep, run_sweep_ckpt, run_sweep_ckpt_traced, run_sweep_on, run_sweep_with,
-    SweepCheckpoint, SweepError, SweepOutcome, TraceWorkload,
-};
+pub use runner::{replay_cell_to, run_sweep, run_sweep_on, SweepError, SweepOutcome};
 
 /// Version of the [`CellRecord`] layout written to `sweep.jsonl`. Version 2
 /// added the component-resolved ledger fields (per-component energies,
@@ -272,7 +269,7 @@ impl CellRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{EngineKind, GatingMode, SimulationBuilder};
+    use crate::sim::{GatingMode, SimulationBuilder};
     use htm_workloads::WorkloadScale;
 
     #[test]
@@ -313,7 +310,7 @@ mod tests {
             mode: GatingMode::ClockGate { w0: 8 },
             cycle_limit: 20_000_000,
         };
-        let record = crate::sweep::runner::run_cell(&cell, EngineKind::FastForward).unwrap();
+        let record = runner::run_cell(&cell, &crate::RunContext::default()).unwrap();
         let core_sum: f64 = record.core_component_energies().iter().sum();
         let uncore_sum: f64 = record.uncore_component_energies().iter().sum();
         let tol = 1e-9 * record.total_energy.max(1.0);

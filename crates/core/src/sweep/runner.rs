@@ -1,8 +1,8 @@
 //! Parallel, resumable execution of a [`SweepGrid`].
 //!
-//! [`run_sweep`] expands the grid, runs every not-yet-recorded cell across
-//! the machine's cores (the `std::thread::scope` worker-pool pattern of the
-//! evaluation matrix), and *streams* one compact JSON record per cell to
+//! [`run_sweep`] expands the grid, runs every not-yet-recorded cell on
+//! scoped threads sized to the process-wide worker-pool budget (the
+//! `--threads` cap), and *streams* one compact JSON record per cell to
 //! `<out>/sweep.jsonl` in deterministic cell order — workers may finish out
 //! of order, but the writer only appends the next cell in grid order, so an
 //! interrupted sweep always leaves an in-order prefix on disk. Re-running
@@ -25,24 +25,17 @@ use serde::Serialize;
 use htm_power::ledger::{ComponentEnergy, ALL_COMPONENTS};
 use htm_sim::topology::TopologyConfig;
 use htm_sim::Cycle;
-#[cfg(test)]
-use htm_tcc::system::EngineKind;
 use htm_tcc::system::SimError;
-
-use crate::sim::EngineChoice;
-use htm_tcc::txn::WorkloadTrace;
 
 use super::grid::{SweepCell, SweepGrid};
 use super::pareto::{
     pareto_frontiers_with, summarize_slices, SliceFrontier, SliceSummary, SweepObjective,
 };
 use super::{CellRecord, SCHEMA_VERSION};
-use crate::checkpoint::{
-    atomic_write_bytes, remove_checkpoints, validate_checkpoint_dir, CheckpointConfig,
-    CheckpointError,
-};
+use crate::checkpoint::{atomic_write_bytes, CheckpointError};
+use crate::context::RunContext;
 use crate::report::{to_json, to_json_compact};
-use crate::sim::SimulationBuilder;
+use crate::sim::{EngineChoice, SimulationBuilder};
 
 /// File name of the streamed per-cell record artifact.
 pub const JSONL_NAME: &str = "sweep.jsonl";
@@ -317,196 +310,102 @@ pub struct SweepOutcome {
     pub breakdown_path: PathBuf,
 }
 
-/// Simulate one cell on the chosen engine and the bus topology.
-pub fn run_cell(cell: &SweepCell, engine: impl Into<EngineChoice>) -> Result<CellRecord, SimError> {
-    run_cell_on(cell, engine, TopologyConfig::Bus)
-}
-
-/// The resume/dedup key of a cell on a given topology: the plain
-/// [`SweepCell::key`] on the bus (keeping every pre-topology `sweep.jsonl`
-/// resumable), with the topology's key segment appended on a sharded fabric
-/// (so bus and sharded record streams can never be mixed up on resume).
-#[must_use]
-pub fn cell_key_on(cell: &SweepCell, topology: TopologyConfig) -> String {
-    match topology.key_segment() {
-        None => cell.key(),
-        Some(segment) => format!("{}-{segment}", cell.key()),
-    }
-}
-
-/// A workload loaded from a trace file, made available to the sweep under
-/// its fingerprinted axis name: a cell whose `workload` field equals
-/// [`Self::axis_name`] is driven by the decoded trace instead of a registry
-/// generator. Cells naming anything else still resolve through
-/// `workload_by_name`, so a trace grid and a synthetic grid can never
-/// silently swap inputs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceWorkload {
-    /// The axis name the trace is registered under
-    /// (`htm_workloads::LoadedTrace::axis_name`, `trace-{name}-{fp8}`).
-    pub axis_name: String,
-    /// The decoded, fingerprint-verified workload.
-    pub workload: WorkloadTrace,
-}
-
-impl TraceWorkload {
-    /// Wrap a verified [`htm_workloads::LoadedTrace`] for sweep use.
-    #[must_use]
-    pub fn from_loaded(loaded: &htm_workloads::LoadedTrace) -> Self {
-        Self {
-            axis_name: loaded.axis_name(),
-            workload: loaded.workload.clone(),
+impl SweepError {
+    /// File a failure of the run of cell `key`: a simulation failure is a
+    /// [`SweepError::Cell`], anything else a [`SweepError::Checkpoint`].
+    fn of_cell(key: String, error: CheckpointError) -> Self {
+        match error {
+            CheckpointError::Sim(source) => SweepError::Cell { key, source },
+            source => SweepError::Checkpoint {
+                key: Some(key),
+                source,
+            },
         }
     }
 }
 
-/// Configure a [`SimulationBuilder`] for one cell of the grid (shared by the
-/// plain and the checkpointed cell runners, which must build the identical
-/// machine). A cell whose workload name matches `trace` uses the decoded
-/// trace; everything else resolves through the workload registry.
-fn cell_builder(
-    cell: &SweepCell,
-    engine: impl Into<EngineChoice>,
-    topology: TopologyConfig,
-    trace: Option<&TraceWorkload>,
-) -> Result<SimulationBuilder, SimError> {
-    let builder = SimulationBuilder::new()
-        .processors(cell.procs)
-        .topology(topology)
+/// Configure the run of one cell of the grid in `ctx` (the engine, the
+/// topology and the trace override come from the context; the machine
+/// geometry, power model, mode and bound from the cell).
+fn cell_builder(cell: &SweepCell, ctx: &RunContext<'_>) -> Result<SimulationBuilder, SimError> {
+    Ok(ctx
+        .builder(cell.procs, &cell.workload, cell.scale, cell.seed)?
         // `l1_geometry` already re-derives the power model's TCC d-cache
         // factor for the swept capacity; only the leakage axis is added.
         .l1_geometry(cell.geometry.l1_kb, cell.geometry.l1_assoc)
-        .leakage_share(cell.leakage_share());
-    let builder = match trace {
-        Some(t) if t.axis_name == cell.workload => builder.workload(t.workload.clone()),
-        _ => builder
-            .workload_by_name(&cell.workload, cell.scale, cell.seed)
-            .map_err(SimError::BadWorkload)?,
-    };
-    Ok(builder
+        .leakage_share(cell.leakage_share())
         .gating(cell.mode)
-        .cycle_limit(cell.cycle_limit)
-        .engine(engine))
+        .cycle_limit(cell.cycle_limit))
 }
 
-/// Simulate one cell on the chosen engine and interconnect topology.
+/// Simulate one cell in `ctx`. The record's key is the cell's
+/// [`RunContext::key`]. Under checkpointing the cell resumes from its newest
+/// valid checkpoint and deletes its checkpoints once it completes — its
+/// record is about to be durably appended to `sweep.jsonl`, which
+/// supersedes them.
+pub fn run_cell(cell: &SweepCell, ctx: &RunContext<'_>) -> Result<CellRecord, SweepError> {
+    let key = ctx.key(&cell.key());
+    let run = cell_builder(cell, ctx)
+        .map_err(CheckpointError::Sim)
+        .and_then(|builder| ctx.run(builder, &key));
+    match run {
+        Ok((report, _engine)) => {
+            let mut record = CellRecord::from_report(cell, &report);
+            record.key = key;
+            Ok(record)
+        }
+        Err(error) => Err(SweepError::of_cell(key, error)),
+    }
+}
+
+/// [`run_cell`] on an engine and topology, without checkpointing or a
+/// trace. Kept with this signature for the out-of-tree benchmark.
 pub fn run_cell_on(
     cell: &SweepCell,
     engine: impl Into<EngineChoice>,
     topology: TopologyConfig,
 ) -> Result<CellRecord, SimError> {
-    run_cell_traced_on(cell, engine, topology, None)
+    let ctx = RunContext {
+        engine: engine.into(),
+        topology,
+        ..RunContext::default()
+    };
+    run_cell(cell, &ctx).map_err(|error| match error {
+        SweepError::Cell { source, .. } => source,
+        other => SimError::Checkpoint(other.to_string()),
+    })
 }
 
-/// [`run_cell_on`] with an optional trace-file workload override (see
-/// [`TraceWorkload`]).
-pub fn run_cell_traced_on(
-    cell: &SweepCell,
-    engine: impl Into<EngineChoice>,
-    topology: TopologyConfig,
-    trace: Option<&TraceWorkload>,
-) -> Result<CellRecord, SimError> {
-    let report = cell_builder(cell, engine, topology, trace)?.run()?;
-    let mut record = CellRecord::from_report(cell, &report);
-    record.key = cell_key_on(cell, topology);
-    Ok(record)
-}
-
-/// Per-cell durable checkpointing for a sweep run: each cell writes a
-/// checkpoint of its simulator state into `dir` every `every` cycles under
-/// its [`cell_key_on`] identity, and a resumed sweep picks every in-flight
-/// cell up from its newest valid checkpoint instead of restarting it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepCheckpoint {
-    /// Directory holding the per-cell checkpoint files.
-    pub dir: PathBuf,
-    /// Checkpoint interval in simulated cycles.
-    pub every: Cycle,
-}
-
-/// Simulate one cell with durable checkpointing (see [`SweepCheckpoint`]).
-/// Corrupt checkpoint files and mid-run resumes are reported loudly on
-/// stderr; the checkpoints of a completed cell are deleted — its record is
-/// about to be durably appended to `sweep.jsonl`, which supersedes them.
-fn run_cell_ckpt_on(
-    cell: &SweepCell,
-    engine: impl Into<EngineChoice>,
-    topology: TopologyConfig,
-    spec: &SweepCheckpoint,
-    trace: Option<&TraceWorkload>,
-) -> Result<CellRecord, SweepError> {
-    let key = cell_key_on(cell, topology);
-    let builder =
-        cell_builder(cell, engine, topology, trace).map_err(|source| SweepError::Cell {
-            key: key.clone(),
-            source,
-        })?;
-    let ckpt = CheckpointConfig::new(&spec.dir, spec.every, key.clone());
-    let (report, info) =
-        builder
-            .run_checkpointed(&ckpt)
-            .map_err(|source| SweepError::Checkpoint {
-                key: Some(key.clone()),
-                source,
-            })?;
-    for (path, why) in &info.skipped {
-        eprintln!(
-            "sweep cell `{key}`: skipping corrupt checkpoint '{}': {why}",
-            path.display()
-        );
+/// The resume key of a cell on a topology ([`RunContext::key`] of
+/// [`SweepCell::key`]). Kept with this signature for the out-of-tree
+/// benchmark.
+#[must_use]
+pub fn cell_key_on(cell: &SweepCell, topology: TopologyConfig) -> String {
+    RunContext {
+        topology,
+        ..RunContext::default()
     }
-    if let Some(cycle) = info.resumed_from {
-        eprintln!("sweep cell `{key}`: resumed from checkpoint at cycle {cycle}");
-    }
-    if let Err(e) = remove_checkpoints(&spec.dir, &key) {
-        // Leftover checkpoints are dead weight, not a correctness problem —
-        // the completed cell's record supersedes them on any future resume.
-        eprintln!("sweep cell `{key}`: could not clean up its checkpoints: {e}");
-    }
-    let mut record = CellRecord::from_report(cell, &report);
-    record.key = key;
-    Ok(record)
+    .key(&cell.key())
 }
 
 /// Time travel into one cell of a grid: restore the nearest checkpoint of
-/// the cell's [`cell_key_on`] identity at or before `target` from
-/// `ckpt_dir` and fast-forward the machine to exactly that cycle (see
-/// [`crate::checkpoint::replay_to`]). Returns the replay report and the
-/// corrupt checkpoint files skipped during the scan.
+/// the cell's [`RunContext::key`] at or before `target` from `ckpt_dir` and
+/// fast-forward the machine to exactly that cycle (see
+/// [`crate::checkpoint::replay_to`]). A traced context replays trace-driven
+/// cells too; the restored checkpoint still verifies the workload
+/// fingerprint, which the loaded trace carries. Returns the replay report
+/// and the corrupt checkpoint files skipped during the scan.
 pub fn replay_cell_to(
     cell: &SweepCell,
-    engine: impl Into<EngineChoice>,
-    topology: TopologyConfig,
+    ctx: &RunContext<'_>,
     ckpt_dir: &Path,
     target: Cycle,
 ) -> Result<(crate::checkpoint::ReplayReport, Vec<(PathBuf, String)>), SweepError> {
-    replay_cell_traced_to(cell, engine, topology, ckpt_dir, target, None)
-}
-
-/// [`replay_cell_to`] with an optional trace-file workload override, so
-/// time travel works for trace-driven sweeps too (the restored checkpoint
-/// still verifies the workload fingerprint, which the loaded trace
-/// carries).
-pub fn replay_cell_traced_to(
-    cell: &SweepCell,
-    engine: impl Into<EngineChoice>,
-    topology: TopologyConfig,
-    ckpt_dir: &Path,
-    target: Cycle,
-    trace: Option<&TraceWorkload>,
-) -> Result<(crate::checkpoint::ReplayReport, Vec<(PathBuf, String)>), SweepError> {
-    let key = cell_key_on(cell, topology);
-    let builder =
-        cell_builder(cell, engine, topology, trace).map_err(|source| SweepError::Cell {
-            key: key.clone(),
-            source,
-        })?;
-    builder
-        .replay_to(ckpt_dir, &key, target)
-        .map_err(|source| SweepError::Checkpoint {
-            key: Some(key),
-            source,
-        })
+    let key = ctx.key(&cell.key());
+    cell_builder(cell, ctx)
+        .map_err(CheckpointError::Sim)
+        .and_then(|builder| builder.replay_to(ckpt_dir, &key, target))
+        .map_err(|error| SweepError::of_cell(key, error))
 }
 
 /// Render a `catch_unwind` payload for an error message: panics carry a
@@ -610,20 +509,9 @@ fn check_resume_prefix(completed: &[CellRecord], keys: &[String]) -> Result<(), 
     Ok(())
 }
 
-/// [`run_sweep_with`] under the raw-energy objective (the historical
-/// default).
-pub fn run_sweep(
-    grid: &SweepGrid,
-    engine: impl Into<EngineChoice>,
-    out_dir: &Path,
-    resume: bool,
-) -> Result<SweepOutcome, SweepError> {
-    run_sweep_with(grid, engine, out_dir, resume, SweepObjective::Energy)
-}
-
-/// Run a sweep grid, streaming records to `<out_dir>/sweep.jsonl` and
-/// writing the Pareto / summary / grid / energy-breakdown artifacts, with
-/// the Pareto frontiers computed under the chosen objective.
+/// Run a sweep grid in `ctx`, streaming records to `<out_dir>/sweep.jsonl`
+/// and writing the Pareto / summary / grid / energy-breakdown artifacts,
+/// with the Pareto frontiers computed under the chosen objective.
 ///
 /// With `resume = true` and an existing `sweep.jsonl`, the recorded records
 /// must carry the current schema version and be the in-order prefix of this
@@ -639,93 +527,38 @@ pub fn run_sweep(
 /// The objective only affects the Pareto post-processing: `sweep.jsonl`,
 /// `grid.json` and `energy_breakdown.json` are objective-independent, so an
 /// interrupted `--objective edp` sweep can be resumed under any objective.
-pub fn run_sweep_with(
+///
+/// The context never changes an artifact byte either:
+/// * The topology is a run parameter, not a grid axis. On a sharded fabric
+///   the cell keys carry the topology segment ([`RunContext::key`]), so bus
+///   and sharded `sweep.jsonl` files reject each other's records on resume.
+/// * Under checkpointing every cell snapshots its simulator state at
+///   `every`-cycle intervals, and a resumed sweep restores each in-flight
+///   cell from its newest valid checkpoint instead of restarting it. The
+///   checkpoint directory is pre-flight scanned **before any cell runs**:
+///   checkpoints of an incompatible format version are a dedicated
+///   [`SweepError::Checkpoint`] error up front (mirroring the
+///   [`SweepError::SchemaMismatch`] gate on `sweep.jsonl`), while torn or
+///   corrupt files are skipped loudly when the affected cell resumes.
+/// * Cells whose workload axis name matches the trace's fingerprinted axis
+///   name run the decoded trace. Because the axis name embeds the
+///   fingerprint, a `sweep.jsonl` written for one trace file rejects a
+///   resume against an edited file (or a synthetic grid) with
+///   [`SweepError::ForeignRecord`].
+pub fn run_sweep(
     grid: &SweepGrid,
-    engine: impl Into<EngineChoice>,
     out_dir: &Path,
     resume: bool,
     objective: SweepObjective,
+    ctx: &RunContext<'_>,
 ) -> Result<SweepOutcome, SweepError> {
-    run_sweep_on(
-        grid,
-        engine,
-        out_dir,
-        resume,
-        objective,
-        TopologyConfig::Bus,
-    )
-}
-
-/// [`run_sweep_with`] on an explicit interconnect topology. The topology is
-/// a run parameter, not a grid axis: every cell of the sweep runs on it, and
-/// on a sharded fabric the cell keys carry the topology segment (see
-/// [`cell_key_on`]) so bus and sharded `sweep.jsonl` files reject each
-/// other's records on resume.
-pub fn run_sweep_on(
-    grid: &SweepGrid,
-    engine: impl Into<EngineChoice>,
-    out_dir: &Path,
-    resume: bool,
-    objective: SweepObjective,
-    topology: TopologyConfig,
-) -> Result<SweepOutcome, SweepError> {
-    run_sweep_ckpt(grid, engine, out_dir, resume, objective, topology, None)
-}
-
-/// [`run_sweep_on`] with optional per-cell durable checkpointing: every cell
-/// snapshots its simulator state into `ckpt.dir` at `ckpt.every`-cycle
-/// intervals, and a resumed sweep restores each in-flight cell from its
-/// newest valid checkpoint instead of restarting it from cycle 0. The
-/// checkpoint directory is pre-flight scanned **before any cell runs**:
-/// checkpoints of an incompatible format version are a dedicated
-/// [`SweepError::Checkpoint`] error up front (mirroring the
-/// [`SweepError::SchemaMismatch`] gate on `sweep.jsonl`), while torn or
-/// corrupt files are skipped loudly when the affected cell resumes.
-/// Checkpointing never changes the artifacts — a checkpointed, killed and
-/// resumed sweep converges to the byte-identical files of an uninterrupted
-/// run.
-pub fn run_sweep_ckpt(
-    grid: &SweepGrid,
-    engine: impl Into<EngineChoice>,
-    out_dir: &Path,
-    resume: bool,
-    objective: SweepObjective,
-    topology: TopologyConfig,
-    ckpt: Option<&SweepCheckpoint>,
-) -> Result<SweepOutcome, SweepError> {
-    run_sweep_ckpt_traced(
-        grid, engine, out_dir, resume, objective, topology, ckpt, None,
-    )
-}
-
-/// [`run_sweep_ckpt`] with an optional trace-file workload (see
-/// [`TraceWorkload`]): cells whose workload axis name matches the trace's
-/// fingerprinted axis name run the decoded trace. Everything else —
-/// record order, resume semantics, checkpointing, artifacts — is
-/// unchanged, and because the axis name embeds the trace fingerprint, a
-/// `sweep.jsonl` written for one trace file rejects a resume against an
-/// edited file (or a synthetic grid) with [`SweepError::ForeignRecord`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_sweep_ckpt_traced(
-    grid: &SweepGrid,
-    engine: impl Into<EngineChoice>,
-    out_dir: &Path,
-    resume: bool,
-    objective: SweepObjective,
-    topology: TopologyConfig,
-    ckpt: Option<&SweepCheckpoint>,
-    trace: Option<&TraceWorkload>,
-) -> Result<SweepOutcome, SweepError> {
-    let engine = engine.into();
     let cells = grid.expand();
     if cells.is_empty() {
         return Err(SweepError::EmptyGrid);
     }
-    if let Some(spec) = ckpt {
-        validate_checkpoint_dir(&spec.dir)
-            .map_err(|source| SweepError::Checkpoint { key: None, source })?;
-    }
-    let keys: Vec<String> = cells.iter().map(|c| cell_key_on(c, topology)).collect();
+    ctx.preflight()
+        .map_err(|source| SweepError::Checkpoint { key: None, source })?;
+    let keys: Vec<String> = cells.iter().map(|c| ctx.key(&c.key())).collect();
     {
         let mut seen = std::collections::BTreeSet::new();
         for key in &keys {
@@ -791,20 +624,13 @@ pub fn run_sweep_ckpt_traced(
                     // A panicking cell must still fill its slot — otherwise
                     // the in-order writer would wait on it forever and the
                     // sweep would deadlock instead of failing.
-                    let caught =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match ckpt {
-                            None => run_cell_traced_on(cell, engine, topology, trace).map_err(
-                                |source| SweepError::Cell {
-                                    key: cell_key_on(cell, topology),
-                                    source,
-                                },
-                            ),
-                            Some(spec) => run_cell_ckpt_on(cell, engine, topology, spec, trace),
-                        }));
+                    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        run_cell(cell, ctx)
+                    }));
                     let result = match caught {
                         Ok(result) => result,
                         Err(payload) => Err(SweepError::CellPanic {
-                            key: cell_key_on(cell, topology),
+                            key: ctx.key(&cell.key()),
                             message: panic_message(payload.as_ref()),
                         }),
                     };
@@ -920,10 +746,30 @@ pub fn run_sweep_ckpt_traced(
     })
 }
 
+/// [`run_sweep`] on an engine and topology, without checkpointing or a
+/// trace. Kept with this signature for the out-of-tree benchmark.
+pub fn run_sweep_on(
+    grid: &SweepGrid,
+    engine: impl Into<EngineChoice>,
+    out_dir: &Path,
+    resume: bool,
+    objective: SweepObjective,
+    topology: TopologyConfig,
+) -> Result<SweepOutcome, SweepError> {
+    let ctx = RunContext {
+        engine: engine.into(),
+        topology,
+        ..RunContext::default()
+    };
+    run_sweep(grid, out_dir, resume, objective, &ctx)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::{CheckpointSpec, TraceWorkload};
     use crate::sim::GatingMode;
+    use htm_tcc::system::EngineKind;
     use htm_workloads::WorkloadScale;
 
     fn test_dir(name: &str) -> PathBuf {
@@ -931,6 +777,43 @@ mod tests {
             std::env::temp_dir().join(format!("clockgate-sweep-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// A fresh or resumed sweep in the default context, under the energy
+    /// objective.
+    fn plain_sweep(grid: &SweepGrid, dir: &Path, resume: bool) -> Result<SweepOutcome, SweepError> {
+        run_sweep(
+            grid,
+            dir,
+            resume,
+            SweepObjective::Energy,
+            &RunContext::default(),
+        )
+    }
+
+    /// A sweep whose trace-axis cells replay `trace`.
+    fn traced_sweep(
+        trace: &TraceWorkload,
+        grid: &SweepGrid,
+        dir: &Path,
+        resume: bool,
+    ) -> Result<SweepOutcome, SweepError> {
+        let ctx = RunContext {
+            trace: Some(trace),
+            ..RunContext::default()
+        };
+        run_sweep(grid, dir, resume, SweepObjective::Energy, &ctx)
+    }
+
+    /// Checkpoint every cell into `dir` every 500 cycles.
+    fn checkpointing(dir: &Path) -> RunContext<'static> {
+        RunContext {
+            checkpoint: Some(CheckpointSpec {
+                dir: dir.to_path_buf(),
+                every: 500,
+            }),
+            ..RunContext::default()
+        }
     }
 
     fn tiny_grid() -> SweepGrid {
@@ -944,7 +827,7 @@ mod tests {
     #[test]
     fn run_cell_produces_a_record_for_every_smoke_cell() {
         for cell in SweepGrid::smoke().expand() {
-            let record = run_cell(&cell, EngineKind::FastForward).unwrap();
+            let record = run_cell(&cell, &RunContext::default()).unwrap();
             assert_eq!(record.key, cell.key());
             assert!(record.commits > 0, "{} must commit", record.key);
             assert!(record.total_energy > 0.0);
@@ -956,8 +839,8 @@ mod tests {
         let grid = tiny_grid();
         let dir_a = test_dir("det-a");
         let dir_b = test_dir("det-b");
-        let a = run_sweep(&grid, EngineKind::FastForward, &dir_a, false).unwrap();
-        let _b = run_sweep(&grid, EngineKind::FastForward, &dir_b, false).unwrap();
+        let a = plain_sweep(&grid, &dir_a, false).unwrap();
+        let _b = plain_sweep(&grid, &dir_b, false).unwrap();
         assert_eq!(a.executed, grid.expand().len());
         assert_eq!(a.skipped, 0);
         for name in [
@@ -980,7 +863,7 @@ mod tests {
     fn resume_skips_completed_cells_and_leaves_artifacts_identical() {
         let grid = tiny_grid();
         let dir = test_dir("resume");
-        let fresh = run_sweep(&grid, EngineKind::FastForward, &dir, false).unwrap();
+        let fresh = plain_sweep(&grid, &dir, false).unwrap();
         let jsonl = fs::read(&fresh.jsonl_path).unwrap();
         let pareto = fs::read(&fresh.pareto_path).unwrap();
 
@@ -991,14 +874,14 @@ mod tests {
         let prefix: String = lines[..1].iter().map(|l| format!("{l}\n")).collect();
         fs::write(&fresh.jsonl_path, prefix).unwrap();
 
-        let resumed = run_sweep(&grid, EngineKind::FastForward, &dir, true).unwrap();
+        let resumed = plain_sweep(&grid, &dir, true).unwrap();
         assert_eq!(resumed.skipped, 1);
         assert_eq!(resumed.executed, lines.len() - 1);
         assert_eq!(fs::read(&resumed.jsonl_path).unwrap(), jsonl);
         assert_eq!(fs::read(&resumed.pareto_path).unwrap(), pareto);
 
         // Resuming a complete sweep runs nothing and changes nothing.
-        let noop = run_sweep(&grid, EngineKind::FastForward, &dir, true).unwrap();
+        let noop = plain_sweep(&grid, &dir, true).unwrap();
         assert_eq!(noop.executed, 0);
         assert_eq!(noop.skipped, lines.len());
         assert_eq!(fs::read(&noop.jsonl_path).unwrap(), jsonl);
@@ -1008,12 +891,12 @@ mod tests {
     #[test]
     fn resume_rejects_records_from_a_different_grid() {
         let dir = test_dir("foreign");
-        run_sweep(&tiny_grid(), EngineKind::FastForward, &dir, false).unwrap();
+        plain_sweep(&tiny_grid(), &dir, false).unwrap();
         let other = SweepGrid {
             workloads: vec!["genome".into()],
             ..tiny_grid()
         };
-        let err = run_sweep(&other, EngineKind::FastForward, &dir, true).unwrap_err();
+        let err = plain_sweep(&other, &dir, true).unwrap_err();
         assert!(matches!(err, SweepError::ForeignRecord(_)), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1022,14 +905,14 @@ mod tests {
     fn resume_rejects_non_prefix_records() {
         let grid = tiny_grid();
         let dir = test_dir("nonprefix");
-        let fresh = run_sweep(&grid, EngineKind::FastForward, &dir, false).unwrap();
+        let fresh = plain_sweep(&grid, &dir, false).unwrap();
         // Drop the FIRST line: the remaining records are in the grid but no
         // longer the in-order prefix, so a resumed run could not converge
         // to the fresh-run byte stream.
         let text = fs::read_to_string(&fresh.jsonl_path).unwrap();
         let tail: String = text.lines().skip(1).map(|l| format!("{l}\n")).collect();
         fs::write(&fresh.jsonl_path, tail).unwrap();
-        let err = run_sweep(&grid, EngineKind::FastForward, &dir, true).unwrap_err();
+        let err = plain_sweep(&grid, &dir, true).unwrap_err();
         assert!(
             matches!(err, SweepError::NonPrefixResume { line: 1, .. }),
             "{err}"
@@ -1051,8 +934,8 @@ mod tests {
             ..SweepGrid::smoke()
         };
         let dir = test_dir("grown");
-        run_sweep(&small, EngineKind::FastForward, &dir, false).unwrap();
-        let err = run_sweep(&grown, EngineKind::FastForward, &dir, true).unwrap_err();
+        plain_sweep(&small, &dir, false).unwrap();
+        let err = plain_sweep(&grown, &dir, true).unwrap_err();
         assert!(
             matches!(err, SweepError::NonPrefixResume { line: 1, .. }),
             "{err}"
@@ -1064,13 +947,13 @@ mod tests {
     fn resume_rejects_duplicate_records() {
         let grid = tiny_grid();
         let dir = test_dir("dup");
-        let fresh = run_sweep(&grid, EngineKind::FastForward, &dir, false).unwrap();
+        let fresh = plain_sweep(&grid, &dir, false).unwrap();
         // Re-append the last line of a complete run: every key is in the
         // grid, but the file now has more records than cells.
         let text = fs::read_to_string(&fresh.jsonl_path).unwrap();
         let last = text.lines().last().unwrap().to_string();
         fs::write(&fresh.jsonl_path, format!("{text}{last}\n")).unwrap();
-        let err = run_sweep(&grid, EngineKind::FastForward, &dir, true).unwrap_err();
+        let err = plain_sweep(&grid, &dir, true).unwrap_err();
         assert!(matches!(err, SweepError::Resume { .. }), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1080,7 +963,7 @@ mod tests {
         let dir = test_dir("corrupt");
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join(JSONL_NAME), "not json\n").unwrap();
-        let err = run_sweep(&tiny_grid(), EngineKind::FastForward, &dir, true).unwrap_err();
+        let err = plain_sweep(&tiny_grid(), &dir, true).unwrap_err();
         assert!(matches!(err, SweepError::Resume { line: 1, .. }), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1092,7 +975,7 @@ mod tests {
             ..tiny_grid()
         };
         let dir = test_dir("fail");
-        let err = run_sweep(&grid, EngineKind::FastForward, &dir, false).unwrap_err();
+        let err = plain_sweep(&grid, &dir, false).unwrap_err();
         match err {
             SweepError::Cell { key, source } => {
                 assert_eq!(key, grid.expand()[0].key(), "first cell in grid order");
@@ -1111,7 +994,7 @@ mod tests {
         };
         let dir = test_dir("empty");
         assert!(matches!(
-            run_sweep(&grid, EngineKind::FastForward, &dir, false),
+            plain_sweep(&grid, &dir, false),
             Err(SweepError::EmptyGrid)
         ));
     }
@@ -1131,8 +1014,12 @@ mod tests {
         };
         let dir_fast = test_dir("eng-fast");
         let dir_naive = test_dir("eng-naive");
-        run_sweep(&grid, EngineKind::FastForward, &dir_fast, false).unwrap();
-        run_sweep(&grid, EngineKind::Naive, &dir_naive, false).unwrap();
+        plain_sweep(&grid, &dir_fast, false).unwrap();
+        let naive = RunContext {
+            engine: EngineKind::Naive.into(),
+            ..RunContext::default()
+        };
+        run_sweep(&grid, &dir_naive, false, SweepObjective::Energy, &naive).unwrap();
         for name in [JSONL_NAME, PARETO_NAME, SUMMARY_NAME, BREAKDOWN_NAME] {
             assert_eq!(
                 fs::read(dir_fast.join(name)).unwrap(),
@@ -1158,15 +1045,11 @@ mod tests {
             },
         };
         let dir = test_dir("topo");
-        let outcome = run_sweep_on(
-            &grid,
-            EngineKind::FastForward,
-            &dir,
-            false,
-            SweepObjective::Energy,
-            sharded,
-        )
-        .unwrap();
+        let ctx = RunContext {
+            topology: sharded,
+            ..RunContext::default()
+        };
+        let outcome = run_sweep(&grid, &dir, false, SweepObjective::Energy, &ctx).unwrap();
         let segment = sharded.key_segment().unwrap();
         for record in &outcome.records {
             assert!(
@@ -1176,7 +1059,7 @@ mod tests {
             );
         }
         // A bus run must refuse to resume from the sharded record stream.
-        let err = run_sweep(&grid, EngineKind::FastForward, &dir, true).unwrap_err();
+        let err = plain_sweep(&grid, &dir, true).unwrap_err();
         assert!(matches!(err, SweepError::ForeignRecord(_)), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1193,7 +1076,7 @@ mod tests {
             mode: GatingMode::ClockGate { w0: 8 },
             cycle_limit: 20_000_000,
         };
-        let record = run_cell(&cell, EngineKind::FastForward).unwrap();
+        let record = run_cell(&cell, &RunContext::default()).unwrap();
         assert!(record.gatings > 0);
         assert!(record.gated_cycles > 0);
         assert!(record.energy_gating_control > 0.0);
@@ -1216,8 +1099,8 @@ mod tests {
             leakage_percent: 40,
             ..base.clone()
         };
-        let a = run_cell(&base, EngineKind::FastForward).unwrap();
-        let b = run_cell(&leaky, EngineKind::FastForward).unwrap();
+        let a = run_cell(&base, &RunContext::default()).unwrap();
+        let b = run_cell(&leaky, &RunContext::default()).unwrap();
         assert_eq!(a.total_cycles, b.total_cycles, "power model is passive");
         assert_eq!(b.leakage_percent, 40);
         assert!(
@@ -1230,7 +1113,7 @@ mod tests {
     fn resume_rejects_old_schema_records_with_the_version_story() {
         let grid = tiny_grid();
         let dir = test_dir("schema");
-        let fresh = run_sweep(&grid, EngineKind::FastForward, &dir, false).unwrap();
+        let fresh = plain_sweep(&grid, &dir, false).unwrap();
         // Forge a pre-ledger file: strip the schema field from every line
         // (the v1 layout had no such field at all).
         let text = fs::read_to_string(&fresh.jsonl_path).unwrap();
@@ -1240,7 +1123,7 @@ mod tests {
             .collect();
         assert_ne!(stripped, text, "the schema field must have been present");
         fs::write(&fresh.jsonl_path, stripped).unwrap();
-        let err = run_sweep(&grid, EngineKind::FastForward, &dir, true).unwrap_err();
+        let err = plain_sweep(&grid, &dir, true).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1263,7 +1146,7 @@ mod tests {
             .map(|l| format!("{}\n", l.replacen("\"schema\":2,", "\"schema\":1,", 1)))
             .collect();
         fs::write(&fresh.jsonl_path, renumbered).unwrap();
-        let err = run_sweep(&grid, EngineKind::FastForward, &dir, true).unwrap_err();
+        let err = plain_sweep(&grid, &dir, true).unwrap_err();
         assert!(
             matches!(err, SweepError::SchemaMismatch { found: Some(1), .. }),
             "{err}"
@@ -1275,22 +1158,9 @@ mod tests {
         let grid = tiny_grid();
         let dir_energy = test_dir("obj-energy");
         let dir_edp = test_dir("obj-edp");
-        let energy = run_sweep_with(
-            &grid,
-            EngineKind::FastForward,
-            &dir_energy,
-            false,
-            SweepObjective::Energy,
-        )
-        .unwrap();
-        let edp = run_sweep_with(
-            &grid,
-            EngineKind::FastForward,
-            &dir_edp,
-            false,
-            SweepObjective::Edp,
-        )
-        .unwrap();
+        let ctx = RunContext::default();
+        let energy = run_sweep(&grid, &dir_energy, false, SweepObjective::Energy, &ctx).unwrap();
+        let edp = run_sweep(&grid, &dir_edp, false, SweepObjective::Edp, &ctx).unwrap();
         // The measurement artifacts are objective-independent...
         for name in [JSONL_NAME, GRID_NAME, BREAKDOWN_NAME] {
             assert_eq!(
@@ -1306,14 +1176,7 @@ mod tests {
         assert!(pareto_edp.contains("\"objective\": \"edp\""));
         // An interrupted EDP sweep resumes cleanly (the records carry no
         // objective).
-        let resumed = run_sweep_with(
-            &grid,
-            EngineKind::FastForward,
-            &dir_edp,
-            true,
-            SweepObjective::Edp,
-        )
-        .unwrap();
+        let resumed = run_sweep(&grid, &dir_edp, true, SweepObjective::Edp, &ctx).unwrap();
         assert_eq!(resumed.executed, 0);
         let _ = fs::remove_dir_all(&dir_energy);
         let _ = fs::remove_dir_all(&dir_edp);
@@ -1323,7 +1186,7 @@ mod tests {
     fn torn_final_jsonl_line_is_dropped_and_resume_converges() {
         let grid = tiny_grid();
         let dir = test_dir("torn");
-        let fresh = run_sweep(&grid, EngineKind::FastForward, &dir, false).unwrap();
+        let fresh = plain_sweep(&grid, &dir, false).unwrap();
         let jsonl = fs::read(&fresh.jsonl_path).unwrap();
         let pareto = fs::read(&fresh.pareto_path).unwrap();
 
@@ -1336,7 +1199,7 @@ mod tests {
         let torn = format!("{}\n{}", lines[0], &lines[1][..lines[1].len() / 2]);
         fs::write(&fresh.jsonl_path, &torn).unwrap();
 
-        let resumed = run_sweep(&grid, EngineKind::FastForward, &dir, true).unwrap();
+        let resumed = plain_sweep(&grid, &dir, true).unwrap();
         assert_eq!(resumed.skipped, 1, "only the complete line is a record");
         assert_eq!(resumed.executed, lines.len() - 1);
         assert_eq!(
@@ -1352,13 +1215,13 @@ mod tests {
     fn torn_single_line_without_newline_resumes_from_scratch() {
         let grid = tiny_grid();
         let dir = test_dir("torn-first");
-        let fresh = run_sweep(&grid, EngineKind::FastForward, &dir, false).unwrap();
+        let fresh = plain_sweep(&grid, &dir, false).unwrap();
         let jsonl = fs::read(&fresh.jsonl_path).unwrap();
         // The very first append was interrupted: no newline anywhere.
         let text = String::from_utf8(jsonl.clone()).unwrap();
         let first = text.lines().next().unwrap();
         fs::write(&fresh.jsonl_path, &first[..first.len() / 2]).unwrap();
-        let resumed = run_sweep(&grid, EngineKind::FastForward, &dir, true).unwrap();
+        let resumed = plain_sweep(&grid, &dir, true).unwrap();
         assert_eq!(resumed.skipped, 0);
         assert_eq!(fs::read(&resumed.jsonl_path).unwrap(), jsonl);
         let _ = fs::remove_dir_all(&dir);
@@ -1389,20 +1252,9 @@ mod tests {
         let dir_plain = test_dir("ckpt-plain");
         let dir_ckpt = test_dir("ckpt-on");
         let ckpt_dir = test_dir("ckpt-files");
-        run_sweep(&grid, EngineKind::FastForward, &dir_plain, false).unwrap();
-        run_sweep_ckpt(
-            &grid,
-            EngineKind::FastForward,
-            &dir_ckpt,
-            false,
-            SweepObjective::Energy,
-            TopologyConfig::Bus,
-            Some(&SweepCheckpoint {
-                dir: ckpt_dir.clone(),
-                every: 500,
-            }),
-        )
-        .unwrap();
+        plain_sweep(&grid, &dir_plain, false).unwrap();
+        let ctx = checkpointing(&ckpt_dir);
+        run_sweep(&grid, &dir_ckpt, false, SweepObjective::Energy, &ctx).unwrap();
         for name in [JSONL_NAME, PARETO_NAME, SUMMARY_NAME, BREAKDOWN_NAME] {
             assert_eq!(
                 fs::read(dir_plain.join(name)).unwrap(),
@@ -1438,19 +1290,8 @@ mod tests {
             stale,
         )
         .unwrap();
-        let err = run_sweep_ckpt(
-            &grid,
-            EngineKind::FastForward,
-            &dir,
-            false,
-            SweepObjective::Energy,
-            TopologyConfig::Bus,
-            Some(&SweepCheckpoint {
-                dir: ckpt_dir.clone(),
-                every: 500,
-            }),
-        )
-        .unwrap_err();
+        let ctx = checkpointing(&ckpt_dir);
+        let err = run_sweep(&grid, &dir, false, SweepObjective::Energy, &ctx).unwrap_err();
         assert!(
             matches!(
                 &err,
@@ -1480,15 +1321,13 @@ mod tests {
         let trace = TraceWorkload::from_loaded(&loaded);
         let trace_grid = SweepGrid::for_trace(&trace.axis_name, 4);
         let synth_grid = tiny_grid();
+        let traced_ctx = RunContext {
+            trace: Some(&trace),
+            ..RunContext::default()
+        };
         for (traced, synth) in trace_grid.expand().iter().zip(synth_grid.expand().iter()) {
-            let a = run_cell_traced_on(
-                traced,
-                EngineKind::FastForward,
-                TopologyConfig::Bus,
-                Some(&trace),
-            )
-            .unwrap();
-            let b = run_cell(synth, EngineKind::FastForward).unwrap();
+            let a = run_cell(traced, &traced_ctx).unwrap();
+            let b = run_cell(synth, &RunContext::default()).unwrap();
             // Same machine, same access stream: every physical field agrees;
             // only the identity fields (key/workload/scale/seed) differ.
             assert_eq!(a.total_cycles, b.total_cycles, "{}", a.key);
@@ -1506,30 +1345,10 @@ mod tests {
         let trace = TraceWorkload::from_loaded(&loaded);
         let grid = SweepGrid::for_trace(&trace.axis_name, 4);
         let dir = test_dir("trace-sweep");
-        let fresh = run_sweep_ckpt_traced(
-            &grid,
-            EngineKind::FastForward,
-            &dir,
-            false,
-            SweepObjective::Energy,
-            TopologyConfig::Bus,
-            None,
-            Some(&trace),
-        )
-        .unwrap();
+        let fresh = traced_sweep(&trace, &grid, &dir, false).unwrap();
         assert_eq!(fresh.executed, 3);
         // Resuming the same trace file skips everything.
-        let noop = run_sweep_ckpt_traced(
-            &grid,
-            EngineKind::FastForward,
-            &dir,
-            true,
-            SweepObjective::Energy,
-            TopologyConfig::Bus,
-            None,
-            Some(&trace),
-        )
-        .unwrap();
+        let noop = traced_sweep(&trace, &grid, &dir, true).unwrap();
         assert_eq!(noop.executed, 0);
         assert_eq!(noop.skipped, 3);
         let _ = fs::remove_dir_all(&dir);
@@ -1541,21 +1360,11 @@ mod tests {
         // names a trace file must reject the existing synthetic-sweep
         // records with ForeignRecord — never silently re-key them.
         let dir = test_dir("trace-foreign-synth");
-        run_sweep(&tiny_grid(), EngineKind::FastForward, &dir, false).unwrap();
+        plain_sweep(&tiny_grid(), &dir, false).unwrap();
         let loaded = loaded_intruder_trace();
         let trace = TraceWorkload::from_loaded(&loaded);
         let grid = SweepGrid::for_trace(&trace.axis_name, 4);
-        let err = run_sweep_ckpt_traced(
-            &grid,
-            EngineKind::FastForward,
-            &dir,
-            true,
-            SweepObjective::Energy,
-            TopologyConfig::Bus,
-            None,
-            Some(&trace),
-        )
-        .unwrap_err();
+        let err = traced_sweep(&trace, &grid, &dir, true).unwrap_err();
         assert!(matches!(err, SweepError::ForeignRecord(_)), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1565,15 +1374,11 @@ mod tests {
         let loaded = loaded_intruder_trace();
         let trace = TraceWorkload::from_loaded(&loaded);
         let dir = test_dir("trace-foreign-edit");
-        run_sweep_ckpt_traced(
+        traced_sweep(
+            &trace,
             &SweepGrid::for_trace(&trace.axis_name, 4),
-            EngineKind::FastForward,
             &dir,
             false,
-            SweepObjective::Energy,
-            TopologyConfig::Bus,
-            None,
-            Some(&trace),
         )
         .unwrap();
         // "Edit" the trace: one extra compute op changes the fingerprint,
@@ -1585,15 +1390,11 @@ mod tests {
         edited.fingerprint = edited.workload.fingerprint();
         let edited_trace = TraceWorkload::from_loaded(&edited);
         assert_ne!(edited_trace.axis_name, trace.axis_name);
-        let err = run_sweep_ckpt_traced(
+        let err = traced_sweep(
+            &edited_trace,
             &SweepGrid::for_trace(&edited_trace.axis_name, 4),
-            EngineKind::FastForward,
             &dir,
             true,
-            SweepObjective::Energy,
-            TopologyConfig::Bus,
-            None,
-            Some(&edited_trace),
         )
         .unwrap_err();
         assert!(matches!(err, SweepError::ForeignRecord(_)), "{err}");

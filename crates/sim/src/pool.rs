@@ -81,9 +81,10 @@ impl WorkerPool {
     ///
     /// Returns `true` if the cap was installed; `false` if the global pool
     /// already exists (or was already configured), in which case the call
-    /// has no effect. The binaries call this from their `--threads N` flag
-    /// as the very first thing they do, so matrix-level and window-level
-    /// parallelism draw from one shared budget instead of oversubscribing.
+    /// has no effect. The binaries call this once, with the last `--threads N`
+    /// given, right after parsing their arguments and before anything
+    /// touches the pool, so matrix cells, sweep cells and shard-parallel
+    /// islands draw from one shared budget instead of oversubscribing.
     pub fn configure_global(workers: usize) -> bool {
         GLOBAL_WORKERS.set(workers.max(1)).is_ok() && GLOBAL_POOL.get().is_none()
     }

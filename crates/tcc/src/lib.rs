@@ -34,14 +34,15 @@
 //! ```
 //! use htm_sim::config::SimConfig;
 //! use htm_tcc::txn::{Op, ThreadTrace, Transaction, WorkloadTrace};
+//! use htm_tcc::system::EngineKind;
 //! use htm_tcc::{NoGating, TccSystem};
 //!
 //! // One core, one transaction: read a line, write another, compute a bit.
 //! let tx = Transaction::new(0, vec![Op::Read(0), Op::Write(64), Op::Compute(4)]);
 //! let trace = WorkloadTrace::new("tiny", vec![ThreadTrace::new(vec![tx])]);
-//! let outcome = TccSystem::new(SimConfig::table2(1), trace, NoGating)
+//! let (outcome, _hook) = TccSystem::new(SimConfig::table2(1), trace, NoGating)
 //!     .unwrap()
-//!     .run_bounded(100_000)
+//!     .run_bounded(100_000, EngineKind::FastForward)
 //!     .unwrap();
 //! assert_eq!(outcome.total_commits, 1);
 //! outcome.check_consistency().unwrap();

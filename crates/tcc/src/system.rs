@@ -303,52 +303,22 @@ impl<H: GatingHook> TccSystem<H> {
         self.procs.iter().all(Processor::is_done)
     }
 
-    /// Run to completion with a safety bound on the number of cycles, using
-    /// the default (fast-forward) engine.
-    pub fn run_bounded(self, limit: Cycle) -> Result<RunOutcome, SimError> {
-        self.run_bounded_parts(limit, EngineKind::default())
-            .map(|(outcome, _hook)| outcome)
-    }
-
-    /// Run to completion with the chosen engine, returning both the outcome
-    /// and the hook.
-    ///
-    /// Handing the hook back lets callers extract controller statistics
-    /// directly instead of smuggling them out through a shared
-    /// `Rc<RefCell<..>>` cell (which used to cost an interior-mutability
-    /// dispatch on every hook call).
-    pub fn run_bounded_parts(
+    /// Run to completion on the chosen engine with a safety bound on the
+    /// number of cycles, returning the outcome and the hook (so callers read
+    /// controller statistics straight from it).
+    pub fn run_bounded(
         mut self,
         limit: Cycle,
         engine: EngineKind,
     ) -> Result<(RunOutcome, H), SimError> {
-        while self.done_count < self.procs.len() {
-            if self.now >= limit {
-                return Err(SimError::CycleLimitExceeded { limit });
-            }
-            match engine {
-                // Within one system the shard-parallel engine *is* the
-                // fast-forward engine; the island fan-out happens in the
-                // runner, and this equivalence is what makes it exact.
-                EngineKind::FastForward | EngineKind::ShardParallel => match self.plan_step() {
-                    StepPlan::Jump(n) => self.fast_forward(n),
-                    StepPlan::Cycle { active, hook_due } => self.step_cycle(active, hook_due),
-                    // Provable deadlock (every processor gated or done with
-                    // an empty inbox and no pending hook timer): leap
-                    // straight to the bound instead of burning one step per
-                    // cycle on a dead machine. The error below matches what
-                    // the naive engine reports after grinding to `limit`.
-                    StepPlan::Quiescent => self.fast_forward(limit - self.now),
-                },
-                EngineKind::Naive => self.step_naive(),
-            }
+        // A quiescent machine (every processor gated or done, nothing in
+        // flight) leaps straight to the bound and reports the same error the
+        // naive engine reaches by grinding there.
+        self.advance_until_engine(limit, engine);
+        if !self.is_complete() {
+            return Err(SimError::CycleLimitExceeded { limit });
         }
         Ok(self.into_parts())
-    }
-
-    /// Run to completion (with a very large implicit safety bound).
-    pub fn run(self) -> Result<RunOutcome, SimError> {
-        self.run_bounded(Cycle::MAX / 2)
     }
 
     /// Start mirroring every interval record into a run-length-encoded log
@@ -1555,13 +1525,6 @@ impl<H: GatingHook> TccSystem<H> {
         (outcome, self.hook)
     }
 
-    /// Consume the system and return the outcome accumulated so far (useful
-    /// for tests that drive [`Self::step`] manually).
-    #[must_use]
-    pub fn finish(self) -> RunOutcome {
-        self.into_parts().0
-    }
-
     /// [`Self::into_parts`] plus the RLE interval log (empty unless
     /// [`Self::enable_interval_log`] was called before the run).
     #[must_use]
@@ -1596,8 +1559,9 @@ mod tests {
     fn single_processor_single_transaction_commits() {
         let outcome = TccSystem::new(cfg(1), single_tx_workload(), NoGating)
             .unwrap()
-            .run_bounded(100_000)
-            .unwrap();
+            .run_bounded(100_000, EngineKind::FastForward)
+            .unwrap()
+            .0;
         assert_eq!(outcome.total_commits, 1);
         assert_eq!(outcome.total_aborts, 0);
         assert!(outcome.total_cycles > 0);
@@ -1615,8 +1579,9 @@ mod tests {
         );
         let outcome = TccSystem::new(cfg(1), w, NoGating)
             .unwrap()
-            .run_bounded(100_000)
-            .unwrap();
+            .run_bounded(100_000, EngineKind::FastForward)
+            .unwrap()
+            .0;
         assert_eq!(outcome.total_commits, 1);
         assert_eq!(outcome.total_aborts, 0);
     }
@@ -1657,8 +1622,9 @@ mod tests {
         );
         let outcome = TccSystem::new(cfg(2), w, NoGating)
             .unwrap()
-            .run_bounded(1_000_000)
-            .unwrap();
+            .run_bounded(1_000_000, EngineKind::FastForward)
+            .unwrap()
+            .0;
         assert_eq!(outcome.total_commits, 6);
         assert!(
             outcome.total_aborts > 0,
@@ -1683,8 +1649,9 @@ mod tests {
         );
         let outcome = TccSystem::new(cfg(2), w, NoGating)
             .unwrap()
-            .run_bounded(1_000_000)
-            .unwrap();
+            .run_bounded(1_000_000, EngineKind::FastForward)
+            .unwrap()
+            .0;
         assert_eq!(outcome.total_commits, 4);
         assert_eq!(outcome.total_aborts, 0);
     }
@@ -1693,8 +1660,9 @@ mod tests {
     fn miss_cycles_are_accounted() {
         let outcome = TccSystem::new(cfg(1), single_tx_workload(), NoGating)
             .unwrap()
-            .run_bounded(100_000)
-            .unwrap();
+            .run_bounded(100_000, EngineKind::FastForward)
+            .unwrap()
+            .0;
         assert!(outcome.total_miss_cycles() > 0, "the first read must miss");
         assert!(
             outcome.total_commit_cycles() > 0,
@@ -1715,8 +1683,9 @@ mod tests {
         );
         let outcome = TccSystem::new(cfg(2), w, NoGating)
             .unwrap()
-            .run_bounded(1_000_000)
-            .unwrap();
+            .run_bounded(1_000_000, EngineKind::FastForward)
+            .unwrap()
+            .0;
         outcome.check_consistency().unwrap();
         assert_eq!(outcome.num_procs, 2);
         assert!(outcome.last_commit_end <= outcome.total_cycles);
@@ -1726,7 +1695,7 @@ mod tests {
     fn cycle_limit_is_enforced() {
         let err = TccSystem::new(cfg(1), single_tx_workload(), NoGating)
             .unwrap()
-            .run_bounded(3)
+            .run_bounded(3, EngineKind::FastForward)
             .err()
             .unwrap();
         assert_eq!(err, SimError::CycleLimitExceeded { limit: 3 });
@@ -1801,8 +1770,9 @@ mod tests {
         );
         let outcome = TccSystem::new(cfg(2), w, FixedWindowGate::new(2, 200))
             .unwrap()
-            .run_bounded(2_000_000)
-            .unwrap();
+            .run_bounded(2_000_000, EngineKind::FastForward)
+            .unwrap()
+            .0;
         assert_eq!(
             outcome.total_commits, 6,
             "every transaction must still commit"
@@ -1833,11 +1803,11 @@ mod tests {
         };
         let (fast, _) = TccSystem::new(cfg(2), build(), FixedWindowGate::new(2, 200))
             .unwrap()
-            .run_bounded_parts(2_000_000, EngineKind::FastForward)
+            .run_bounded(2_000_000, EngineKind::FastForward)
             .unwrap();
         let (naive, _) = TccSystem::new(cfg(2), build(), FixedWindowGate::new(2, 200))
             .unwrap()
-            .run_bounded_parts(2_000_000, EngineKind::Naive)
+            .run_bounded(2_000_000, EngineKind::Naive)
             .unwrap();
         assert_eq!(fast, naive);
     }
@@ -1877,7 +1847,7 @@ mod tests {
         let limit = 50_000_000;
         let err = TccSystem::new(cfg(2), build(), GateForever)
             .unwrap()
-            .run_bounded_parts(limit, EngineKind::FastForward)
+            .run_bounded(limit, EngineKind::FastForward)
             .err()
             .unwrap();
         assert_eq!(err, SimError::CycleLimitExceeded { limit });
@@ -1900,7 +1870,7 @@ mod tests {
             assert!(steps < 10_000, "single transaction must finish quickly");
         }
         assert!(jumped, "the miss stall must be skipped in one jump");
-        let outcome = sys.finish();
+        let outcome = sys.into_parts().0;
         assert_eq!(outcome.total_commits, 1);
         outcome.check_consistency().unwrap();
     }
@@ -1924,7 +1894,7 @@ mod tests {
     fn checkpoint_resumed_run_equals_uninterrupted_run() {
         let (reference, _) = TccSystem::new(cfg(2), ckpt_workload(), ckpt_hook())
             .unwrap()
-            .run_bounded_parts(2_000_000, EngineKind::FastForward)
+            .run_bounded(2_000_000, EngineKind::FastForward)
             .unwrap();
         // Checkpoint at several mid-run cycles, including awkward ones that
         // land inside miss stalls and commit arbitration.
@@ -1938,7 +1908,7 @@ mod tests {
                     .unwrap();
             assert_eq!(resumed.now(), saved_at);
             let (outcome, _) = resumed
-                .run_bounded_parts(2_000_000, EngineKind::FastForward)
+                .run_bounded(2_000_000, EngineKind::FastForward)
                 .unwrap();
             assert_eq!(outcome, reference, "resume at cycle {t} diverged");
         }
@@ -1948,7 +1918,7 @@ mod tests {
     fn checkpoint_resumed_run_equals_uninterrupted_run_naive_engine() {
         let (reference, _) = TccSystem::new(cfg(2), ckpt_workload(), ckpt_hook())
             .unwrap()
-            .run_bounded_parts(2_000_000, EngineKind::Naive)
+            .run_bounded(2_000_000, EngineKind::Naive)
             .unwrap();
         let mut sys = TccSystem::new(cfg(2), ckpt_workload(), ckpt_hook()).unwrap();
         while sys.now() < 700 && !sys.is_complete() {
@@ -1957,9 +1927,7 @@ mod tests {
         let payload = sys.save_checkpoint();
         let resumed =
             TccSystem::restore_checkpoint(cfg(2), ckpt_workload(), ckpt_hook(), &payload).unwrap();
-        let (outcome, _) = resumed
-            .run_bounded_parts(2_000_000, EngineKind::Naive)
-            .unwrap();
+        let (outcome, _) = resumed.run_bounded(2_000_000, EngineKind::Naive).unwrap();
         assert_eq!(outcome, reference);
     }
 
@@ -1967,7 +1935,7 @@ mod tests {
     fn taking_a_checkpoint_does_not_perturb_the_run() {
         let (reference, _) = TccSystem::new(cfg(2), ckpt_workload(), ckpt_hook())
             .unwrap()
-            .run_bounded_parts(2_000_000, EngineKind::FastForward)
+            .run_bounded(2_000_000, EngineKind::FastForward)
             .unwrap();
         let mut sys = TccSystem::new(cfg(2), ckpt_workload(), ckpt_hook()).unwrap();
         // Save (and discard) checkpoints repeatedly while the run proceeds:
@@ -1976,9 +1944,7 @@ mod tests {
             sys.advance_until(t);
             let _ = sys.save_checkpoint();
         }
-        let (outcome, _) = sys
-            .run_bounded_parts(2_000_000, EngineKind::FastForward)
-            .unwrap();
+        let (outcome, _) = sys.run_bounded(2_000_000, EngineKind::FastForward).unwrap();
         assert_eq!(outcome, reference);
     }
 
@@ -2044,7 +2010,7 @@ mod tests {
             if perturb {
                 sys.debug_perturb_fast_accounting();
             }
-            sys.run_bounded_parts(2_000_000, engine).unwrap().0
+            sys.run_bounded(2_000_000, engine).unwrap().0
         };
         let naive = run(EngineKind::Naive, true);
         assert_eq!(
@@ -2073,12 +2039,14 @@ mod tests {
         };
         let a = TccSystem::new(cfg(2), build(), NoGating)
             .unwrap()
-            .run_bounded(1_000_000)
-            .unwrap();
+            .run_bounded(1_000_000, EngineKind::FastForward)
+            .unwrap()
+            .0;
         let b = TccSystem::new(cfg(2), build(), NoGating)
             .unwrap()
-            .run_bounded(1_000_000)
-            .unwrap();
+            .run_bounded(1_000_000, EngineKind::FastForward)
+            .unwrap()
+            .0;
         assert_eq!(a.total_cycles, b.total_cycles);
         assert_eq!(a.total_aborts, b.total_aborts);
         assert_eq!(a.state_cycles, b.state_cycles);

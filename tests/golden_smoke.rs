@@ -24,14 +24,11 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use clock_gate_on_abort::core::context::{RunContext, TraceWorkload};
 use clock_gate_on_abort::core::experiments::{self, ExperimentConfig};
 use clock_gate_on_abort::core::report::to_json;
-use clock_gate_on_abort::core::sim::EngineKind;
-use clock_gate_on_abort::core::sweep::{
-    run_sweep, run_sweep_ckpt_traced, SweepGrid, SweepObjective, TraceWorkload,
-};
+use clock_gate_on_abort::core::sweep::{run_sweep, SweepGrid, SweepObjective};
 use clock_gate_on_abort::power::model::PowerModel;
-use clock_gate_on_abort::sim::topology::TopologyConfig;
 use clock_gate_on_abort::workloads::{trace, WorkloadScale};
 
 fn golden_dir(sub: &str) -> PathBuf {
@@ -60,8 +57,15 @@ fn smoke_config() -> ExperimentConfig {
 fn smoke_sweep_artifacts_match_the_golden_fixture() {
     let dir = std::env::temp_dir().join(format!("clockgate-golden-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
-    let outcome = run_sweep(&SweepGrid::smoke(), EngineKind::FastForward, &dir, false)
-        .expect("smoke sweep must run");
+    let ctx = RunContext::default();
+    let outcome = run_sweep(
+        &SweepGrid::smoke(),
+        &dir,
+        false,
+        SweepObjective::Energy,
+        &ctx,
+    )
+    .expect("smoke sweep must run");
     for (path, name) in [
         (&outcome.jsonl_path, "sweep.jsonl"),
         (&outcome.pareto_path, "pareto.json"),
@@ -82,7 +86,7 @@ fn smoke_sweep_artifacts_match_the_golden_fixture() {
 fn smoke_matrix_artifacts_match_the_golden_fixture() {
     let cfg = smoke_config();
     let (matrix, _timing, breakdown) =
-        experiments::run_matrix_timed(&cfg, EngineKind::FastForward).expect("smoke matrix");
+        experiments::run_matrix(&cfg, &RunContext::default()).expect("smoke matrix");
     assert_eq!(
         to_json(&matrix),
         golden("reproduce", "evaluation_matrix.json"),
@@ -149,14 +153,12 @@ fn golden_trace_matrix_artifacts_match_the_fixture() {
         workloads: vec![tw.axis_name.clone()],
         ..ExperimentConfig::default()
     };
-    let (matrix, _timing, breakdown) = experiments::run_matrix_timed_ckpt_traced(
-        &cfg,
-        EngineKind::FastForward,
-        TopologyConfig::Bus,
-        None,
-        Some(&tw),
-    )
-    .expect("traced smoke matrix");
+    let ctx = RunContext {
+        trace: Some(&tw),
+        ..RunContext::default()
+    };
+    let (matrix, _timing, breakdown) =
+        experiments::run_matrix(&cfg, &ctx).expect("traced smoke matrix");
     assert_eq!(
         to_json(&matrix),
         golden("trace", "evaluation_matrix.json"),
@@ -179,17 +181,12 @@ fn golden_trace_sweep_records_match_the_fixture() {
     let grid = SweepGrid::for_trace(&tw.axis_name, loaded.workload.num_threads());
     let dir = std::env::temp_dir().join(format!("clockgate-golden-trace-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
-    let outcome = run_sweep_ckpt_traced(
-        &grid,
-        EngineKind::FastForward,
-        &dir,
-        false,
-        SweepObjective::Energy,
-        TopologyConfig::Bus,
-        None,
-        Some(&tw),
-    )
-    .expect("traced smoke sweep");
+    let ctx = RunContext {
+        trace: Some(&tw),
+        ..RunContext::default()
+    };
+    let outcome =
+        run_sweep(&grid, &dir, false, SweepObjective::Energy, &ctx).expect("traced smoke sweep");
     let produced = fs::read_to_string(&outcome.jsonl_path).unwrap();
     assert_eq!(
         produced,
@@ -202,7 +199,7 @@ fn golden_trace_sweep_records_match_the_fixture() {
 #[test]
 fn smoke_fig7_matches_the_golden_fixture() {
     let cfg = smoke_config();
-    let f = experiments::fig7_with_engine(&cfg, &[1, 2, 4, 8, 16, 32, 64], EngineKind::FastForward)
+    let f = experiments::fig7(&cfg, &[1, 2, 4, 8, 16, 32, 64], &RunContext::default())
         .expect("fig7 smoke sweep");
     assert_eq!(to_json(&f), golden("reproduce", "fig7_w0_sensitivity.json"));
 }

@@ -2,13 +2,29 @@
 //! runner → JSONL/Pareto artifacts, including resume and engine agreement.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
+use clock_gate_on_abort::core::context::RunContext;
 use clock_gate_on_abort::core::sim::EngineKind;
 use clock_gate_on_abort::core::sweep::{
-    self, dominates, pareto_frontiers, pareto_frontiers_with, run_sweep, run_sweep_with,
-    CellRecord, SweepGrid, SweepObjective,
+    self, dominates, pareto_frontiers, pareto_frontiers_with, run_sweep, CellRecord, SweepError,
+    SweepGrid, SweepObjective, SweepOutcome,
 };
+
+/// A fresh or resumed sweep on `engine`, on the bus, under the energy
+/// objective.
+fn sweep_on(
+    engine: EngineKind,
+    grid: &SweepGrid,
+    dir: &Path,
+    resume: bool,
+) -> Result<SweepOutcome, SweepError> {
+    let ctx = RunContext {
+        engine: engine.into(),
+        ..RunContext::default()
+    };
+    run_sweep(grid, dir, resume, SweepObjective::Energy, &ctx)
+}
 
 fn test_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cgoa-sweep-e2e-{name}-{}", std::process::id()));
@@ -20,7 +36,7 @@ fn test_dir(name: &str) -> PathBuf {
 fn smoke_sweep_end_to_end() {
     let grid = SweepGrid::smoke();
     let dir = test_dir("smoke");
-    let outcome = run_sweep(&grid, EngineKind::FastForward, &dir, false).unwrap();
+    let outcome = sweep_on(EngineKind::FastForward, &grid, &dir, false).unwrap();
     assert_eq!(outcome.records.len(), grid.expand().len());
     assert_eq!(outcome.skipped, 0);
 
@@ -59,7 +75,7 @@ fn smoke_sweep_end_to_end() {
     // A second, resumed invocation executes nothing and leaves every
     // artifact byte-identical.
     let before = fs::read(&outcome.pareto_path).unwrap();
-    let resumed = run_sweep(&grid, EngineKind::FastForward, &dir, true).unwrap();
+    let resumed = sweep_on(EngineKind::FastForward, &grid, &dir, true).unwrap();
     assert_eq!(resumed.executed, 0);
     assert_eq!(fs::read(&resumed.pareto_path).unwrap(), before);
     let _ = fs::remove_dir_all(&dir);
@@ -73,8 +89,8 @@ fn sweep_artifacts_are_engine_independent() {
     };
     let dir_fast = test_dir("fast");
     let dir_naive = test_dir("naive");
-    run_sweep(&grid, EngineKind::FastForward, &dir_fast, false).unwrap();
-    run_sweep(&grid, EngineKind::Naive, &dir_naive, false).unwrap();
+    sweep_on(EngineKind::FastForward, &grid, &dir_fast, false).unwrap();
+    sweep_on(EngineKind::Naive, &grid, &dir_naive, false).unwrap();
     for name in [
         sweep::runner::JSONL_NAME,
         sweep::runner::PARETO_NAME,
@@ -99,7 +115,7 @@ fn sweep_artifacts_are_engine_independent() {
 fn smoke_breakdown_components_sum_to_the_legacy_energy() {
     let grid = SweepGrid::smoke();
     let dir = test_dir("breakdown");
-    let outcome = run_sweep(&grid, EngineKind::FastForward, &dir, false).unwrap();
+    let outcome = sweep_on(EngineKind::FastForward, &grid, &dir, false).unwrap();
     assert!(outcome.breakdown_path.exists());
     for record in &outcome.records {
         let core_sum: f64 = record.core_component_energies().iter().sum();
@@ -136,12 +152,12 @@ fn smoke_breakdown_components_sum_to_the_legacy_energy() {
 fn edp_objective_changes_the_frontier_on_the_backoff_preset() {
     let grid = SweepGrid::by_name("backoff").unwrap();
     let dir = test_dir("objective");
-    let outcome = run_sweep_with(
+    let outcome = run_sweep(
         &grid,
-        EngineKind::FastForward,
         &dir,
         false,
         SweepObjective::Edp,
+        &RunContext::default(),
     )
     .unwrap();
     let energy_frontiers = pareto_frontiers(&outcome.records);
@@ -182,7 +198,7 @@ fn resume_rejects_pre_ledger_jsonl_through_the_public_api() {
         ..SweepGrid::smoke()
     };
     let dir = test_dir("oldschema");
-    let outcome = run_sweep(&grid, EngineKind::FastForward, &dir, false).unwrap();
+    let outcome = sweep_on(EngineKind::FastForward, &grid, &dir, false).unwrap();
     let text = fs::read_to_string(&outcome.jsonl_path).unwrap();
     let stripped: String = text
         .lines()
@@ -190,7 +206,7 @@ fn resume_rejects_pre_ledger_jsonl_through_the_public_api() {
         .collect();
     assert_ne!(stripped, text);
     fs::write(&outcome.jsonl_path, stripped).unwrap();
-    let err = run_sweep(&grid, EngineKind::FastForward, &dir, true).unwrap_err();
+    let err = sweep_on(EngineKind::FastForward, &grid, &dir, true).unwrap_err();
     assert!(
         matches!(
             err,
