@@ -151,6 +151,11 @@ pub struct ClockGateController {
     /// costs one extra no-op scan of that table, never a missed one); a scan
     /// recomputes its own directory's slot exactly.
     pending_min: Vec<Option<Cycle>>,
+    /// The minimum over `pending_min`, so `next_deadline` is O(1) on every
+    /// fast-forward plan. Lowered by `on_abort` (the only other writer of a
+    /// slot) and recomputed after every scan and on restore. Derived, so it
+    /// is never serialized.
+    pending_floor: Option<Cycle>,
 }
 
 impl std::fmt::Debug for ClockGateController {
@@ -180,6 +185,7 @@ impl ClockGateController {
             config,
             stats: GatingStats::default(),
             pending_min: vec![None; num_dirs],
+            pending_floor: None,
         }
     }
 
@@ -275,6 +281,11 @@ impl ClockGateController {
         }
         self.pending_min[dir] = next_min;
     }
+
+    /// The earliest `pending_min` slot: the value `pending_floor` caches.
+    fn min_pending(&self) -> Option<Cycle> {
+        self.pending_min.iter().filter_map(|m| *m).min()
+    }
 }
 
 impl GatingHook for ClockGateController {
@@ -307,8 +318,9 @@ impl GatingHook for ClockGateController {
         }
         // A fresh timer can only pull the earliest expiry forward.
         let expires = self.tables[dir].entry(victim).timer_expires;
-        let slot = &mut self.pending_min[dir];
-        *slot = Some(slot.map_or(expires, |m| m.min(expires)));
+        for slot in [&mut self.pending_min[dir], &mut self.pending_floor] {
+            *slot = Some(slot.map_or(expires, |m| m.min(expires)));
+        }
         AbortAction::Gate
     }
 
@@ -317,11 +329,15 @@ impl GatingHook for ClockGateController {
         // recomputes its directory's slot exactly (stale-early values heal
         // here; see `pending_min`). Skipped directories provably hold no
         // expired timer, so skipping them changes no command and no entry.
+        if self.pending_floor.is_none_or(|m| m > now) {
+            return;
+        }
         for dir in 0..self.tables.len() {
             if self.pending_min[dir].is_some_and(|m| m <= now) {
                 self.tick_dir(dir, now, view, commands);
             }
         }
+        self.pending_floor = self.min_pending();
     }
 
     fn next_deadline(&self, now: Cycle) -> Option<Cycle> {
@@ -331,11 +347,7 @@ impl GatingHook for ClockGateController {
         // horizon exactly. Each slot is a lower bound: a stale-early value
         // (after a wake-up cleared the earliest timer) clamps to `now` and
         // costs one no-op scan of that table, which recomputes it exactly.
-        self.pending_min
-            .iter()
-            .filter_map(|m| *m)
-            .min()
-            .map(|m| m.max(now))
+        self.pending_floor.map(|m| m.max(now))
     }
 
     fn on_commit(&mut self, proc: ProcId, _now: Cycle) {
@@ -392,6 +404,7 @@ impl GatingHook for ClockGateController {
         for slot in &mut self.pending_min {
             *slot = r.get_opt_u64()?;
         }
+        self.pending_floor = self.min_pending();
         self.policy.restore(r)
     }
 }
@@ -597,6 +610,44 @@ mod tests {
         c.on_proc_activity(1, 1, 30);
         assert!(!c.table(1).entry(1).off);
         assert_eq!(c.stats().stale_off_reconciled, 1);
+    }
+
+    #[test]
+    fn next_deadline_is_the_earliest_pending_expiry() {
+        let mut c = controller(3, 4, 8);
+        let mut v = view(4, 3);
+        assert_eq!(c.next_deadline(0), None, "no timer, no deadline");
+        c.on_abort(2, 1, 0, 0x400, 50, &v);
+        c.on_abort(0, 3, 0, 0x400, 10, &v);
+        let first = c.table(0).entry(3).timer_expires;
+        let second = c.table(2).entry(1).timer_expires;
+        assert!(first < second);
+        assert_eq!(c.next_deadline(0), Some(first));
+        assert_eq!(c.next_deadline(first + 5), Some(first + 5), "due now");
+        // The aborter is gone, so directory 0's timer wakes its victim; the
+        // deadline moves on to directory 2's timer.
+        v.dir_marked[0] = htm_sim::ProcSet::empty();
+        assert_eq!(tick(&mut c, first, &v).len(), 1);
+        assert_eq!(c.next_deadline(first), Some(second));
+        assert_eq!(tick(&mut c, second, &v).len(), 1);
+        assert_eq!(c.next_deadline(second), None);
+    }
+
+    #[test]
+    fn restore_recomputes_the_deadline_from_the_tables() {
+        let mut c = controller(2, 4, 8);
+        let v = view(4, 2);
+        c.on_abort(1, 2, 0, 0x400, 30, &v);
+        let mut w = CkptWriter::new();
+        c.snapshot(&mut w);
+        let payload = w.into_payload();
+        let mut restored = controller(2, 4, 8);
+        restored.restore(&mut CkptReader::new(&payload)).unwrap();
+        assert_eq!(restored.next_deadline(0), c.next_deadline(0));
+        assert!(restored.next_deadline(0).is_some());
+        let mut again = CkptWriter::new();
+        restored.snapshot(&mut again);
+        assert_eq!(again.into_payload(), payload, "the floor is not serialized");
     }
 
     #[test]

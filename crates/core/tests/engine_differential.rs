@@ -19,11 +19,14 @@
 //! designed to provoke conflicts, aborts, gating, renewal, throttled
 //! windows, oracle subscriptions and multi-island decompositions.
 
+use clockgate_htm::gating::policy::PolicyHook;
 use clockgate_htm::report::to_json;
 use clockgate_htm::sim::{
     choose_engine, EngineChoice, EngineKind, GatingMode, SimReport, SimulationBuilder,
 };
+use htm_sim::config::SimConfig;
 use htm_sim::topology::TopologyConfig;
+use htm_tcc::system::TccSystem;
 use htm_tcc::txn::{Op, ThreadTrace, Transaction, WorkloadTrace};
 use htm_workloads::registry::ALL_WORKLOADS;
 use htm_workloads::WorkloadScale;
@@ -256,6 +259,88 @@ fn hotspot_16p_sharded_is_engine_exact() {
     assert_identical(&fast, &naive, "hotspot 16p fast-forward vs naive");
     assert_identical(&fast, &shard, "hotspot 16p fast-forward vs shard-parallel");
     fast.outcome.check_consistency().unwrap();
+}
+
+#[test]
+fn contended_many_directory_runs_are_engine_exact() {
+    // Many directories, one interconnect bank each, and enough conflicts
+    // that commit spinners queue behind busy directories. The fast engine
+    // neither refreshes every directory's view entry each cycle nor merges
+    // every directory's and bank's deadline before a jump; it must still
+    // match the naive reference byte for byte.
+    for workload in ["intruder", "genome"] {
+        for mode in [GatingMode::Ungated, GatingMode::ClockGate { w0: 8 }] {
+            let fast = run_named_on(mode, workload, 64, EngineKind::FastForward, sharded());
+            let naive = run_named_on(mode, workload, 64, EngineKind::Naive, sharded());
+            let context = format!("{workload} 64p sharded mode={}", mode.label());
+            assert_identical(&fast, &naive, &context);
+            assert!(
+                fast.outcome.total_aborts > 0,
+                "{context}: must be contended"
+            );
+            fast.outcome.check_consistency().unwrap();
+        }
+    }
+}
+
+/// A 64-processor intruder machine on the default sharded fabric with the
+/// paper's Eq. 8 clock-gating controller.
+fn contended_sharded_system() -> TccSystem<Box<dyn PolicyHook>> {
+    let cfg = SimConfig::table2_with_topology(64, sharded());
+    let hook = GatingMode::ClockGate { w0: 8 }.build(&cfg);
+    let trace = htm_workloads::by_name("intruder", 64, WorkloadScale::Test, 11).unwrap();
+    TccSystem::new(cfg, trace, hook).unwrap()
+}
+
+#[test]
+fn incremental_view_equals_a_full_refresh_after_every_fast_step() {
+    let mut sys = contended_sharded_system();
+    let mut steps = 0u64;
+    while !sys.is_complete() {
+        sys.step();
+        steps += 1;
+        if let Err(e) = sys.debug_check_view() {
+            panic!("after fast step {steps}: {e}");
+        }
+        assert!(sys.now() < 50_000_000, "run must finish");
+    }
+    let (outcome, hook) = sys.into_parts();
+    assert!(
+        hook.gating_stats().unwrap().gatings > 0,
+        "the run must gate"
+    );
+    assert!(outcome.total_aborts > 0, "the run must be contended");
+}
+
+#[test]
+fn incremental_view_survives_interleaved_naive_steps() {
+    // Naive steps mutate the marked sets without maintaining the fast
+    // engine's dirty lists; the next fast plan must rebuild them. Alternate
+    // bursts of both engines and check the view after every fast step, then
+    // require the interleaved run to match an uninterrupted fast run.
+    let mut sys = contended_sharded_system();
+    let mut steps = 0u64;
+    while !sys.is_complete() {
+        if (steps / 7) % 3 == 2 {
+            sys.step_naive();
+        } else {
+            sys.step();
+            if let Err(e) = sys.debug_check_view() {
+                panic!("after step {steps}: {e}");
+            }
+        }
+        steps += 1;
+        assert!(sys.now() < 50_000_000, "run must finish");
+    }
+    let (mixed, _) = sys.into_parts();
+    let reference = contended_sharded_system()
+        .run_bounded(50_000_000, EngineKind::FastForward)
+        .unwrap()
+        .0;
+    assert_eq!(
+        mixed, reference,
+        "interleaving engines must not change the run"
+    );
 }
 
 #[test]

@@ -219,18 +219,6 @@ impl SplitTransactionBus {
         self.next_free
     }
 
-    /// Next cycle (strictly after `now`) at which the bus state can change on
-    /// its own: the release of the transfer currently occupying the channel.
-    /// Returns `None` when the bus is already idle — the model is demand
-    /// driven, so an idle bus does nothing until the next `request`.
-    ///
-    /// Used by the fast-forward engine (see `DESIGN.md`, "event-horizon
-    /// computation") to bound how far the clock may leap.
-    #[must_use]
-    pub fn next_deadline(&self, now: Cycle) -> Option<Cycle> {
-        (self.next_free > now).then_some(self.next_free)
-    }
-
     /// Accumulated statistics.
     #[must_use]
     pub fn stats(&self) -> BusStats {
@@ -321,14 +309,5 @@ mod tests {
     fn utilisation_zero_cycles_is_zero() {
         let bus = SplitTransactionBus::new(1, 4, 0);
         assert_eq!(bus.utilisation(0), 0.0);
-    }
-
-    #[test]
-    fn next_deadline_reports_pending_release_only() {
-        let mut bus = SplitTransactionBus::new(1, 4, 0);
-        assert_eq!(bus.next_deadline(0), None, "idle bus has no deadline");
-        let done = bus.request(0, BusTraffic::Data);
-        assert_eq!(bus.next_deadline(0), Some(done));
-        assert_eq!(bus.next_deadline(done), None, "released at `done`");
     }
 }

@@ -98,14 +98,6 @@ impl SinglePortResource {
         self.next_free
     }
 
-    /// Next cycle (strictly after `now`) at which the port state can change
-    /// on its own (the in-flight access completing), or `None` when idle.
-    /// Consumed by the fast-forward engine's horizon computation.
-    #[must_use]
-    pub fn next_deadline(&self, now: Cycle) -> Option<Cycle> {
-        (self.next_free > now).then_some(self.next_free)
-    }
-
     /// Accumulated statistics.
     #[must_use]
     pub fn stats(&self) -> PortStats {

@@ -80,11 +80,12 @@ impl Route {
 ///
 /// The trait mirrors the narrow interface `TccSystem` already used on the
 /// shared bus: blocking transfers ([`Topology::request`]), future transfers
-/// that do not reserve the channel ([`Topology::schedule_future`]), the
-/// event-horizon deadline for the fast-forward engine
-/// ([`Topology::next_deadline`]) and the statistics feeding the energy
-/// ledger. All methods are deterministic functions of the call sequence, so
-/// any implementation keeps runs bit-reproducible.
+/// that do not reserve the channel ([`Topology::schedule_future`]) and the
+/// statistics feeding the energy ledger. The fabric is demand-driven: a
+/// channel release changes nothing until the next request, so the
+/// fast-forward engine never asks it for a deadline. All methods are
+/// deterministic functions of the call sequence, so any implementation
+/// keeps runs bit-reproducible.
 ///
 /// ```
 /// use htm_sim::bus::{BusTraffic, SplitTransactionBus};
@@ -106,10 +107,6 @@ pub trait Topology {
     /// returns the delivery cycle.
     fn schedule_future(&mut self, at: Cycle, route: Route, kind: BusTraffic) -> Cycle;
 
-    /// Next cycle strictly after `now` at which the interconnect state can
-    /// change on its own (a channel release), or `None` when idle.
-    fn next_deadline(&self, now: Cycle) -> Option<Cycle>;
-
     /// Aggregate statistics over every channel of the fabric.
     fn stats(&self) -> BusStats;
 
@@ -126,10 +123,6 @@ impl Topology for SplitTransactionBus {
 
     fn schedule_future(&mut self, at: Cycle, _route: Route, kind: BusTraffic) -> Cycle {
         SplitTransactionBus::schedule_future(self, at, kind)
-    }
-
-    fn next_deadline(&self, now: Cycle) -> Option<Cycle> {
-        SplitTransactionBus::next_deadline(self, now)
     }
 
     fn stats(&self) -> BusStats {
@@ -544,10 +537,6 @@ impl Topology for ShardedInterconnect {
         crate::cycles_after(done, hop)
     }
 
-    fn next_deadline(&self, now: Cycle) -> Option<Cycle> {
-        self.banks.iter().filter_map(|b| b.next_deadline(now)).min()
-    }
-
     fn stats(&self) -> BusStats {
         let mut total = self.vendor_stats;
         for bank in &self.banks {
@@ -630,13 +619,6 @@ impl Topology for Interconnect {
         match self {
             Interconnect::Bus(b) => Topology::schedule_future(b, at, route, kind),
             Interconnect::Sharded(s) => s.schedule_future(at, route, kind),
-        }
-    }
-
-    fn next_deadline(&self, now: Cycle) -> Option<Cycle> {
-        match self {
-            Interconnect::Bus(b) => SplitTransactionBus::next_deadline(b, now),
-            Interconnect::Sharded(s) => s.next_deadline(now),
         }
     }
 
@@ -768,7 +750,6 @@ mod tests {
         let a = net.request(0, to_vendor, BusTraffic::Control);
         let b = net.request(0, to_vendor, BusTraffic::Control);
         assert_eq!(a, b, "the pipelined vendor link never queues");
-        assert_eq!(net.next_deadline(0), None, "and creates no deadlines");
         let s = Topology::stats(&net);
         assert_eq!(s.control_transfers, 2);
         assert_eq!(s.wait_cycles, 0);

@@ -215,23 +215,14 @@ impl DirCtrl {
     }
 
     /// Cycle at which the current commit occupancy releases the directory, if
-    /// it is still held after `now`.
+    /// it is still held after `now`. The only directory deadline the
+    /// fast-forward engine needs: it bounds how long a commit spinner whose
+    /// step directory this is can be left unprobed. The miss port is
+    /// demand-driven and has no deadline.
     #[must_use]
     pub fn busy_release(&self, now: Cycle) -> Option<Cycle> {
         self.busy
             .and_then(|(_, until)| (until > now).then_some(until))
-    }
-
-    /// Next cycle (strictly after `now`) at which this directory's state can
-    /// change on its own: the commit occupancy releasing or the miss-service
-    /// port draining. `None` when fully idle (the directory is demand
-    /// driven). Feeds the fast-forward engine's event horizon.
-    #[must_use]
-    pub fn next_deadline(&self, now: Cycle) -> Option<Cycle> {
-        match (self.busy_release(now), self.port.next_deadline(now)) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (d, None) | (None, d) => d,
-        }
     }
 
     /// Reserve the directory for `proc` until `release_at` (the caller has
@@ -420,16 +411,15 @@ mod tests {
     }
 
     #[test]
-    fn next_deadline_reports_busy_release_and_port_drain() {
+    fn busy_release_reports_the_commit_occupancy_only() {
         let mut d = DirCtrl::new(0, 4, 10);
-        assert_eq!(d.next_deadline(0), None, "idle directory has no deadline");
+        assert_eq!(d.busy_release(0), None, "idle directory has no release");
         d.mark(1, 0);
         assert!(d.try_grant(0, 1, 0, 40));
-        assert_eq!(d.next_deadline(0), Some(40));
         assert_eq!(d.busy_release(0), Some(40));
-        assert_eq!(d.next_deadline(40), None, "released at cycle 40");
-        let done = d.service_miss(50);
-        assert_eq!(d.next_deadline(50), Some(done));
+        assert_eq!(d.busy_release(40), None, "released at cycle 40");
+        d.service_miss(50);
+        assert_eq!(d.busy_release(50), None, "the miss port is demand-driven");
     }
 
     #[test]

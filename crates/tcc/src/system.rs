@@ -156,6 +156,12 @@ pub struct TccSystem<H: GatingHook> {
     /// the most recent executed cycle; `step_cycle` refreshes exactly these
     /// instead of sweeping every processor each cycle.
     view_dirty: ProcSet,
+    /// Directories whose marked set may have changed since the view was last
+    /// refreshed, pushed at every `mark`/`unmark` call site (duplicates are
+    /// harmless); `step_cycle` refreshes exactly these view entries.
+    /// `rebuild_fast_state` lists every directory and `refresh_view` empties
+    /// the list, so naive stepping never grows it.
+    dirs_dirty: Vec<DirId>,
     /// Per-processor accounting watermark: all cycles in `[0, acct_until[i])`
     /// are fully reflected in processor `i`'s `state_cycles`,
     /// `attempt_cycles`, countdown fields and `first_tx_start`. The fast
@@ -268,6 +274,7 @@ impl<H: GatingHook> TccSystem<H> {
             tick_scratch: Vec::new(),
             dir_scratch: Vec::new(),
             view_dirty: ProcSet::empty(),
+            dirs_dirty: Vec::new(),
             acct_until: vec![0; num_procs],
             deadlines: std::collections::BinaryHeap::new(),
             spin_mask: ProcSet::empty(),
@@ -605,6 +612,12 @@ impl<H: GatingHook> TccSystem<H> {
     /// Decide how to advance the clock: an exact cycle touching only the
     /// active processors, a multi-cycle jump, or the deadlock shortcut.
     ///
+    /// The horizon has exactly three sources: the processors' own deadlines
+    /// (the event queue), the hook's next timer, and the occupancy release
+    /// of each commit spinner's current step directory. The cost is
+    /// O(due processors + commit spinners), independent of the number of
+    /// directories and interconnect banks.
+    ///
     /// Exactness argument (see `DESIGN.md`, "event-horizon computation"):
     /// every observable state change in a cycle is triggered by one of
     /// (a) a processor phase completing or issuing an operation, (b) an
@@ -612,16 +625,18 @@ impl<H: GatingHook> TccSystem<H> {
     /// from `on_tick`, or (d) a commit spin being granted a directory.
     /// (a)–(c) are reported by the processors ([`Processor::next_deadline`])
     /// and the hook ([`GatingHook::next_deadline`]). For (d), a spin can
-    /// only become grantable when the directory's occupancy releases
-    /// (reported by [`DirCtrl::next_deadline`], merged before any jump) or
-    /// when another processor changes the marked set — which is itself an
-    /// (a) transition that makes that processor active. Because a lower-id
+    /// only become grantable when its step directory's occupancy releases
+    /// ([`DirCtrl::busy_release`], merged per spinner) or when another
+    /// processor changes the marked set — which is itself an (a)
+    /// transition that makes that processor active. Because a lower-id
     /// active processor can change the marked set *within* the cycle (and
     /// naive stepping lets a later spinner observe that), every commit
     /// spinner is processed per-cycle whenever any processor is active.
-    /// The bus / token-vendor / miss ports are demand-driven and could be
-    /// omitted from the horizon, but their in-flight release times are
-    /// merged anyway: a shorter jump is always safe.
+    /// The bus, token-vendor and miss ports are demand-driven: a release
+    /// changes nothing until the next request, and every request is made
+    /// in an executed cycle (by an active processor or a hook command),
+    /// which computes its timing from the port's stored release cycle. Their deadlines are therefore
+    /// not merged.
     fn plan_step(&mut self) -> StepPlan {
         if self.fast_state_stale {
             self.rebuild_fast_state();
@@ -637,15 +652,20 @@ impl<H: GatingHook> TccSystem<H> {
         // Probe every commit spinner directly: its readiness lives in
         // shared grant state the event queue cannot track. Spinner counts
         // are small (they exist only while a commit is being arbitrated).
+        // A spinner that cannot be granted now waits for its step
+        // directory to release (merged here) or for the marked set to
+        // change (a transition of some other, then active, processor).
         for i in self.spin_mask {
             let proc = &self.procs[i];
             let Phase::SpinCommit { step_idx } = proc.phase else {
                 unreachable!("spin_mask tracks SpinCommit membership");
             };
-            let step_dir = proc.commit_plan[step_idx].dir;
+            let step_dir = &self.dirs[proc.commit_plan[step_idx].dir];
             let tid = proc.tid.expect("commit spin requires a TID");
-            if self.dirs[step_dir].would_grant(i, tid, now) {
+            if step_dir.would_grant(i, tid, now) {
                 active.insert(i);
+            } else {
+                merge(&mut horizon, step_dir.busy_release(now));
             }
         }
         // Drain the event queue up to `now`, validating lazily: an entry is
@@ -694,15 +714,6 @@ impl<H: GatingHook> TccSystem<H> {
         }
         merge(&mut horizon, self.deadlines.peek().map(|r| r.0 .0));
         merge(&mut horizon, hook_deadline);
-        // Demand-driven resources: their deadlines are strictly in the
-        // future by construction (an idle resource reports `None`). The
-        // directory release times also bound how long a commit spinner can
-        // be left unprobed.
-        merge(&mut horizon, self.net.next_deadline(now));
-        merge(&mut horizon, self.token.next_deadline(now));
-        for dir in &self.dirs {
-            merge(&mut horizon, dir.next_deadline(now));
-        }
         match horizon {
             Some(h) => {
                 debug_assert!(h > now, "all now-or-earlier deadlines were handled above");
@@ -753,6 +764,8 @@ impl<H: GatingHook> TccSystem<H> {
         self.state_counts = (gated, missing, committing, throttled);
         self.done_count = self.procs.iter().filter(|p| p.is_done()).count();
         self.view_dirty = ProcSet::all(self.procs.len());
+        self.dirs_dirty.clear();
+        self.dirs_dirty.extend(0..self.dirs.len());
         self.fast_state_stale = false;
     }
 
@@ -762,24 +775,30 @@ impl<H: GatingHook> TccSystem<H> {
     /// per-cycle bookkeeping (state-cycle accounting, `attempt_cycles`
     /// increments, countdown decrements) is settled lazily by
     /// [`Self::flush_accounting`] the next time something happens to it.
+    /// The hook-visible view is refreshed in O(changed entries): only the
+    /// processors that acted and the directories whose marked set was
+    /// touched since the last executed cycle.
     fn step_cycle(&mut self, active: ProcSet, hook_due: bool) {
         let now = self.now;
         // Interval accounting from the incrementally maintained population
         // counts: O(1) instead of a sweep over every processor.
         self.record_intervals(1);
 
-        // Refresh the view snapshot: directory marked-bits every cycle (the
-        // cached bit vectors make this O(dirs)), processor entries only for
-        // the processors that acted since the last executed cycle. The
-        // result is byte-identical to the naive full refresh, and hooks keep
-        // seeing a start-of-cycle snapshot.
-        for i in std::mem::take(&mut self.view_dirty) {
-            self.view.proc_tx[i] = self.procs[i].current_tx_id();
-            self.view.proc_gated[i] = self.procs[i].phase.is_gated_like();
-        }
-        for (d, dir) in self.dirs.iter().enumerate() {
-            self.view.dir_marked[d] = dir.marked_bits();
-        }
+        // Refresh the view snapshot in O(changed entries): processor
+        // entries for the processors that acted since the last executed
+        // cycle, directory marked-bits for the directories whose marked set
+        // was touched since then. Jumps change neither, so the result is
+        // byte-identical to the naive full refresh, and hooks keep seeing a
+        // start-of-cycle snapshot.
+        refresh_dirty_entries(
+            &mut self.view,
+            &self.procs,
+            &self.dirs,
+            self.view_dirty,
+            &self.dirs_dirty,
+        );
+        self.view_dirty = ProcSet::empty();
+        self.dirs_dirty.clear();
 
         if hook_due {
             self.apply_hook_commands();
@@ -965,14 +984,51 @@ impl<H: GatingHook> TccSystem<H> {
         self.mirror_log(cycles, gated, missing, committing, throttled);
     }
 
+    /// Rebuild the whole hook-visible view from the machine state (the
+    /// naive engine's per-cycle refresh). It leaves nothing stale, so the
+    /// dirty-directory list is emptied.
     fn refresh_view(&mut self) {
-        for (i, proc) in self.procs.iter().enumerate() {
-            self.view.proc_tx[i] = proc.current_tx_id();
-            self.view.proc_gated[i] = proc.phase.is_gated_like();
+        fill_view(&mut self.view, &self.procs, &self.dirs);
+        self.dirs_dirty.clear();
+    }
+
+    /// Check the fast engine's incremental view maintenance: the view as
+    /// the next executed cycle would see it after refreshing only the dirty
+    /// processor and directory entries must equal a full rebuild from the
+    /// current machine state. Returns the first differing entry. Does not
+    /// change the system. Exists for the engine tests.
+    pub fn debug_check_view(&self) -> Result<(), String> {
+        if self.fast_state_stale {
+            // The next plan rebuilds the fast state, which marks every entry
+            // dirty.
+            return Ok(());
         }
-        for (d, dir) in self.dirs.iter().enumerate() {
-            self.view.dir_marked[d] = dir.marked_bits();
+        let mut incremental = self.view.clone();
+        refresh_dirty_entries(
+            &mut incremental,
+            &self.procs,
+            &self.dirs,
+            self.view_dirty,
+            &self.dirs_dirty,
+        );
+        let mut full = SystemView::new(self.procs.len(), self.dirs.len());
+        fill_view(&mut full, &self.procs, &self.dirs);
+        for i in 0..self.procs.len() {
+            if incremental.proc_tx[i] != full.proc_tx[i]
+                || incremental.proc_gated[i] != full.proc_gated[i]
+            {
+                return Err(format!("cycle {}: stale view of processor {i}", self.now));
+            }
         }
+        for d in 0..self.dirs.len() {
+            if incremental.dir_marked[d] != full.dir_marked[d] {
+                return Err(format!(
+                    "cycle {}: stale marked set of directory {d}",
+                    self.now
+                ));
+            }
+        }
+        Ok(())
     }
 
     fn apply_hook_commands(&mut self) {
@@ -1080,6 +1136,7 @@ impl<H: GatingHook> TccSystem<H> {
                 self.dirs[d].directory.clear_proc(i);
             }
         }
+        self.dirs_dirty.extend_from_slice(&touched);
         self.dir_scratch = touched;
     }
 
@@ -1113,6 +1170,7 @@ impl<H: GatingHook> TccSystem<H> {
         for &d in &touched {
             self.dirs[d].unmark(i);
         }
+        self.dirs_dirty.extend_from_slice(&touched);
         self.dir_scratch = touched;
         let until = self.now + self.cfg.stop_clock_drain_latency;
         self.procs[i].phase = Phase::GateDraining { until };
@@ -1396,6 +1454,7 @@ impl<H: GatingHook> TccSystem<H> {
             };
             self.net.request(self.now, route, BusTraffic::Control);
             self.dirs[d].mark(tid, i);
+            self.dirs_dirty.push(d);
         }
     }
 
@@ -1450,6 +1509,7 @@ impl<H: GatingHook> TccSystem<H> {
     fn finish_flush_step(&mut self, i: ProcId, step_idx: usize) {
         let dir = self.procs[i].commit_plan[step_idx].dir;
         self.dirs[dir].unmark(i);
+        self.dirs_dirty.push(dir);
         if step_idx + 1 < self.procs[i].commit_plan.len() {
             self.procs[i].phase = Phase::SpinCommit {
                 step_idx: step_idx + 1,
@@ -1532,6 +1592,35 @@ impl<H: GatingHook> TccSystem<H> {
         let log = self.interval_log.take().unwrap_or_default();
         let (outcome, hook) = self.into_parts();
         (outcome, hook, log)
+    }
+}
+
+/// Write every entry of `view` from the machine state.
+fn fill_view(view: &mut SystemView, procs: &[Processor], dirs: &[DirCtrl]) {
+    for (i, proc) in procs.iter().enumerate() {
+        view.proc_tx[i] = proc.current_tx_id();
+        view.proc_gated[i] = proc.phase.is_gated_like();
+    }
+    for (d, dir) in dirs.iter().enumerate() {
+        view.dir_marked[d] = dir.marked_bits();
+    }
+}
+
+/// Rewrite only the view entries of processors `stale_procs` and
+/// directories `stale_dirs` from the machine state.
+fn refresh_dirty_entries(
+    view: &mut SystemView,
+    procs: &[Processor],
+    dirs: &[DirCtrl],
+    stale_procs: ProcSet,
+    stale_dirs: &[DirId],
+) {
+    for i in stale_procs {
+        view.proc_tx[i] = procs[i].current_tx_id();
+        view.proc_gated[i] = procs[i].phase.is_gated_like();
+    }
+    for &d in stale_dirs {
+        view.dir_marked[d] = dirs[d].marked_bits();
     }
 }
 

@@ -103,20 +103,6 @@ impl TokenVendor {
         self.next_tid
     }
 
-    /// Next cycle (strictly after `now`) at which the vendor's state can
-    /// change on its own — the in-flight TID reply leaving the serial port —
-    /// or `None` when idle. A pipelined vendor holds no shared state, so it
-    /// never produces a deadline. Feeds the fast-forward engine's event
-    /// horizon.
-    #[must_use]
-    pub fn next_deadline(&self, now: Cycle) -> Option<Cycle> {
-        if self.pipelined {
-            None
-        } else {
-            self.port.next_deadline(now)
-        }
-    }
-
     /// Serialize the vendor state into a checkpoint payload.
     pub fn save_ckpt(&self, w: &mut CkptWriter) {
         w.put_u64(self.next_tid);
@@ -183,7 +169,6 @@ mod tests {
         let (_, r2) = v.request(0, 1);
         assert_eq!(r1, 5);
         assert_eq!(r2, 5, "same-cycle requests are not serialized");
-        assert_eq!(v.next_deadline(0), None);
         assert_eq!(v.issued(), 2);
     }
 
