@@ -8,7 +8,10 @@
 //! guarding the fast-forward wins of the event-driven engine against a
 //! dispatch regression. The ungated pair bounds the overhead on the
 //! cheapest hook (whose callbacks do nearly nothing, making relative
-//! dispatch cost maximal).
+//! dispatch cost maximal). The `hook_wake_commit_1024dirs` cell times the
+//! controller's own abort → wake → commit hooks on a 1024-directory machine,
+//! where a wake or commit that walks every directory's table instead of the
+//! victim's logged entries costs a thousand cache misses.
 
 use std::time::Duration;
 
@@ -19,7 +22,7 @@ use clockgate_htm::gating::contention::GatingAwarePolicy;
 use clockgate_htm::gating::controller::{ClockGateController, ControllerConfig};
 use clockgate_htm::gating::policy::PolicySpec;
 use htm_sim::config::SimConfig;
-use htm_tcc::hooks::NoGating;
+use htm_tcc::hooks::{GatingHook, NoGating, SystemView};
 use htm_tcc::system::{EngineKind, TccSystem};
 use htm_workloads::{by_name, WorkloadScale};
 
@@ -79,6 +82,24 @@ fn run_boxed_ungated(engine: EngineKind) -> u64 {
         .total_cycles
 }
 
+/// Directories of the hook cell: one per processor of a 1024p machine.
+const HOOK_DIRS: usize = 1024;
+/// Victims the hook cell rotates through (kept small so the tables stay a
+/// few MiB).
+const HOOK_PROCS: usize = 64;
+
+/// One gating episode per call: a directory logs an abort of a victim,
+/// the victim wakes, retries and commits. Successive calls rotate the
+/// directory and the victim.
+fn hook_episode(hook: &mut ClockGateController, view: &SystemView, step: usize) {
+    let (dir, victim) = ((step * 37) % HOOK_DIRS, step % HOOK_PROCS);
+    let aborter = (victim + 1) % HOOK_PROCS;
+    let now = step as u64 * 100;
+    hook.on_abort(dir, victim, aborter, 0x400, now, view);
+    hook.on_wake(victim, now + 50);
+    hook.on_commit(victim, now + 90);
+}
+
 fn bench(c: &mut Criterion) {
     // Both dispatch shapes must simulate the exact same machine.
     assert_eq!(
@@ -105,6 +126,20 @@ fn bench(c: &mut Criterion) {
             b.iter(|| black_box(run_boxed_ungated(engine)));
         });
     }
+    let mut hook = ClockGateController::new(
+        HOOK_DIRS,
+        HOOK_PROCS,
+        Box::new(GatingAwarePolicy::new(8)),
+        ControllerConfig::from_sim_config(&SimConfig::table2(PROCS)),
+    );
+    let view = SystemView::new(HOOK_PROCS, HOOK_DIRS);
+    let mut step = 0;
+    group.bench_function("hook_wake_commit_1024dirs", |b| {
+        b.iter(|| {
+            hook_episode(&mut hook, &view, step);
+            step += 1;
+        });
+    });
     group.finish();
 }
 

@@ -27,7 +27,7 @@
 use serde::{Deserialize, Serialize};
 
 use htm_sim::checkpoint::{CkptError, CkptReader, CkptWriter};
-use htm_sim::{Cycle, DirId, ProcId};
+use htm_sim::{Cycle, DirId, ProcId, ProcSet};
 use htm_tcc::hooks::{AbortAction, GateCommand, GatingHook, SystemView};
 use htm_tcc::txn::TxId;
 
@@ -156,6 +156,17 @@ pub struct ClockGateController {
     /// slot) and recomputed after every scan and on restore. Derived, so it
     /// is never serialized.
     pending_floor: Option<Cycle>,
+    /// Per-victim list of the directories whose entry for that victim is
+    /// logged (`off || abort_count > 0`), in no particular order and without
+    /// duplicates, so `on_wake` and `on_commit` touch only those entries
+    /// instead of one entry in every table. Exact: every other entry is
+    /// clean, and waking or resetting a clean entry is a no-op. Derived from
+    /// the tables, so it is rebuilt on restore and never serialized.
+    logged: Vec<Vec<DirId>>,
+    /// Per-directory set of the processors whose entry is OFF, so `tick_dir`
+    /// visits only entries that can hold a running timer. Derived like
+    /// `logged`.
+    off: Vec<ProcSet>,
 }
 
 impl std::fmt::Debug for ClockGateController {
@@ -186,6 +197,8 @@ impl ClockGateController {
             stats: GatingStats::default(),
             pending_min: vec![None; num_dirs],
             pending_floor: None,
+            logged: vec![Vec::new(); num_procs],
+            off: vec![ProcSet::empty(); num_dirs],
         }
     }
 
@@ -213,24 +226,21 @@ impl ClockGateController {
         &self.config
     }
 
-    /// Scan one directory's table at `now`: process every expired gating
-    /// timer (renew, or push a wake command into `out`) and recompute the
-    /// directory's `pending_min` slot exactly. Callers gate on the slot
-    /// being due, so a scan that finds nothing expired only happens to heal
-    /// a stale-early bound.
+    /// Scan one directory's OFF entries at `now`, in processor-id order:
+    /// process every expired gating timer (renew, or push a wake command
+    /// into `out`) and recompute the directory's `pending_min` slot exactly.
+    /// Callers gate on the slot being due, so a scan that finds nothing
+    /// expired only happens to heal a stale-early bound.
     fn tick_dir(&mut self, dir: DirId, now: Cycle, view: &SystemView, out: &mut Vec<GateCommand>) {
         let mut next_min: Option<Cycle> = None;
         let mut merge_min = |expires: Cycle| {
             next_min = Some(next_min.map_or(expires, |m: Cycle| m.min(expires)));
         };
-        let table = &mut self.tables[dir];
-        for proc in 0..view.proc_tx.len() {
+        for proc in self.off[dir] {
             let circuit = self.config.ungate_circuit_latency;
-            let entry = table.entry_mut(proc);
+            let entry = self.tables[dir].entry_mut(proc);
             if !entry.timer_expired(now) {
-                if entry.off {
-                    merge_min(entry.timer_expires);
-                }
+                merge_min(entry.timer_expires);
                 continue;
             }
             // Fig. 2(e): OR the marked processor ids and compare with the
@@ -238,48 +248,78 @@ impl ClockGateController {
             let aborter_present = entry
                 .aborter_proc
                 .is_some_and(|aborter| view.is_marked(dir, aborter));
-            if !self.config.renew_enabled || !aborter_present {
-                entry.turn_on();
+            let reason = if !self.config.renew_enabled || !aborter_present {
                 if aborter_present {
                     // Only reachable in the blind-timer ablation: the
                     // victim is woken even though its enemy is still
                     // committing here.
-                    self.stats.ungate_different_tx += 1;
+                    &mut self.stats.ungate_different_tx
                 } else {
-                    self.stats.ungate_aborter_gone += 1;
+                    &mut self.stats.ungate_aborter_gone
                 }
-                out.push(GateCommand::UngateProcessor { proc, dir });
-                continue;
-            }
-            // The aborter is still marked here: issue a TxInfoReq and
-            // compare its reply with the stored Aborter Tx Id.
-            let aborter = entry.aborter_proc.expect("aborter_present implies Some");
-            let reply = view.current_tx(aborter);
-            match (reply, entry.aborter_tx) {
-                (Some(current), Some(stored)) if current == stored => {
-                    // Same transaction still trying to commit: renew.
-                    let window = self
-                        .policy
-                        .window(proc, entry.abort_count, entry.renew_count + 1);
-                    entry.renew(now, window + self.config.txinfo_roundtrip_latency + circuit);
-                    merge_min(entry.timer_expires);
-                    self.stats.renewals += 1;
-                }
-                (None, _) => {
+            } else {
+                // The aborter is still marked here: issue a TxInfoReq and
+                // compare its reply with the stored Aborter Tx Id.
+                let aborter = entry.aborter_proc.expect("aborter_present implies Some");
+                match (view.current_tx(aborter), entry.aborter_tx) {
+                    (Some(current), Some(stored)) if current == stored => {
+                        // Same transaction still trying to commit: renew.
+                        let window =
+                            self.policy
+                                .window(proc, entry.abort_count, entry.renew_count + 1);
+                        entry.renew(now, window + self.config.txinfo_roundtrip_latency + circuit);
+                        merge_min(entry.timer_expires);
+                        self.stats.renewals += 1;
+                        continue;
+                    }
                     // Null reply: the aborter has itself been clock-gated.
-                    entry.turn_on();
-                    self.stats.ungate_null_reply += 1;
-                    out.push(GateCommand::UngateProcessor { proc, dir });
-                }
-                _ => {
+                    (None, _) => &mut self.stats.ungate_null_reply,
                     // Different transaction (or no stored id): wake up.
-                    entry.turn_on();
-                    self.stats.ungate_different_tx += 1;
-                    out.push(GateCommand::UngateProcessor { proc, dir });
+                    _ => &mut self.stats.ungate_different_tx,
                 }
-            }
+            };
+            *reason += 1;
+            self.turn_on(dir, proc);
+            out.push(GateCommand::UngateProcessor { proc, dir });
         }
         self.pending_min[dir] = next_min;
+    }
+
+    /// Clear `proc`'s OFF bit in directory `dir` (an OFF entry), keeping the
+    /// OFF set and the logged lists exact.
+    fn turn_on(&mut self, dir: DirId, proc: ProcId) {
+        let entry = self.tables[dir].entry_mut(proc);
+        entry.turn_on();
+        self.off[dir].remove(proc);
+        if entry.abort_count == 0 {
+            // Reset by a commit while still OFF (the victim was past its
+            // validation point when the abort was logged): clean now.
+            let list = &mut self.logged[proc];
+            let at = list
+                .iter()
+                .position(|&d| d == dir)
+                .expect("an OFF entry is logged");
+            list.swap_remove(at);
+        }
+    }
+
+    /// Rebuild the derived `logged` lists and `off` sets from the tables.
+    fn rebuild_index(&mut self) {
+        for list in &mut self.logged {
+            list.clear();
+        }
+        for (dir, table) in self.tables.iter().enumerate() {
+            let mut off = ProcSet::empty();
+            for (proc, entry) in table.iter() {
+                if entry.off {
+                    off.insert(proc);
+                }
+                if entry.off || entry.abort_count > 0 {
+                    self.logged[proc].push(dir);
+                }
+            }
+            self.off[dir] = off;
+        }
     }
 
     /// The earliest `pending_min` slot: the value `pending_floor` caches.
@@ -298,12 +338,16 @@ impl GatingHook for ClockGateController {
         now: Cycle,
         _view: &SystemView,
     ) -> AbortAction {
-        let entry = self.tables[dir].entry_mut(victim);
+        let entry = self.tables[dir].entry(victim);
+        let was_off = entry.off;
+        if !was_off && entry.abort_count == 0 {
+            // A clean entry becomes logged.
+            self.logged[victim].push(dir);
+        }
         // The directory queries the committing processor for the transaction
         // id with a TxInfoReq (Fig. 2(d)); the victim is already being
         // stopped, so the round trip only delays the availability of the
         // stored id, which we fold into the initial timer.
-        let was_off = entry.off;
         let provisional = entry.abort_count + 1;
         let window = self.policy.window(victim, provisional, 0);
         self.tables[dir].entry_mut(victim).record_abort(
@@ -312,6 +356,7 @@ impl GatingHook for ClockGateController {
             now,
             window + self.config.txinfo_roundtrip_latency,
         );
+        self.off[dir].insert(victim);
         if !was_off {
             self.stats.gatings += 1;
             self.policy.on_gated(victim, now);
@@ -351,26 +396,35 @@ impl GatingHook for ClockGateController {
     }
 
     fn on_commit(&mut self, proc: ProcId, _now: Cycle) {
-        for table in &mut self.tables {
-            table.entry_mut(proc).reset_on_commit();
-        }
+        // Only logged entries hold counters to reset; an entry stays logged
+        // while it is still OFF.
+        let tables = &mut self.tables;
+        self.logged[proc].retain(|&dir| {
+            let entry = tables[dir].entry_mut(proc);
+            entry.reset_on_commit();
+            entry.off
+        });
     }
 
     fn on_wake(&mut self, proc: ProcId, now: Cycle) {
         // The processor is running again; every directory that still believes
         // it is OFF will reconcile lazily (on_proc_activity) or has already
         // turned it on. Clearing the local timers here prevents spurious
-        // duplicate "on" commands from other directories.
+        // duplicate "on" commands from other directories. Every OFF entry
+        // is logged; an entry stays logged while it keeps an abort count.
         self.policy.on_wake(proc, now);
-        for table in &mut self.tables {
-            table.entry_mut(proc).turn_on();
-        }
+        let (tables, off) = (&mut self.tables, &mut self.off);
+        self.logged[proc].retain(|&dir| {
+            let entry = tables[dir].entry_mut(proc);
+            entry.turn_on();
+            off[dir].remove(proc);
+            entry.abort_count > 0
+        });
     }
 
     fn on_proc_activity(&mut self, proc: ProcId, dir: DirId, _now: Cycle) {
-        let entry = self.tables[dir].entry_mut(proc);
-        if entry.off {
-            entry.turn_on();
+        if self.off[dir].contains(proc) {
+            self.turn_on(dir, proc);
             self.stats.stale_off_reconciled += 1;
         }
     }
@@ -405,6 +459,7 @@ impl GatingHook for ClockGateController {
             *slot = r.get_opt_u64()?;
         }
         self.pending_floor = self.min_pending();
+        self.rebuild_index();
         self.policy.restore(r)
     }
 }
@@ -634,23 +689,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_recomputes_the_deadline_from_the_tables() {
-        let mut c = controller(2, 4, 8);
-        let v = view(4, 2);
-        c.on_abort(1, 2, 0, 0x400, 30, &v);
-        let mut w = CkptWriter::new();
-        c.snapshot(&mut w);
-        let payload = w.into_payload();
-        let mut restored = controller(2, 4, 8);
-        restored.restore(&mut CkptReader::new(&payload)).unwrap();
-        assert_eq!(restored.next_deadline(0), c.next_deadline(0));
-        assert!(restored.next_deadline(0).is_some());
-        let mut again = CkptWriter::new();
-        restored.snapshot(&mut again);
-        assert_eq!(again.into_payload(), payload, "the floor is not serialized");
-    }
-
-    #[test]
     fn gating_is_directory_local() {
         let mut c = controller(2, 2, 8);
         let v = view(2, 2);
@@ -660,5 +698,305 @@ mod tests {
             !c.table(1).entry(1).off,
             "the other directory keeps its own view"
         );
+    }
+
+    impl ClockGateController {
+        /// The directories logged for `victim`, sorted (list order is not
+        /// observable).
+        fn logged_dirs(&self, victim: ProcId) -> Vec<DirId> {
+            let mut dirs = self.logged[victim].clone();
+            dirs.sort_unstable();
+            dirs
+        }
+
+        /// Assert that the derived lists and OFF sets match the tables.
+        fn check_index(&self) {
+            for (proc, list) in self.logged.iter().enumerate() {
+                let expect: Vec<DirId> = (0..self.tables.len())
+                    .filter(|&d| {
+                        let e = self.tables[d].entry(proc);
+                        e.off || e.abort_count > 0
+                    })
+                    .collect();
+                assert_eq!(self.logged_dirs(proc), expect, "logged list of {proc}");
+                assert_eq!(list.len(), expect.len(), "duplicate in list of {proc}");
+            }
+            for (dir, table) in self.tables.iter().enumerate() {
+                let expect: ProcSet = table
+                    .iter()
+                    .filter(|(_, e)| e.off)
+                    .map(|(p, _)| p)
+                    .collect();
+                assert_eq!(self.off[dir], expect, "OFF set of directory {dir}");
+            }
+        }
+    }
+
+    /// A controller whose hooks walk every table and every entry: the dense
+    /// reference the indexed controller must match.
+    struct DenseController {
+        tables: Vec<GatingTable>,
+        policy: GatingAwarePolicy,
+        config: ControllerConfig,
+        stats: GatingStats,
+    }
+
+    impl DenseController {
+        fn new(dirs: usize, procs: usize, w0: u64) -> Self {
+            let c = controller(dirs, procs, w0);
+            Self {
+                tables: c.tables,
+                policy: GatingAwarePolicy::new(w0),
+                config: c.config,
+                stats: GatingStats::default(),
+            }
+        }
+
+        fn on_abort(&mut self, dir: DirId, victim: ProcId, aborter: ProcId, tx: TxId, now: Cycle) {
+            let entry = self.tables[dir].entry_mut(victim);
+            let was_off = entry.off;
+            let window = self.policy.window(victim, entry.abort_count + 1, 0);
+            entry.record_abort(
+                aborter,
+                tx,
+                now,
+                window + self.config.txinfo_roundtrip_latency,
+            );
+            if !was_off {
+                self.stats.gatings += 1;
+            }
+        }
+
+        fn on_tick(&mut self, now: Cycle, view: &SystemView) -> Vec<GateCommand> {
+            let mut out = Vec::new();
+            for (dir, table) in self.tables.iter_mut().enumerate() {
+                for proc in 0..view.proc_tx.len() {
+                    let entry = table.entry_mut(proc);
+                    if !entry.timer_expired(now) {
+                        continue;
+                    }
+                    let aborter_present = entry
+                        .aborter_proc
+                        .is_some_and(|aborter| view.is_marked(dir, aborter));
+                    if !aborter_present {
+                        self.stats.ungate_aborter_gone += 1;
+                    } else if !self.config.renew_enabled {
+                        self.stats.ungate_different_tx += 1;
+                    } else {
+                        let reply = view.current_tx(entry.aborter_proc.unwrap());
+                        match (reply, entry.aborter_tx) {
+                            (Some(current), Some(stored)) if current == stored => {
+                                let window = self.policy.window(
+                                    proc,
+                                    entry.abort_count,
+                                    entry.renew_count + 1,
+                                );
+                                entry.renew(
+                                    now,
+                                    window
+                                        + self.config.txinfo_roundtrip_latency
+                                        + self.config.ungate_circuit_latency,
+                                );
+                                self.stats.renewals += 1;
+                                continue;
+                            }
+                            (None, _) => self.stats.ungate_null_reply += 1,
+                            _ => self.stats.ungate_different_tx += 1,
+                        }
+                    }
+                    entry.turn_on();
+                    out.push(GateCommand::UngateProcessor { proc, dir });
+                }
+            }
+            out
+        }
+
+        fn on_commit(&mut self, proc: ProcId) {
+            for table in &mut self.tables {
+                table.entry_mut(proc).reset_on_commit();
+            }
+        }
+
+        fn on_wake(&mut self, proc: ProcId) {
+            for table in &mut self.tables {
+                table.entry_mut(proc).turn_on();
+            }
+        }
+
+        fn on_proc_activity(&mut self, proc: ProcId, dir: DirId) {
+            let entry = self.tables[dir].entry_mut(proc);
+            if entry.off {
+                entry.turn_on();
+                self.stats.stale_off_reconciled += 1;
+            }
+        }
+    }
+
+    fn assert_matches_dense(c: &ClockGateController, dense: &DenseController, context: &str) {
+        assert_eq!(c.tables, dense.tables, "{context}: tables");
+        assert_eq!(c.stats, dense.stats, "{context}: stats");
+        c.check_index();
+    }
+
+    /// xorshift64: a tiny deterministic generator for the op sequences.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    /// Drive `c` and `dense` through the same seeded random sequence of
+    /// hook calls, checking them against each other after every call.
+    fn random_ops(c: &mut ClockGateController, dense: &mut DenseController, seed: u64, ops: usize) {
+        let (dirs, procs) = (c.tables.len(), c.logged.len());
+        let mut rng = Rng(seed);
+        let mut v = view(procs, dirs);
+        let mut now = 0;
+        for op in 0..ops {
+            now += rng.below(6);
+            let proc = rng.below(procs as u64) as usize;
+            let dir = rng.below(dirs as u64) as usize;
+            match rng.below(10) {
+                0..=2 => {
+                    let aborter = rng.below(procs as u64) as usize;
+                    let tx = rng.below(3);
+                    c.on_abort(dir, proc, aborter, tx, now, &v);
+                    dense.on_abort(dir, proc, aborter, tx, now);
+                }
+                3..=5 => {
+                    // Reshuffle what the Fig. 2(e) circuit sees, so ticks
+                    // take every renew and wake branch.
+                    for d in 0..dirs {
+                        v.dir_marked[d] = ProcSet::from_bits(rng.below(1 << procs));
+                    }
+                    for p in 0..procs {
+                        v.proc_tx[p] = Some(rng.below(3)).filter(|_| rng.below(4) > 0);
+                        v.proc_gated[p] = rng.below(5) == 0;
+                    }
+                    assert_eq!(
+                        tick(c, now, &v),
+                        dense.on_tick(now, &v),
+                        "op {op}: commands"
+                    );
+                }
+                6 => {
+                    c.on_commit(proc, now);
+                    dense.on_commit(proc);
+                }
+                7 | 8 => {
+                    c.on_wake(proc, now);
+                    dense.on_wake(proc);
+                }
+                _ => {
+                    c.on_proc_activity(proc, dir, now);
+                    dense.on_proc_activity(proc, dir);
+                }
+            }
+            assert_matches_dense(c, dense, &format!("seed {seed} op {op}"));
+        }
+    }
+
+    #[test]
+    fn reset_but_still_off_entry_is_logged_once() {
+        // A victim past its validation point is aborted (the entry is
+        // logged and OFF), commits anyway (counters reset, still OFF), is
+        // turned on by its timer and then aborted again.
+        for reconcile_by_activity in [false, true] {
+            let mut c = controller(2, 4, 8);
+            let mut dense = DenseController::new(2, 4, 8);
+            let v = view(4, 2);
+            c.on_abort(1, 2, 0, 0x400, 0, &v);
+            dense.on_abort(1, 2, 0, 0x400, 0);
+            c.on_commit(2, 5);
+            dense.on_commit(2);
+            assert_eq!(c.logged_dirs(2), vec![1], "still OFF, so still logged");
+            assert_matches_dense(&c, &dense, "after the commit");
+            if reconcile_by_activity {
+                c.on_proc_activity(2, 1, 6);
+                dense.on_proc_activity(2, 1);
+            } else {
+                let expiry = c.table(1).entry(2).timer_expires;
+                assert_eq!(tick(&mut c, expiry, &v), dense.on_tick(expiry, &v));
+                assert_eq!(tick(&mut c, expiry, &v).len(), 0);
+            }
+            assert!(!c.table(1).entry(2).off);
+            assert_matches_dense(&c, &dense, "after the wake");
+            c.on_abort(1, 2, 3, 0x500, 200, &v);
+            dense.on_abort(1, 2, 3, 0x500, 200);
+            assert_eq!(c.logged[2], vec![1], "exactly one list entry");
+            assert_matches_dense(&c, &dense, "after the re-abort");
+        }
+    }
+
+    #[test]
+    fn random_hook_sequences_match_the_dense_controller() {
+        for seed in [1, 2, 3, 0x5eed_cafe] {
+            let mut c = controller(8, 8, 4);
+            let mut dense = DenseController::new(8, 8, 4);
+            random_ops(&mut c, &mut dense, seed, 4000);
+            let stats = dense.stats;
+            assert!(
+                stats.renewals > 0
+                    && stats.ungate_aborter_gone > 0
+                    && stats.ungate_different_tx > 0
+                    && stats.ungate_null_reply > 0
+                    && stats.stale_off_reconciled > 0,
+                "seed {seed}: every branch must be taken: {stats:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn restore_rebuilds_the_derived_state_from_the_tables() {
+        let mut c = controller(8, 8, 4);
+        let mut dense = DenseController::new(8, 8, 4);
+        random_ops(&mut c, &mut dense, 7, 500);
+        assert!(
+            c.off.iter().any(|set| !set.is_empty()),
+            "the sequence must leave entries OFF"
+        );
+        let mut w = CkptWriter::new();
+        c.snapshot(&mut w);
+        let payload = w.into_payload();
+        let mut restored = controller(8, 8, 4);
+        restored.restore(&mut CkptReader::new(&payload)).unwrap();
+        for proc in 0..8 {
+            assert_eq!(restored.logged_dirs(proc), c.logged_dirs(proc));
+        }
+        assert_eq!(restored.off, c.off);
+        restored.check_index();
+        assert_eq!(restored.next_deadline(0), c.next_deadline(0));
+        assert!(restored.next_deadline(0).is_some());
+        let mut again = CkptWriter::new();
+        restored.snapshot(&mut again);
+        assert_eq!(
+            again.into_payload(),
+            payload,
+            "the floor, lists and OFF sets are not serialized"
+        );
+        // The restored controller carries on exactly like the live one.
+        random_ops(&mut restored, &mut dense, 8, 500);
+    }
+
+    #[test]
+    fn wake_and_commit_touch_only_the_logged_entries() {
+        // The cost pin: on 1024 directories a victim with one logged abort
+        // is woken and reset through a one-entry list, not 1024 tables.
+        let mut c = controller(1024, 4, 8);
+        let v = view(4, 1024);
+        c.on_abort(517, 3, 0, 0x400, 0, &v);
+        assert_eq!(c.logged[3].len(), 1, "on_wake walks one entry");
+        c.on_wake(3, 40);
+        assert!(!c.table(517).entry(3).off);
+        assert_eq!(c.logged[3].len(), 1, "on_commit walks one entry");
+        c.on_commit(3, 90);
+        assert_eq!(c.table(517).entry(3).abort_count, 0);
+        assert!(c.logged[3].is_empty(), "a committed victim is clean");
+        c.check_index();
     }
 }

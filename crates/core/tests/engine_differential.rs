@@ -19,15 +19,22 @@
 //! designed to provoke conflicts, aborts, gating, renewal, throttled
 //! windows, oracle subscriptions and multi-island decompositions.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use clockgate_htm::checkpoint::{atomic_write_bytes, checkpoint_path, CheckpointConfig};
 use clockgate_htm::gating::policy::PolicyHook;
 use clockgate_htm::report::to_json;
 use clockgate_htm::sim::{
     choose_engine, EngineChoice, EngineKind, GatingMode, SimReport, SimulationBuilder,
 };
+use htm_sim::checkpoint::{CkptError, CkptReader, CkptWriter};
 use htm_sim::config::SimConfig;
 use htm_sim::topology::TopologyConfig;
+use htm_sim::{Cycle, DirId, ProcId, ProcSet};
+use htm_tcc::hooks::{AbortAction, GateCommand, GatingHook, SystemView};
 use htm_tcc::system::TccSystem;
-use htm_tcc::txn::{Op, ThreadTrace, Transaction, WorkloadTrace};
+use htm_tcc::txn::{Op, ThreadTrace, Transaction, TxId, WorkloadTrace};
 use htm_workloads::registry::ALL_WORKLOADS;
 use htm_workloads::WorkloadScale;
 use proptest::prelude::*;
@@ -340,6 +347,142 @@ fn incremental_view_survives_interleaved_naive_steps() {
     assert_eq!(
         mixed, reference,
         "interleaving engines must not change the run"
+    );
+}
+
+/// What [`GateProbe`] has seen of the run so far.
+#[derive(Default)]
+struct Seen {
+    /// Processors stopped now: a `Gate` answer stops its victim (or one
+    /// already past its validation point, which then commits instead), and
+    /// a wake or a commit restarts it.
+    stopped: ProcSet,
+    wakes: u64,
+    commits: u64,
+}
+
+/// Delegates to the gated hook and records what it sees into a shared
+/// [`Seen`], which the test reads while the system owns the hook.
+struct GateProbe {
+    inner: Box<dyn PolicyHook>,
+    seen: Rc<RefCell<Seen>>,
+}
+
+impl GatingHook for GateProbe {
+    fn on_abort(
+        &mut self,
+        dir: DirId,
+        victim: ProcId,
+        aborter: ProcId,
+        aborter_tx: TxId,
+        now: Cycle,
+        view: &SystemView,
+    ) -> AbortAction {
+        let action = self
+            .inner
+            .on_abort(dir, victim, aborter, aborter_tx, now, view);
+        if action == AbortAction::Gate {
+            self.seen.borrow_mut().stopped.insert(victim);
+        }
+        action
+    }
+
+    fn on_tick(&mut self, now: Cycle, view: &SystemView, out: &mut Vec<GateCommand>) {
+        self.inner.on_tick(now, view, out);
+    }
+
+    fn next_deadline(&self, now: Cycle) -> Option<Cycle> {
+        self.inner.next_deadline(now)
+    }
+
+    fn on_commit(&mut self, proc: ProcId, now: Cycle) {
+        let mut seen = self.seen.borrow_mut();
+        seen.stopped.remove(proc);
+        seen.commits += 1;
+        drop(seen);
+        self.inner.on_commit(proc, now);
+    }
+
+    fn on_wake(&mut self, proc: ProcId, now: Cycle) {
+        let mut seen = self.seen.borrow_mut();
+        seen.stopped.remove(proc);
+        seen.wakes += 1;
+        drop(seen);
+        self.inner.on_wake(proc, now);
+    }
+
+    fn on_proc_activity(&mut self, proc: ProcId, dir: DirId, now: Cycle) {
+        self.inner.on_proc_activity(proc, dir, now);
+    }
+
+    fn snapshot(&self, w: &mut CkptWriter) {
+        self.inner.snapshot(w);
+    }
+
+    fn restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
+        self.inner.restore(r)
+    }
+}
+
+#[test]
+fn gated_64p_checkpoint_restored_while_processors_are_gated_is_exact() {
+    // The gating controller keeps derived per-victim lists of its logged
+    // directories and per-directory OFF sets, rebuilt on restore. Checkpoint
+    // a contended, gated, sharded 64p run at window boundaries where
+    // processors are stopped after wakes and commits have interleaved,
+    // resume each checkpoint through the checkpointed runner, and require
+    // the report of every resumed run to equal the uninterrupted run's and
+    // the naive engine's byte for byte.
+    let mode = GatingMode::ClockGate { w0: 8 };
+    let cfg = SimConfig::table2_with_topology(64, sharded());
+    let trace = || htm_workloads::by_name("intruder", 64, WorkloadScale::Test, 11).unwrap();
+    let fast = run_named_on(mode, "intruder", 64, EngineKind::FastForward, sharded());
+    let naive = run_named_on(mode, "intruder", 64, EngineKind::Naive, sharded());
+    assert_identical(&fast, &naive, "gated intruder 64p sharded");
+
+    let dir = std::env::temp_dir().join(format!("clockgate-gated-restore-{}", std::process::id()));
+    let key = "gated-64p";
+    let seen = Rc::new(RefCell::new(Seen::default()));
+    let probe = GateProbe {
+        inner: mode.build(&cfg),
+        seen: Rc::clone(&seen),
+    };
+    let mut sys = TccSystem::new(cfg.clone(), trace(), probe).unwrap();
+    let mut restored_at = Vec::new();
+    let mut boundary = 0;
+    while restored_at.len() < 3 && !sys.is_complete() {
+        boundary += 1_000;
+        sys.advance_until(boundary);
+        let interleaved = {
+            let seen = seen.borrow();
+            seen.stopped.len() >= 2 && seen.wakes > 0 && seen.commits > 0
+        };
+        if !interleaved {
+            continue;
+        }
+        let at = sys.now();
+        let payload = sys.save_checkpoint();
+        let path = checkpoint_path(&dir, key, at);
+        std::fs::create_dir_all(&dir).unwrap();
+        atomic_write_bytes(&path, &htm_sim::checkpoint::seal(&payload)).unwrap();
+        let (resumed, info) = SimulationBuilder::new()
+            .config(cfg.clone())
+            .workload(trace())
+            .gating(mode)
+            .cycle_limit(50_000_000)
+            .engine(EngineKind::FastForward)
+            .run_checkpointed(&CheckpointConfig::new(&dir, 1 << 40, key))
+            .unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(info.resumed_from, Some(at), "must resume from cycle {at}");
+        assert_identical(&resumed, &fast, &format!("resumed at cycle {at}"));
+        restored_at.push(at);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        restored_at.len(),
+        3,
+        "the run must stop processors at three window boundaries"
     );
 }
 
