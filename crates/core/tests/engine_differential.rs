@@ -290,6 +290,52 @@ fn contended_many_directory_runs_are_engine_exact() {
     }
 }
 
+/// `procs` threads in groups of six (some groups straddle a 64-processor
+/// word boundary), each running three transactions that read and write the
+/// group's four hot lines: every group contends, and sharer and marked sets
+/// hold members from every word of the machine.
+fn grouped_trace(procs: usize) -> WorkloadTrace {
+    let threads = (0..procs)
+        .map(|p| {
+            let hot = 4 * (p as u64 / 6);
+            let txs = (0..3u64)
+                .map(|t| {
+                    let line = |k: u64| 64 * (hot + (p as u64 + k) % 4);
+                    let ops = vec![
+                        Op::Read(line(t)),
+                        Op::Compute(10 + (p as u64 * 7 + t * 13) % 40),
+                        Op::Write(line(t + 1)),
+                        Op::Read(4096 * (p as u64 + 1)),
+                    ];
+                    Transaction::new(p as TxId * 16 + t, ops)
+                })
+                .collect();
+            ThreadTrace::new(txs)
+        })
+        .collect();
+    WorkloadTrace::new("grouped", threads)
+}
+
+#[test]
+fn processor_set_width_boundaries_are_engine_exact() {
+    // The engine keeps its processor sets 1 word wide up to 64 processors,
+    // 4 up to 256 and 16 above: each side of both boundaries, gated.
+    for procs in [64usize, 65, 256, 257] {
+        let mode = GatingMode::ClockGate { w0: 8 };
+        let fast = run_trace_on(
+            mode,
+            grouped_trace(procs),
+            EngineKind::FastForward,
+            sharded(),
+        );
+        let naive = run_trace_on(mode, grouped_trace(procs), EngineKind::Naive, sharded());
+        let context = format!("grouped {procs}p sharded");
+        assert_identical(&fast, &naive, &context);
+        assert!(fast.outcome.total_gatings > 0, "{context}: must gate");
+        assert_eq!(fast.outcome.total_commits, 3 * procs as u64, "{context}");
+    }
+}
+
 /// A 64-processor intruder machine on the default sharded fabric with the
 /// paper's Eq. 8 clock-gating controller.
 fn contended_sharded_system() -> TccSystem<Box<dyn PolicyHook>> {

@@ -1,5 +1,9 @@
 //! Full-bit-vector directory state (sharers and owner per line).
 //!
+//! The sharer vectors are [`ProcBits<W>`] sets whose width `W` the engine
+//! picks per machine ([`htm_sim::proc_set_words`]), so a 4-processor
+//! directory keeps 8-byte sharer sets and a 1024-processor one 128-byte sets.
+//!
 //! Each directory is home to the cache lines that interleave onto it (see
 //! [`crate::addr::AddressMap`]). For every line it tracks which processors
 //! have speculatively read the line during their *current* transaction (the
@@ -16,15 +20,15 @@ use serde::{Deserialize, Serialize};
 
 use htm_sim::checkpoint::{CkptError, CkptReader, CkptWriter};
 use htm_sim::fxhash::{FxHashMap, FxHashSet};
-use htm_sim::{ProcId, ProcSet};
+use htm_sim::{ProcBits, ProcId};
 
 use crate::addr::LineAddr;
 
 /// Per-line directory state.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct LineEntry {
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+struct LineEntry<const W: usize> {
     /// Bit vector of processors that speculatively read this line.
-    sharers: ProcSet,
+    sharers: ProcBits<W>,
     /// Processor that last committed (owns) this line.
     owner: Option<ProcId>,
 }
@@ -40,32 +44,33 @@ pub struct DirectoryStats {
     pub invalidations_sent: u64,
 }
 
-/// Sharer / owner tracking for the lines homed at one directory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Directory {
+/// Sharer / owner tracking for the lines homed at one directory, with
+/// sharer sets `W` words wide.
+#[derive(Debug, Clone)]
+pub struct Directory<const W: usize> {
     /// Directory identifier (for diagnostics only).
     id: usize,
     /// Maximum number of processors (bounds the bit vector).
     num_procs: usize,
-    lines: FxHashMap<LineAddr, LineEntry>,
+    lines: FxHashMap<LineAddr, LineEntry<W>>,
     /// For fast clearing on commit/abort: the set of lines each processor is
     /// currently registered as sharing here.
     reader_sets: Vec<FxHashSet<LineAddr>>,
     stats: DirectoryStats,
 }
 
-impl Directory {
+impl<const W: usize> Directory<W> {
     /// Create directory `id` for a system of `num_procs` processors.
     ///
     /// # Panics
-    /// Panics if `num_procs` exceeds [`htm_sim::MAX_PROCS`] (the width of
-    /// the fixed-size full-bit sharer vector).
+    /// Panics if `num_procs` exceeds the sharer sets' capacity of `W · 64`
+    /// processors.
     #[must_use]
     pub fn new(id: usize, num_procs: usize) -> Self {
         assert!(
-            num_procs <= htm_sim::MAX_PROCS,
+            num_procs <= ProcBits::<W>::CAPACITY,
             "full-bit vector limited to {} processors",
-            htm_sim::MAX_PROCS
+            ProcBits::<W>::CAPACITY
         );
         Self {
             id,
@@ -102,10 +107,10 @@ impl Directory {
     /// Processors currently registered as sharers of `line`, as a bit-vector
     /// set (allocation-free; iterate it directly on the hot path).
     #[must_use]
-    pub fn sharers(&self, line: LineAddr) -> ProcSet {
+    pub fn sharers(&self, line: LineAddr) -> ProcBits<W> {
         self.lines
             .get(&line)
-            .map_or(ProcSet::empty(), |e| e.sharers)
+            .map_or(ProcBits::empty(), |e| e.sharers)
     }
 
     /// Owner of `line`, if it has been committed before.
@@ -124,7 +129,7 @@ impl Directory {
     /// every *other* sharer must be invalidated (and, if the line is in its
     /// speculative read set, aborted). Returns the processors to invalidate
     /// as a bit-vector set so the hot path never allocates per line.
-    pub fn commit_line(&mut self, line: LineAddr, committer: ProcId) -> ProcSet {
+    pub fn commit_line(&mut self, line: LineAddr, committer: ProcId) -> ProcBits<W> {
         assert!(committer < self.num_procs);
         let entry = self.lines.entry(line).or_default();
         let victims = entry.sharers.without(committer);
@@ -142,15 +147,19 @@ impl Directory {
     }
 
     /// Clear every sharer registration belonging to `proc` (called when that
-    /// processor commits or aborts its transaction).
+    /// processor commits or aborts its transaction). The reader set is
+    /// drained in place and handed back, so its capacity survives for the
+    /// next transaction; clearing bits commutes, so the drain order is
+    /// irrelevant.
     pub fn clear_proc(&mut self, proc: ProcId) {
         assert!(proc < self.num_procs);
-        let lines: Vec<LineAddr> = self.reader_sets[proc].drain().collect();
-        for line in lines {
+        let mut lines = std::mem::take(&mut self.reader_sets[proc]);
+        for line in lines.drain() {
             if let Some(entry) = self.lines.get_mut(&line) {
                 entry.sharers.remove(proc);
             }
         }
+        self.reader_sets[proc] = lines;
     }
 
     /// Total number of lines with any directory state.
@@ -166,7 +175,7 @@ impl Directory {
     pub fn save_ckpt(&self, w: &mut CkptWriter) {
         w.put_usize(self.id);
         w.put_usize(self.num_procs);
-        let mut lines: Vec<(&LineAddr, &LineEntry)> = self.lines.iter().collect();
+        let mut lines: Vec<(&LineAddr, &LineEntry<W>)> = self.lines.iter().collect();
         lines.sort_by_key(|(line, _)| line.0);
         w.put_usize(lines.len());
         for (line, entry) in lines {
@@ -184,11 +193,12 @@ impl Directory {
         w.put_u64(self.stats.invalidations_sent);
     }
 
-    /// Inverse of [`Self::save_ckpt`].
+    /// Inverse of [`Self::save_ckpt`]. A processor count or sharer the
+    /// `W`-word sets cannot hold is reported as a corrupt payload.
     pub fn load_ckpt(r: &mut CkptReader<'_>) -> Result<Self, CkptError> {
         let id = r.get_usize()?;
         let num_procs = r.get_usize()?;
-        if num_procs > htm_sim::MAX_PROCS {
+        if num_procs > ProcBits::<W>::CAPACITY {
             return Err(CkptError::Corrupt(format!(
                 "directory with {num_procs} processors exceeds the bit-vector width"
             )));
@@ -197,7 +207,7 @@ impl Directory {
         let mut lines = FxHashMap::default();
         for _ in 0..n {
             let line = LineAddr(r.get_u64()?);
-            let sharers = ProcSet::load_ckpt(r)?;
+            let sharers = ProcBits::load_ckpt(r)?;
             let owner = r.get_opt_usize()?;
             lines.insert(line, LineEntry { sharers, owner });
         }
@@ -226,7 +236,7 @@ mod tests {
 
     #[test]
     fn add_sharer_and_query() {
-        let mut d = Directory::new(0, 4);
+        let mut d = Directory::<1>::new(0, 4);
         d.add_sharer(LineAddr(10), 1);
         d.add_sharer(LineAddr(10), 3);
         assert_eq!(
@@ -239,7 +249,7 @@ mod tests {
 
     #[test]
     fn duplicate_sharer_not_double_counted() {
-        let mut d = Directory::new(0, 4);
+        let mut d = Directory::<1>::new(0, 4);
         d.add_sharer(LineAddr(10), 1);
         d.add_sharer(LineAddr(10), 1);
         assert_eq!(d.sharers(LineAddr(10)).iter().collect::<Vec<_>>(), vec![1]);
@@ -249,7 +259,7 @@ mod tests {
 
     #[test]
     fn commit_invalidates_other_sharers_only() {
-        let mut d = Directory::new(0, 4);
+        let mut d = Directory::<1>::new(0, 4);
         d.add_sharer(LineAddr(5), 0);
         d.add_sharer(LineAddr(5), 1);
         d.add_sharer(LineAddr(5), 2);
@@ -264,7 +274,7 @@ mod tests {
 
     #[test]
     fn commit_of_unshared_line_invalidates_nobody() {
-        let mut d = Directory::new(0, 4);
+        let mut d = Directory::<1>::new(0, 4);
         let victims = d.commit_line(LineAddr(99), 2);
         assert!(victims.is_empty());
         assert_eq!(d.owner(LineAddr(99)), Some(2));
@@ -272,7 +282,7 @@ mod tests {
 
     #[test]
     fn clear_proc_removes_all_registrations() {
-        let mut d = Directory::new(0, 4);
+        let mut d = Directory::<1>::new(0, 4);
         d.add_sharer(LineAddr(1), 0);
         d.add_sharer(LineAddr(2), 0);
         d.add_sharer(LineAddr(2), 1);
@@ -285,8 +295,21 @@ mod tests {
     }
 
     #[test]
+    fn clear_proc_keeps_the_reader_set_capacity() {
+        let mut d = Directory::<1>::new(0, 4);
+        for l in 0..32 {
+            d.add_sharer(LineAddr(l), 2);
+        }
+        let capacity = d.reader_sets[2].capacity();
+        d.clear_proc(2);
+        assert_eq!(d.shared_line_count(2), 0);
+        assert_eq!(d.reader_sets[2].capacity(), capacity);
+        assert!((0..32).all(|l| d.sharers(LineAddr(l)).is_empty()));
+    }
+
+    #[test]
     fn owner_survives_sharer_clearing() {
-        let mut d = Directory::new(0, 4);
+        let mut d = Directory::<1>::new(0, 4);
         d.add_sharer(LineAddr(7), 3);
         d.commit_line(LineAddr(7), 3);
         d.clear_proc(3);
@@ -297,7 +320,7 @@ mod tests {
     fn sharers_conservative_across_commits() {
         // A processor's registration persists until clear_proc, modelling the
         // conservative clearing described in the module docs.
-        let mut d = Directory::new(0, 2);
+        let mut d = Directory::<1>::new(0, 2);
         d.add_sharer(LineAddr(3), 0);
         let victims = d.commit_line(LineAddr(3), 1);
         assert_eq!(victims.iter().collect::<Vec<_>>(), vec![0]);
@@ -306,12 +329,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "1024 processors")]
     fn rejects_too_many_procs() {
-        let _ = Directory::new(0, htm_sim::MAX_PROCS + 1);
+        let _ = Directory::<16>::new(0, htm_sim::MAX_PROCS + 1);
     }
 
     #[test]
     fn wide_machine_sharers_work_beyond_64_procs() {
-        let mut d = Directory::new(0, 1024);
+        let mut d = Directory::<16>::new(0, 1024);
         d.add_sharer(LineAddr(5), 70);
         d.add_sharer(LineAddr(5), 1000);
         let victims = d.commit_line(LineAddr(5), 1000);
@@ -321,7 +344,7 @@ mod tests {
 
     #[test]
     fn tracked_lines_counts_entries() {
-        let mut d = Directory::new(0, 4);
+        let mut d = Directory::<1>::new(0, 4);
         d.add_sharer(LineAddr(1), 0);
         d.add_sharer(LineAddr(2), 0);
         d.commit_line(LineAddr(3), 1);

@@ -439,9 +439,10 @@ impl<'a> CkptReader<'a> {
 
 // ----- codecs for the substrate's shared plain types ---------------------------
 
-impl crate::ProcSet {
+impl<const W: usize> crate::ProcBits<W> {
     /// Serialize as an ascending member list (compact for the sparse sets
-    /// the protocol actually keeps, and width-independent).
+    /// the protocol actually keeps, and width-independent: a set writes the
+    /// same bytes at every `W` that can hold it).
     pub fn save_ckpt(&self, w: &mut CkptWriter) {
         w.put_usize(self.len());
         for p in self.iter() {
@@ -449,13 +450,14 @@ impl crate::ProcSet {
         }
     }
 
-    /// Inverse of [`Self::save_ckpt`].
+    /// Inverse of [`Self::save_ckpt`]. A member the set cannot hold
+    /// (`≥ W · 64`) is a corrupt payload, not a panic.
     pub fn load_ckpt(r: &mut CkptReader<'_>) -> Result<Self, CkptError> {
         let n = r.get_usize()?;
         let mut set = Self::empty();
         for _ in 0..n {
             let p = r.get_usize()?;
-            if p >= crate::MAX_PROCS {
+            if p >= Self::CAPACITY {
                 return Err(CkptError::Corrupt(format!("processor id {p} out of range")));
             }
             set.insert(p);
@@ -611,6 +613,22 @@ mod tests {
         let mut r = CkptReader::new(&payload);
         assert_eq!(crate::ProcSet::load_ckpt(&mut r).unwrap(), set);
         r.expect_end().unwrap();
+    }
+
+    #[test]
+    fn narrow_proc_set_codec_rejects_members_past_its_width() {
+        let set: crate::ProcSet = [3usize, 100].into_iter().collect();
+        let mut w = CkptWriter::new();
+        set.save_ckpt(&mut w);
+        let payload = w.into_payload();
+        let mut r = CkptReader::new(&payload);
+        assert!(matches!(
+            crate::ProcBits::<1>::load_ckpt(&mut r),
+            Err(CkptError::Corrupt(_))
+        ));
+        let mut r = CkptReader::new(&payload);
+        let four = crate::ProcBits::<4>::load_ckpt(&mut r).unwrap();
+        assert_eq!(four.widen::<16>(), set);
     }
 
     #[test]

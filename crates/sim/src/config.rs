@@ -157,9 +157,9 @@ impl SimConfig {
             return Err("num_procs must be >= 1".into());
         }
         if self.num_procs > MAX_PROCS {
-            // The directory sharer vectors, the hook view's marked bits and
-            // the engine's active/spinner masks are all fixed-width
-            // full-bit vectors (`ProcSet`).
+            // Processor sets are full-bit vectors sized to the machine
+            // (`proc_set_words`: 1, 4 or 16 words); the widest, `ProcSet`,
+            // which the hook view's marked bits always use, holds 1024.
             return Err(format!(
                 "num_procs ({}) exceeds the {MAX_PROCS}-processor full-bit-vector limit",
                 self.num_procs

@@ -16,10 +16,10 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use htm_mem::{Directory, LineAddr};
+use htm_mem::Directory;
 use htm_sim::checkpoint::{CkptError, CkptReader, CkptWriter};
 use htm_sim::port::SinglePortResource;
-use htm_sim::{Cycle, ProcId, ProcSet};
+use htm_sim::{Cycle, ProcBits, ProcId};
 
 use crate::token::Tid;
 
@@ -89,10 +89,12 @@ impl DirCtrlStats {
 }
 
 /// One directory of the distributed shared memory, with commit arbitration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DirCtrl {
+/// Its sharer and marked sets are `W` words wide
+/// ([`htm_sim::proc_set_words`]).
+#[derive(Debug, Clone)]
+pub struct DirCtrl<const W: usize> {
     /// Sharer / owner tracking (substrate).
-    pub directory: Directory,
+    pub directory: Directory<W>,
     /// Occupancy model for miss servicing.
     port: SinglePortResource,
     /// Processors that intend to commit here, keyed by TID (oldest first).
@@ -100,14 +102,14 @@ pub struct DirCtrl {
     /// Cached OR of the marked processors' bits, maintained on every
     /// mark/unmark. The per-cycle view refresh reads this constantly, so it
     /// must not re-fold the map each time.
-    marked_bits: ProcSet,
+    marked_bits: ProcBits<W>,
     /// The processor currently granted the directory for commit, and the
     /// cycle at which it will release it.
     busy: Option<(ProcId, Cycle)>,
     stats: DirCtrlStats,
 }
 
-impl DirCtrl {
+impl<const W: usize> DirCtrl<W> {
     /// Create directory `id` for `num_procs` processors with the given
     /// service latency (Table II: 10 cycles).
     #[must_use]
@@ -116,7 +118,7 @@ impl DirCtrl {
             directory: Directory::new(id, num_procs),
             port: SinglePortResource::new(service_latency),
             marked: BTreeMap::new(),
-            marked_bits: ProcSet::empty(),
+            marked_bits: ProcBits::empty(),
             busy: None,
             stats: DirCtrlStats::default(),
         }
@@ -172,7 +174,7 @@ impl DirCtrl {
 
     /// Bit vector of marked processors (for the [`crate::hooks::SystemView`]).
     #[must_use]
-    pub fn marked_bits(&self) -> ProcSet {
+    pub fn marked_bits(&self) -> ProcBits<W> {
         self.marked_bits
     }
 
@@ -278,17 +280,18 @@ impl DirCtrl {
         self.stats.save_ckpt(w);
     }
 
-    /// Inverse of [`Self::save_ckpt`].
+    /// Inverse of [`Self::save_ckpt`]. A marked processor the `W`-word set
+    /// cannot hold is reported as a corrupt payload.
     pub fn load_ckpt(r: &mut CkptReader<'_>) -> Result<Self, CkptError> {
         let directory = Directory::load_ckpt(r)?;
         let port = SinglePortResource::load_ckpt(r)?;
         let n = r.get_usize()?;
         let mut marked = BTreeMap::new();
-        let mut marked_bits = ProcSet::empty();
+        let mut marked_bits = ProcBits::empty();
         for _ in 0..n {
             let tid = r.get_u64()?;
             let proc = r.get_usize()?;
-            if proc >= htm_sim::MAX_PROCS {
+            if proc >= ProcBits::<W>::CAPACITY {
                 return Err(CkptError::Corrupt(format!(
                     "marked processor id {proc} out of range"
                 )));
@@ -314,19 +317,6 @@ impl DirCtrl {
             stats: DirCtrlStats::load_ckpt(r)?,
         })
     }
-
-    /// Commit a batch of lines on behalf of `committer`; returns, per line,
-    /// the processors that must be invalidated.
-    pub fn commit_lines(
-        &mut self,
-        lines: &[LineAddr],
-        committer: ProcId,
-    ) -> Vec<(LineAddr, ProcSet)> {
-        lines
-            .iter()
-            .map(|&l| (l, self.directory.commit_line(l, committer)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -335,7 +325,7 @@ mod tests {
 
     #[test]
     fn grants_oldest_tid_only() {
-        let mut d = DirCtrl::new(0, 4, 10);
+        let mut d = DirCtrl::<1>::new(0, 4, 10);
         d.mark(5, 2);
         d.mark(3, 1);
         assert!(!d.try_grant(2, 5, 0, 100), "younger TID must wait");
@@ -345,7 +335,7 @@ mod tests {
 
     #[test]
     fn busy_directory_rejects_grants_until_release() {
-        let mut d = DirCtrl::new(0, 4, 10);
+        let mut d = DirCtrl::<1>::new(0, 4, 10);
         d.mark(1, 0);
         d.mark(2, 1);
         assert!(d.try_grant(0, 1, 0, 50));
@@ -356,7 +346,7 @@ mod tests {
 
     #[test]
     fn unmark_removes_processor() {
-        let mut d = DirCtrl::new(0, 4, 10);
+        let mut d = DirCtrl::<1>::new(0, 4, 10);
         d.mark(7, 3);
         assert!(d.is_marked(3));
         d.unmark(3);
@@ -366,36 +356,42 @@ mod tests {
 
     #[test]
     fn marked_bits_reflect_all_marked_procs() {
-        let mut d = DirCtrl::new(0, 8, 10);
+        let mut d = DirCtrl::<1>::new(0, 8, 10);
         d.mark(4, 2);
         d.mark(9, 5);
         assert_eq!(d.marked_bits(), [2usize, 5].into_iter().collect());
     }
 
     #[test]
+    fn narrow_restore_rejects_a_marked_processor_past_the_width() {
+        // A 4-processor controller record whose marked table names
+        // processor 100, which one-word sets cannot hold.
+        let mut w = CkptWriter::new();
+        Directory::<1>::new(0, 4).save_ckpt(&mut w);
+        SinglePortResource::new(10).save_ckpt(&mut w);
+        w.put_usize(1);
+        w.put_u64(9);
+        w.put_usize(100);
+        w.put_bool(false);
+        DirCtrlStats::default().save_ckpt(&mut w);
+        let payload = w.into_payload();
+        let mut r = CkptReader::new(&payload);
+        assert!(matches!(
+            DirCtrl::<1>::load_ckpt(&mut r),
+            Err(CkptError::Corrupt(_))
+        ));
+    }
+
+    #[test]
     fn service_miss_uses_port_occupancy() {
-        let mut d = DirCtrl::new(0, 4, 10);
+        let mut d = DirCtrl::<1>::new(0, 4, 10);
         assert_eq!(d.service_miss(0), 10);
         assert_eq!(d.service_miss(0), 20);
     }
 
     #[test]
-    fn commit_lines_reports_victims_per_line() {
-        let mut d = DirCtrl::new(0, 4, 10);
-        d.directory.add_sharer(LineAddr(4), 1);
-        d.directory.add_sharer(LineAddr(8), 1);
-        d.directory.add_sharer(LineAddr(8), 2);
-        let result = d.commit_lines(&[LineAddr(4), LineAddr(8)], 3);
-        assert_eq!(result[0], (LineAddr(4), ProcSet::from_bits(1 << 1)));
-        assert_eq!(
-            result[1],
-            (LineAddr(8), ProcSet::from_bits((1 << 1) | (1 << 2)))
-        );
-    }
-
-    #[test]
     fn would_grant_matches_can_grant_without_mutation() {
-        let mut d = DirCtrl::new(0, 4, 10);
+        let mut d = DirCtrl::<1>::new(0, 4, 10);
         d.mark(3, 1);
         d.mark(5, 2);
         assert!(d.would_grant(1, 3, 0));
@@ -412,7 +408,7 @@ mod tests {
 
     #[test]
     fn busy_release_reports_the_commit_occupancy_only() {
-        let mut d = DirCtrl::new(0, 4, 10);
+        let mut d = DirCtrl::<1>::new(0, 4, 10);
         assert_eq!(d.busy_release(0), None, "idle directory has no release");
         d.mark(1, 0);
         assert!(d.try_grant(0, 1, 0, 40));
@@ -424,7 +420,7 @@ mod tests {
 
     #[test]
     fn grant_requires_matching_tid() {
-        let mut d = DirCtrl::new(0, 4, 10);
+        let mut d = DirCtrl::<1>::new(0, 4, 10);
         d.mark(3, 1);
         // Same processor but stale TID is refused.
         assert!(!d.try_grant(1, 4, 0, 10));
@@ -433,7 +429,7 @@ mod tests {
 
     #[test]
     fn stats_count_marks_and_grants() {
-        let mut d = DirCtrl::new(0, 4, 10);
+        let mut d = DirCtrl::<1>::new(0, 4, 10);
         d.mark(1, 0);
         d.mark(2, 1);
         let _ = d.try_grant(0, 1, 0, 30);
@@ -445,7 +441,7 @@ mod tests {
 
     #[test]
     fn stats_count_lookups_and_txinfo_roundtrips() {
-        let mut d = DirCtrl::new(0, 4, 10);
+        let mut d = DirCtrl::<1>::new(0, 4, 10);
         d.service_miss(0);
         d.service_miss(5);
         d.mark(1, 0);

@@ -20,7 +20,7 @@ use htm_sim::checkpoint::{CkptError, CkptReader, CkptWriter};
 use htm_sim::config::SimConfig;
 use htm_sim::interval::{IntervalSeg, IntervalTracker};
 use htm_sim::topology::{Interconnect, Node, Route, Topology, TopologyConfig};
-use htm_sim::{Cycle, DirId, ProcId, ProcSet};
+use htm_sim::{proc_set_words, Cycle, DirId, ProcBits, ProcId};
 
 use crate::dirctrl::DirCtrl;
 use crate::hooks::{AbortAction, GateCommand, GatingHook, SystemView};
@@ -107,8 +107,8 @@ impl EngineKind {
 }
 
 /// One planned advancement of the fast-forward engine, produced by
-/// `TccSystem::plan_step`.
-enum StepPlan {
+/// `Machine::plan_step`.
+enum StepPlan<const W: usize> {
     /// Every component is quiescent for the next `n` cycles: leap over them
     /// in one batch-accounted jump.
     Jump(u64),
@@ -119,7 +119,7 @@ enum StepPlan {
     /// whether the hook's `on_tick` may act this cycle.
     Cycle {
         /// Set of processors that must be stepped individually.
-        active: ProcSet,
+        active: ProcBits<W>,
         /// Whether `on_tick` must run this cycle.
         hook_due: bool,
     },
@@ -128,12 +128,13 @@ enum StepPlan {
     Quiescent,
 }
 
-/// The complete simulated machine.
-pub struct TccSystem<H: GatingHook> {
+/// The machine itself, with processor sets `W` words wide. [`TccSystem`]
+/// holds one of these at the width its processor count needs.
+struct Machine<H: GatingHook, const W: usize> {
     cfg: SimConfig,
     map: AddressMap,
     procs: Vec<Processor>,
-    dirs: Vec<DirCtrl>,
+    dirs: Vec<DirCtrl<W>>,
     token: TokenVendor,
     net: Interconnect,
     /// One memory bank per directory node (the distributed shared memory of
@@ -155,7 +156,7 @@ pub struct TccSystem<H: GatingHook> {
     /// Set of processors whose view entries are stale because they acted in
     /// the most recent executed cycle; `step_cycle` refreshes exactly these
     /// instead of sweeping every processor each cycle.
-    view_dirty: ProcSet,
+    view_dirty: ProcBits<W>,
     /// Directories whose marked set may have changed since the view was last
     /// refreshed, pushed at every `mark`/`unmark` call site (duplicates are
     /// harmless); `step_cycle` refreshes exactly these view entries.
@@ -177,7 +178,7 @@ pub struct TccSystem<H: GatingHook> {
     /// depends on shared grant state, so `plan_step` probes them directly.
     deadlines: std::collections::BinaryHeap<std::cmp::Reverse<(Cycle, ProcId)>>,
     /// Set of processors currently in `Phase::SpinCommit`.
-    spin_mask: ProcSet,
+    spin_mask: ProcBits<W>,
     /// Start-of-cycle population counts `(gated, missing, committing,
     /// throttled)`, maintained incrementally on every phase transition so
     /// each executed cycle records its interval data in O(1).
@@ -204,6 +205,37 @@ pub struct TccSystem<H: GatingHook> {
     interval_log: Option<Vec<IntervalSeg>>,
 }
 
+/// The complete simulated machine.
+///
+/// The machine's processor sets (the engine's active and spinner masks, the
+/// directories' sharer and marked sets) are `W` 64-bit words wide, with `W`
+/// fixed per machine by [`htm_sim::proc_set_words`]: 1 word up to 64
+/// processors, 4 up to 256, 16 above. Each width is its own monomorphized
+/// engine; `new` and `restore_checkpoint` pick one and every other method
+/// forwards to it with a single `match`. The width never shows in any
+/// output: sets iterate in ascending processor-id order, checkpoint as member
+/// lists, and hooks see [`htm_sim::ProcSet`]s.
+pub struct TccSystem<H: GatingHook>(Widths<H>);
+
+/// One [`Machine`] per processor-set width.
+enum Widths<H: GatingHook> {
+    W1(Machine<H, 1>),
+    W4(Machine<H, 4>),
+    W16(Machine<H, 16>),
+}
+
+/// Evaluate `$body` with `$m` bound to the machine inside whichever width
+/// arm `$widths` holds.
+macro_rules! on_machine {
+    ($widths:expr, $m:ident => $body:expr) => {
+        match $widths {
+            Widths::W1($m) => $body,
+            Widths::W4($m) => $body,
+            Widths::W16($m) => $body,
+        }
+    };
+}
+
 impl<H: GatingHook> TccSystem<H> {
     /// Build a system running `workload` on the machine described by `cfg`,
     /// with abort handling delegated to `hook`.
@@ -211,7 +243,178 @@ impl<H: GatingHook> TccSystem<H> {
     /// The workload must provide exactly one thread per processor and must
     /// not reference addresses beyond the installed memory.
     pub fn new(cfg: SimConfig, workload: WorkloadTrace, hook: H) -> Result<Self, SimError> {
+        Ok(Self(match proc_set_words(cfg.num_procs) {
+            1 => Widths::W1(Machine::new(cfg, workload, hook)?),
+            4 => Widths::W4(Machine::new(cfg, workload, hook)?),
+            _ => Widths::W16(Machine::new(cfg, workload, hook)?),
+        }))
+    }
+
+    /// Rebuild a system from a checkpoint payload produced by
+    /// [`Self::save_checkpoint`].
+    ///
+    /// `cfg`, `workload` and `hook` must be the same values the checkpointed
+    /// run was constructed with — the payload carries the configuration, the
+    /// workload name and a full trace fingerprint, and restoring refuses to
+    /// proceed on any mismatch (resuming against a different machine or trace
+    /// would silently produce garbage). The hook must be freshly constructed
+    /// with its original parameters; its mutable state is overwritten through
+    /// [`GatingHook::restore`].
+    pub fn restore_checkpoint(
+        cfg: SimConfig,
+        workload: WorkloadTrace,
+        hook: H,
+        payload: &[u8],
+    ) -> Result<Self, SimError> {
+        Ok(Self(match proc_set_words(cfg.num_procs) {
+            1 => Widths::W1(Machine::restore_checkpoint(cfg, workload, hook, payload)?),
+            4 => Widths::W4(Machine::restore_checkpoint(cfg, workload, hook, payload)?),
+            _ => Widths::W16(Machine::restore_checkpoint(cfg, workload, hook, payload)?),
+        }))
+    }
+
+    /// The machine configuration this system was built with.
+    #[must_use]
+    pub fn config(&self) -> &SimConfig {
+        on_machine!(&self.0, m => &m.cfg)
+    }
+
+    /// Current simulation cycle.
+    #[must_use]
+    pub fn now(&self) -> Cycle {
+        on_machine!(&self.0, m => m.now)
+    }
+
+    /// Whether every processor has finished all of its transactions.
+    #[must_use]
+    pub fn all_done(&self) -> bool {
+        on_machine!(&self.0, m => m.all_done())
+    }
+
+    /// Whether every processor has finished, in O(1) (maintained by the
+    /// engines; [`Self::all_done`] is the O(procs) sweep).
+    #[must_use]
+    pub fn is_complete(&self) -> bool {
+        on_machine!(&self.0, m => m.is_complete())
+    }
+
+    /// Run to completion on the chosen engine with a safety bound on the
+    /// number of cycles, returning the outcome and the hook (so callers read
+    /// controller statistics straight from it).
+    pub fn run_bounded(
+        self,
+        limit: Cycle,
+        engine: EngineKind,
+    ) -> Result<(RunOutcome, H), SimError> {
+        on_machine!(self.0, m => m.run_bounded(limit, engine))
+    }
+
+    /// Start mirroring every interval record into a run-length-encoded log
+    /// (retrieved by [`Self::into_parts_with_log`]). The island-parallel
+    /// runner enables this on each lane so the per-lane interval data can be
+    /// summed cycle-by-cycle and replayed into the exact tracker a serial
+    /// run of the whole machine would have produced.
+    pub fn enable_interval_log(&mut self) {
+        on_machine!(&mut self.0, m => m.enable_interval_log());
+    }
+
+    /// Plant the deliberate fast-engine accounting bug (see the
+    /// `perturb_accounting` field). Exists solely so the divergence fuzz
+    /// harness can prove, end to end, that it detects a real
+    /// engine-equivalence violation and shrinks it to a minimal trace.
+    pub fn debug_perturb_fast_accounting(&mut self) {
+        on_machine!(&mut self.0, m => m.perturb_accounting = true);
+    }
+
+    /// Serialize the complete machine state at the current cycle into a raw
+    /// checkpoint payload (frame it with [`htm_sim::checkpoint::seal`] before
+    /// writing to disk).
+    ///
+    /// Every processor's lazy accounting backlog is settled first. Settling
+    /// early is bit-exact: the skipped window `[acct_until[i], now)` is spent
+    /// in one unchanged phase, and every batched update (state-cycle sums,
+    /// `attempt_cycles`, countdown decrements, the `first_tx_start` stamp at
+    /// the window's start) splits additively — so flushing now and flushing
+    /// the remainder later yields exactly what one deferred flush would have.
+    /// A checkpoint therefore observes — and a resumed run continues from —
+    /// the same state the uninterrupted run passes through.
+    pub fn save_checkpoint(&mut self) -> Vec<u8> {
+        on_machine!(&mut self.0, m => m.save_checkpoint())
+    }
+
+    /// Advance the machine to exactly cycle `target` (or until every
+    /// processor is done, whichever comes first) with the fast-forward
+    /// engine, clamping quiescent jumps at the window boundary.
+    ///
+    /// Splitting a quiescent jump of `n` cycles into `n1 + n2` is bit-exact
+    /// (the interval record is the only observable effect and it is a pure
+    /// count accumulation), so driving a machine through an arbitrary
+    /// sequence of windows yields the same outcome as one uninterrupted run.
+    /// This is the conservative-lookahead primitive of the island-parallel
+    /// engine: each lane can be advanced window by window and inspected at
+    /// the window boundaries without perturbing the simulation.
+    pub fn advance_until(&mut self, target: Cycle) {
+        on_machine!(&mut self.0, m => m.advance_until(target));
+    }
+
+    /// Engine-aware variant of [`Self::advance_until`]: the naive reference
+    /// engine grinds one exact cycle at a time, the fast-forward and
+    /// shard-parallel engines jump (within one system the shard engine *is*
+    /// the fast-forward engine; the island fan-out happens in the runner).
+    /// All three stop at exactly `target` unless the run completes first, so
+    /// a checkpoint taken at the boundary observes the same state whichever
+    /// engine drove the machine there.
+    pub fn advance_until_engine(&mut self, target: Cycle, engine: EngineKind) {
+        on_machine!(&mut self.0, m => m.advance_until_engine(target, engine));
+    }
+
+    /// Advance the simulation by at least one cycle with the fast-forward
+    /// engine: if every component agrees that nothing can happen before some
+    /// future cycle, leap straight to it (batch-accounting the skipped
+    /// cycles); otherwise execute one exact cycle, touching only the
+    /// processors that act in it.
+    pub fn step(&mut self) {
+        on_machine!(&mut self.0, m => m.step());
+    }
+
+    /// Advance the simulation by exactly one cycle (the reference engine).
+    pub fn step_naive(&mut self) {
+        on_machine!(&mut self.0, m => m.step_naive());
+    }
+
+    /// Check the fast engine's incremental view maintenance: the view as
+    /// the next executed cycle would see it after refreshing only the dirty
+    /// processor and directory entries must equal a full rebuild from the
+    /// current machine state. Returns the first differing entry. Does not
+    /// change the system. Exists for the engine tests.
+    pub fn debug_check_view(&self) -> Result<(), String> {
+        on_machine!(&self.0, m => m.debug_check_view())
+    }
+
+    /// Consume the system and return the outcome accumulated so far together
+    /// with the hook (so controller statistics can be read out directly).
+    #[must_use]
+    pub fn into_parts(self) -> (RunOutcome, H) {
+        on_machine!(self.0, m => m.into_parts())
+    }
+
+    /// [`Self::into_parts`] plus the RLE interval log (empty unless
+    /// [`Self::enable_interval_log`] was called before the run).
+    #[must_use]
+    pub fn into_parts_with_log(self) -> (RunOutcome, H, Vec<IntervalSeg>) {
+        on_machine!(self.0, m => m.into_parts_with_log())
+    }
+}
+
+impl<H: GatingHook, const W: usize> Machine<H, W> {
+    fn new(cfg: SimConfig, workload: WorkloadTrace, hook: H) -> Result<Self, SimError> {
         cfg.validate().map_err(SimError::BadConfig)?;
+        if cfg.num_procs > ProcBits::<W>::CAPACITY {
+            return Err(SimError::BadConfig(format!(
+                "{} processors do not fit {W}-word processor sets",
+                cfg.num_procs
+            )));
+        }
         if workload.num_threads() != cfg.num_procs {
             return Err(SimError::BadWorkload(format!(
                 "workload '{}' has {} threads but the machine has {} processors",
@@ -237,7 +440,7 @@ impl<H: GatingHook> TccSystem<H> {
             .enumerate()
             .map(|(id, thread)| Processor::new(id, thread, SpecCache::from_config(&cfg)))
             .collect();
-        let dirs: Vec<DirCtrl> = (0..cfg.num_dirs)
+        let dirs: Vec<DirCtrl<W>> = (0..cfg.num_dirs)
             .map(|d| DirCtrl::new(d, cfg.num_procs, cfg.directory_latency))
             .collect();
         let view = SystemView::new(cfg.num_procs, cfg.num_dirs);
@@ -273,11 +476,11 @@ impl<H: GatingHook> TccSystem<H> {
             last_commit_end: 0,
             tick_scratch: Vec::new(),
             dir_scratch: Vec::new(),
-            view_dirty: ProcSet::empty(),
+            view_dirty: ProcBits::empty(),
             dirs_dirty: Vec::new(),
             acct_until: vec![0; num_procs],
             deadlines: std::collections::BinaryHeap::new(),
-            spin_mask: ProcSet::empty(),
+            spin_mask: ProcBits::empty(),
             state_counts: (0, 0, 0, 0),
             done_count,
             // The first fast plan populates the event queue and counters.
@@ -292,28 +495,11 @@ impl<H: GatingHook> TccSystem<H> {
         Ok(system)
     }
 
-    /// The machine configuration this system was built with.
-    #[must_use]
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
-    /// Current simulation cycle.
-    #[must_use]
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Whether every processor has finished all of its transactions.
-    #[must_use]
-    pub fn all_done(&self) -> bool {
+    fn all_done(&self) -> bool {
         self.procs.iter().all(Processor::is_done)
     }
 
-    /// Run to completion on the chosen engine with a safety bound on the
-    /// number of cycles, returning the outcome and the hook (so callers read
-    /// controller statistics straight from it).
-    pub fn run_bounded(
+    fn run_bounded(
         mut self,
         limit: Cycle,
         engine: EngineKind,
@@ -328,40 +514,15 @@ impl<H: GatingHook> TccSystem<H> {
         Ok(self.into_parts())
     }
 
-    /// Start mirroring every interval record into a run-length-encoded log
-    /// (retrieved by [`Self::into_parts_with_log`]). The island-parallel
-    /// runner enables this on each lane so the per-lane interval data can be
-    /// summed cycle-by-cycle and replayed into the exact tracker a serial
-    /// run of the whole machine would have produced.
-    pub fn enable_interval_log(&mut self) {
+    fn enable_interval_log(&mut self) {
         if self.interval_log.is_none() {
             self.interval_log = Some(Vec::new());
         }
     }
 
-    /// Plant the deliberate fast-engine accounting bug (see the
-    /// `perturb_accounting` field). Exists solely so the divergence fuzz
-    /// harness can prove, end to end, that it detects a real
-    /// engine-equivalence violation and shrinks it to a minimal trace.
-    pub fn debug_perturb_fast_accounting(&mut self) {
-        self.perturb_accounting = true;
-    }
-
     // ----- checkpointing ---------------------------------------------------------
 
-    /// Serialize the complete machine state at the current cycle into a raw
-    /// checkpoint payload (frame it with [`htm_sim::checkpoint::seal`] before
-    /// writing to disk).
-    ///
-    /// Every processor's lazy accounting backlog is settled first. Settling
-    /// early is bit-exact: the skipped window `[acct_until[i], now)` is spent
-    /// in one unchanged phase, and every batched update (state-cycle sums,
-    /// `attempt_cycles`, countdown decrements, the `first_tx_start` stamp at
-    /// the window's start) splits additively — so flushing now and flushing
-    /// the remainder later yields exactly what one deferred flush would have.
-    /// A checkpoint therefore observes — and a resumed run continues from —
-    /// the same state the uninterrupted run passes through.
-    pub fn save_checkpoint(&mut self) -> Vec<u8> {
+    fn save_checkpoint(&mut self) -> Vec<u8> {
         for i in 0..self.procs.len() {
             self.flush_accounting(i, self.now);
             self.acct_until[i] = self.now;
@@ -408,17 +569,7 @@ impl<H: GatingHook> TccSystem<H> {
         w.into_payload()
     }
 
-    /// Rebuild a system from a checkpoint payload produced by
-    /// [`Self::save_checkpoint`].
-    ///
-    /// `cfg`, `workload` and `hook` must be the same values the checkpointed
-    /// run was constructed with — the payload carries the configuration, the
-    /// workload name and a full trace fingerprint, and restoring refuses to
-    /// proceed on any mismatch (resuming against a different machine or trace
-    /// would silently produce garbage). The hook must be freshly constructed
-    /// with its original parameters; its mutable state is overwritten through
-    /// [`GatingHook::restore`].
-    pub fn restore_checkpoint(
+    fn restore_checkpoint(
         cfg: SimConfig,
         workload: WorkloadTrace,
         hook: H,
@@ -520,30 +671,16 @@ impl<H: GatingHook> TccSystem<H> {
         sys.acct_until = vec![now; n_procs];
         sys.done_count = sys.procs.iter().filter(|p| p.is_done()).count();
         sys.fast_state_stale = true;
-        sys.view_dirty = ProcSet::empty();
+        sys.view_dirty = ProcBits::empty();
         sys.refresh_view();
         Ok(sys)
     }
 
-    /// Whether every processor has finished, in O(1) (maintained by the
-    /// engines; [`Self::all_done`] is the O(procs) sweep).
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
+    fn is_complete(&self) -> bool {
         self.done_count == self.procs.len()
     }
 
-    /// Advance the machine to exactly cycle `target` (or until every
-    /// processor is done, whichever comes first) with the fast-forward
-    /// engine, clamping quiescent jumps at the window boundary.
-    ///
-    /// Splitting a quiescent jump of `n` cycles into `n1 + n2` is bit-exact
-    /// (the interval record is the only observable effect and it is a pure
-    /// count accumulation), so driving a machine through an arbitrary
-    /// sequence of windows yields the same outcome as one uninterrupted run.
-    /// This is the conservative-lookahead primitive of the island-parallel
-    /// engine: each lane can be advanced window by window and inspected at
-    /// the window boundaries without perturbing the simulation.
-    pub fn advance_until(&mut self, target: Cycle) {
+    fn advance_until(&mut self, target: Cycle) {
         while self.done_count < self.procs.len() && self.now < target {
             match self.plan_step() {
                 StepPlan::Jump(n) => {
@@ -556,14 +693,7 @@ impl<H: GatingHook> TccSystem<H> {
         }
     }
 
-    /// Engine-aware variant of [`Self::advance_until`]: the naive reference
-    /// engine grinds one exact cycle at a time, the fast-forward and
-    /// shard-parallel engines jump (within one system the shard engine *is*
-    /// the fast-forward engine; the island fan-out happens in the runner).
-    /// All three stop at exactly `target` unless the run completes first, so
-    /// a checkpoint taken at the boundary observes the same state whichever
-    /// engine drove the machine there.
-    pub fn advance_until_engine(&mut self, target: Cycle, engine: EngineKind) {
+    fn advance_until_engine(&mut self, target: Cycle, engine: EngineKind) {
         match engine {
             EngineKind::FastForward | EngineKind::ShardParallel => self.advance_until(target),
             EngineKind::Naive => {
@@ -574,12 +704,7 @@ impl<H: GatingHook> TccSystem<H> {
         }
     }
 
-    /// Advance the simulation by at least one cycle with the fast-forward
-    /// engine: if every component agrees that nothing can happen before some
-    /// future cycle, leap straight to it (batch-accounting the skipped
-    /// cycles); otherwise execute one exact cycle, touching only the
-    /// processors that act in it.
-    pub fn step(&mut self) {
+    fn step(&mut self) {
         match self.plan_step() {
             StepPlan::Jump(n) => self.fast_forward(n),
             StepPlan::Cycle { active, hook_due } => self.step_cycle(active, hook_due),
@@ -588,8 +713,7 @@ impl<H: GatingHook> TccSystem<H> {
         }
     }
 
-    /// Advance the simulation by exactly one cycle (the reference engine).
-    pub fn step_naive(&mut self) {
+    fn step_naive(&mut self) {
         self.account_cycles(1);
         self.refresh_view();
         self.apply_hook_commands();
@@ -637,12 +761,12 @@ impl<H: GatingHook> TccSystem<H> {
     /// in an executed cycle (by an active processor or a hook command),
     /// which computes its timing from the port's stored release cycle. Their deadlines are therefore
     /// not merged.
-    fn plan_step(&mut self) -> StepPlan {
+    fn plan_step(&mut self) -> StepPlan<W> {
         if self.fast_state_stale {
             self.rebuild_fast_state();
         }
         let now = self.now;
-        let mut active = ProcSet::empty();
+        let mut active = ProcBits::empty();
         let mut horizon: Option<Cycle> = None;
         fn merge(horizon: &mut Option<Cycle>, d: Option<Cycle>) {
             if let Some(d) = d {
@@ -708,7 +832,7 @@ impl<H: GatingHook> TccSystem<H> {
             // (commands travel through inboxes and arrive strictly later),
             // so the spinners stay skippable this cycle.
             return StepPlan::Cycle {
-                active: ProcSet::empty(),
+                active: ProcBits::empty(),
                 hook_due: true,
             };
         }
@@ -736,7 +860,7 @@ impl<H: GatingHook> TccSystem<H> {
     /// calls, which mutate processors without maintaining them).
     fn rebuild_fast_state(&mut self) {
         self.deadlines.clear();
-        self.spin_mask = ProcSet::empty();
+        self.spin_mask = ProcBits::empty();
         let mut gated = 0usize;
         let mut missing = 0usize;
         let mut committing = 0usize;
@@ -763,7 +887,7 @@ impl<H: GatingHook> TccSystem<H> {
         }
         self.state_counts = (gated, missing, committing, throttled);
         self.done_count = self.procs.iter().filter(|p| p.is_done()).count();
-        self.view_dirty = ProcSet::all(self.procs.len());
+        self.view_dirty = ProcBits::all(self.procs.len());
         self.dirs_dirty.clear();
         self.dirs_dirty.extend(0..self.dirs.len());
         self.fast_state_stale = false;
@@ -778,7 +902,7 @@ impl<H: GatingHook> TccSystem<H> {
     /// The hook-visible view is refreshed in O(changed entries): only the
     /// processors that acted and the directories whose marked set was
     /// touched since the last executed cycle.
-    fn step_cycle(&mut self, active: ProcSet, hook_due: bool) {
+    fn step_cycle(&mut self, active: ProcBits<W>, hook_due: bool) {
         let now = self.now;
         // Interval accounting from the incrementally maintained population
         // counts: O(1) instead of a sweep over every processor.
@@ -797,7 +921,7 @@ impl<H: GatingHook> TccSystem<H> {
             self.view_dirty,
             &self.dirs_dirty,
         );
-        self.view_dirty = ProcSet::empty();
+        self.view_dirty = ProcBits::empty();
         self.dirs_dirty.clear();
 
         if hook_due {
@@ -992,12 +1116,7 @@ impl<H: GatingHook> TccSystem<H> {
         self.dirs_dirty.clear();
     }
 
-    /// Check the fast engine's incremental view maintenance: the view as
-    /// the next executed cycle would see it after refreshing only the dirty
-    /// processor and directory entries must equal a full rebuild from the
-    /// current machine state. Returns the first differing entry. Does not
-    /// change the system. Exists for the engine tests.
-    pub fn debug_check_view(&self) -> Result<(), String> {
+    fn debug_check_view(&self) -> Result<(), String> {
         if self.fast_state_stale {
             // The next plan rebuilds the fast state, which marks every entry
             // dirty.
@@ -1536,10 +1655,7 @@ impl<H: GatingHook> TccSystem<H> {
 
     // ----- outcome ---------------------------------------------------------------
 
-    /// Consume the system and return the outcome accumulated so far together
-    /// with the hook (so controller statistics can be read out directly).
-    #[must_use]
-    pub fn into_parts(mut self) -> (RunOutcome, H) {
+    fn into_parts(mut self) -> (RunOutcome, H) {
         // Settle every processor's lazy accounting backlog so the outcome
         // covers all `total_cycles` cycles (a no-op after naive runs).
         for i in 0..self.procs.len() {
@@ -1585,10 +1701,7 @@ impl<H: GatingHook> TccSystem<H> {
         (outcome, self.hook)
     }
 
-    /// [`Self::into_parts`] plus the RLE interval log (empty unless
-    /// [`Self::enable_interval_log`] was called before the run).
-    #[must_use]
-    pub fn into_parts_with_log(mut self) -> (RunOutcome, H, Vec<IntervalSeg>) {
+    fn into_parts_with_log(mut self) -> (RunOutcome, H, Vec<IntervalSeg>) {
         let log = self.interval_log.take().unwrap_or_default();
         let (outcome, hook) = self.into_parts();
         (outcome, hook, log)
@@ -1596,23 +1709,23 @@ impl<H: GatingHook> TccSystem<H> {
 }
 
 /// Write every entry of `view` from the machine state.
-fn fill_view(view: &mut SystemView, procs: &[Processor], dirs: &[DirCtrl]) {
+fn fill_view<const W: usize>(view: &mut SystemView, procs: &[Processor], dirs: &[DirCtrl<W>]) {
     for (i, proc) in procs.iter().enumerate() {
         view.proc_tx[i] = proc.current_tx_id();
         view.proc_gated[i] = proc.phase.is_gated_like();
     }
     for (d, dir) in dirs.iter().enumerate() {
-        view.dir_marked[d] = dir.marked_bits();
+        view.dir_marked[d] = dir.marked_bits().widen();
     }
 }
 
 /// Rewrite only the view entries of processors `stale_procs` and
 /// directories `stale_dirs` from the machine state.
-fn refresh_dirty_entries(
+fn refresh_dirty_entries<const W: usize>(
     view: &mut SystemView,
     procs: &[Processor],
-    dirs: &[DirCtrl],
-    stale_procs: ProcSet,
+    dirs: &[DirCtrl<W>],
+    stale_procs: ProcBits<W>,
     stale_dirs: &[DirId],
 ) {
     for i in stale_procs {
@@ -1620,7 +1733,7 @@ fn refresh_dirty_entries(
         view.proc_gated[i] = procs[i].phase.is_gated_like();
     }
     for &d in stale_dirs {
-        view.dir_marked[d] = dirs[d].marked_bits();
+        view.dir_marked[d] = dirs[d].marked_bits().widen();
     }
 }
 
@@ -1629,6 +1742,7 @@ mod tests {
     use super::*;
     use crate::hooks::{ExponentialBackoff, NoGating};
     use crate::txn::{Op, ThreadTrace, Transaction};
+    use htm_sim::checkpoint::CkptWriter;
 
     fn cfg(procs: usize) -> SimConfig {
         SimConfig::table2(procs)
@@ -2112,6 +2226,228 @@ mod tests {
             fast, naive,
             "the planted bug must make the fast engine observably diverge"
         );
+    }
+
+    /// A contended synthetic workload for `procs` processors in groups of
+    /// six (so some groups straddle a 64-processor word boundary): every
+    /// transaction reads one of its group's four hot lines, computes, writes
+    /// another and reads a private line, so commits invalidate readers
+    /// across words while the groups keep the run short.
+    fn contended_workload(procs: usize, seed: u64) -> WorkloadTrace {
+        let mut rng = htm_sim::rng::DeterministicRng::new(seed);
+        let threads = (0..procs)
+            .map(|p| {
+                let hot = 4 * (p as u64 / 6);
+                let txs = (0..3)
+                    .map(|t| {
+                        let ops = vec![
+                            Op::Read(64 * (hot + rng.gen_range(4))),
+                            Op::Compute(5 + rng.gen_range(30)),
+                            Op::Write(64 * (hot + rng.gen_range(4))),
+                            Op::Read(4096 * (p as u64 + 1)),
+                        ];
+                        Transaction::new((p * 16 + t) as u64, ops)
+                    })
+                    .collect();
+                ThreadTrace::new(txs)
+            })
+            .collect();
+        WorkloadTrace::new("contended", threads)
+    }
+
+    /// Backs a victim off by eight cycles per marked processor when the
+    /// aborting directory has an odd-numbered processor marked, and gates
+    /// it for 120 cycles otherwise, so the run depends on the widened marked
+    /// sets of the view. Unlike [`FixedWindowGate`] it asks the view whether
+    /// the victim is already stopped, so a gate the system ignores (the
+    /// victim was committing) cannot strand a later one without its timer.
+    #[derive(Default)]
+    struct MarkedAwareGate {
+        pending: Vec<(ProcId, DirId, Cycle)>,
+    }
+
+    impl GatingHook for MarkedAwareGate {
+        fn on_abort(
+            &mut self,
+            dir: DirId,
+            victim: ProcId,
+            _aborter: ProcId,
+            _aborter_tx: u64,
+            now: Cycle,
+            view: &SystemView,
+        ) -> AbortAction {
+            let marked = view.marked_bits(dir);
+            if marked.iter().any(|p| p % 2 == 1) {
+                return AbortAction::Retry {
+                    backoff: 8 * marked.len() as u64,
+                };
+            }
+            if !view.is_gated(victim) {
+                self.pending.push((victim, dir, now + 120));
+            }
+            AbortAction::Gate
+        }
+
+        fn on_tick(&mut self, now: Cycle, _view: &SystemView, out: &mut Vec<GateCommand>) {
+            self.pending.retain(|&(proc, dir, due)| {
+                if now >= due {
+                    out.push(GateCommand::UngateProcessor { proc, dir });
+                    false
+                } else {
+                    true
+                }
+            });
+        }
+
+        fn next_deadline(&self, now: Cycle) -> Option<Cycle> {
+            self.pending.iter().map(|&(_, _, due)| due.max(now)).min()
+        }
+    }
+
+    fn width_cfg(procs: usize) -> SimConfig {
+        if procs <= 16 {
+            cfg(procs)
+        } else {
+            SimConfig::table2_with_topology(procs, TopologyConfig::parse("sharded").unwrap())
+        }
+    }
+
+    /// Run the contended workload on a `W`-word machine, saving a
+    /// checkpoint every 1000 cycles; returns the outcome and the payloads'
+    /// digests.
+    fn run_at_width<const W: usize>(procs: usize) -> (RunOutcome, Vec<u64>) {
+        let hook = MarkedAwareGate::default();
+        let mut sys =
+            Machine::<_, W>::new(width_cfg(procs), contended_workload(procs, 3), hook).unwrap();
+        let mut digests = Vec::new();
+        while !sys.is_complete() {
+            assert!(sys.now < 5_000_000, "{procs}p run at {W} words livelocked");
+            sys.advance_until(sys.now + 1000);
+            digests.push(htm_sim::checkpoint::fnv1a64(&sys.save_checkpoint()));
+        }
+        (sys.into_parts().0, digests)
+    }
+
+    #[test]
+    fn every_admissible_width_runs_byte_identically() {
+        for procs in [4, 16, 64, 65, 256] {
+            let (wide, wide_digests) = run_at_width::<16>(procs);
+            assert!(wide.total_gatings > 0, "{procs}p workload must gate");
+            let (four, four_digests) = run_at_width::<4>(procs);
+            assert_eq!(four, wide, "{procs}p outcome at 4 words");
+            assert_eq!(four_digests, wide_digests, "{procs}p payloads at 4 words");
+            if procs <= 64 {
+                let (one, one_digests) = run_at_width::<1>(procs);
+                assert_eq!(one, wide, "{procs}p outcome at 1 word");
+                assert_eq!(one_digests, wide_digests, "{procs}p payloads at 1 word");
+            }
+            // The public system picks the narrowest width and agrees too.
+            let hook = MarkedAwareGate::default();
+            let (public, _) = TccSystem::new(width_cfg(procs), contended_workload(procs, 3), hook)
+                .unwrap()
+                .run_bounded(5_000_000, EngineKind::FastForward)
+                .unwrap();
+            assert_eq!(public, wide, "{procs}p through TccSystem");
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_resumes_at_another_width() {
+        // Saved by a one-word machine mid-run, resumed by a sixteen-word one.
+        let (cfg16, workload) = (width_cfg(16), || contended_workload(16, 3));
+        let mut narrow = Machine::<_, 1>::new(
+            cfg16.clone(),
+            workload(),
+            ExponentialBackoff::new(16, 16, 4),
+        )
+        .unwrap();
+        narrow.advance_until(1500);
+        assert!(
+            !narrow.is_complete(),
+            "the checkpoint must be taken mid-run"
+        );
+        let payload = narrow.save_checkpoint();
+        let reference = narrow
+            .run_bounded(5_000_000, EngineKind::FastForward)
+            .unwrap()
+            .0;
+        let resumed = Machine::<_, 16>::restore_checkpoint(
+            cfg16,
+            workload(),
+            ExponentialBackoff::new(16, 16, 4),
+            &payload,
+        )
+        .unwrap();
+        let (outcome, _) = resumed
+            .run_bounded(5_000_000, EngineKind::FastForward)
+            .unwrap();
+        assert_eq!(outcome, reference);
+    }
+
+    #[test]
+    fn machines_refuse_processor_counts_past_their_width() {
+        let err = Machine::<_, 1>::new(cfg(65), contended_workload(65, 1), NoGating)
+            .err()
+            .unwrap();
+        assert!(matches!(err, SimError::BadConfig(_)), "{err}");
+    }
+
+    /// `payload` with directory 0's sharer/owner record replaced by one
+    /// whose only line is shared by `sharer`.
+    fn splice_sharer(sys: &mut Machine<NoGating, 1>, payload: &[u8], sharer: ProcId) -> Vec<u8> {
+        let mut r = CkptReader::new(payload);
+        SimConfig::load_ckpt(&mut r).unwrap();
+        r.get_str().unwrap();
+        for _ in 0..3 {
+            r.get_u64().unwrap();
+        }
+        IntervalTracker::load_ckpt(&mut r).unwrap();
+        // Decoding a processor record needs a processor to decode into; the
+        // machine's own processors are in exactly the saved state.
+        assert_eq!(r.get_usize().unwrap(), sys.procs.len());
+        for proc in &mut sys.procs {
+            proc.restore_ckpt(&mut r).unwrap();
+        }
+        r.get_usize().unwrap();
+        let start = payload.len() - r.remaining();
+        htm_mem::Directory::<1>::load_ckpt(&mut r).unwrap();
+        let end = payload.len() - r.remaining();
+
+        let mut w = CkptWriter::new();
+        w.put_usize(0); // directory id
+        w.put_usize(sys.procs.len());
+        w.put_usize(1); // one line
+        w.put_u64(0);
+        htm_sim::ProcSet::from_iter([sharer]).save_ckpt(&mut w);
+        w.put_opt_usize(None);
+        for _ in 0..sys.procs.len() {
+            w.put_u64_slice(&[]);
+        }
+        for _ in 0..3 {
+            w.put_u64(0);
+        }
+        let mut spliced = payload[..start].to_vec();
+        spliced.extend_from_slice(&w.into_payload());
+        spliced.extend_from_slice(&payload[end..]);
+        spliced
+    }
+
+    #[test]
+    fn four_processor_restore_rejects_a_sharer_past_the_width() {
+        let mut sys = Machine::<_, 1>::new(cfg(4), contended_workload(4, 1), NoGating).unwrap();
+        sys.advance_until(60);
+        let payload = sys.save_checkpoint();
+        let restore = |payload: &[u8]| {
+            TccSystem::restore_checkpoint(cfg(4), contended_workload(4, 1), NoGating, payload)
+        };
+        // The splice itself is well formed: a member the machine has loads.
+        assert!(restore(&splice_sharer(&mut sys, &payload, 2)).is_ok());
+        // Processor 100 does not fit one word: a clean error, no panic.
+        match restore(&splice_sharer(&mut sys, &payload, 100)) {
+            Err(SimError::Checkpoint(msg)) => assert!(msg.contains("out of range"), "{msg}"),
+            Err(other) => panic!("unexpected error {other}"),
+            Ok(_) => panic!("processor 100 restored into a 4-processor machine"),
+        }
     }
 
     #[test]
