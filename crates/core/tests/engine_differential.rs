@@ -336,6 +336,51 @@ fn processor_set_width_boundaries_are_engine_exact() {
     }
 }
 
+/// Four processors contending on two lines, with pre-compute and compute
+/// spans on both sides of the fast engine's 4096-cycle event-wheel horizon
+/// (4095, 4096, 4097 and 10 000 cycles).
+fn horizon_trace() -> WorkloadTrace {
+    const SPANS: [u64; 4] = [4095, 4096, 4097, 10_000];
+    let threads = (0..4u64)
+        .map(|p| {
+            let txs = (0..4u64)
+                .map(|t| {
+                    let span = SPANS[((p + t) % 4) as usize];
+                    let ops = vec![
+                        Op::Read(64 * (t % 2)),
+                        Op::Compute(span),
+                        Op::Write(64 * ((t + p) % 2)),
+                    ];
+                    Transaction::with_pre_compute(p * 16 + t, SPANS[(p % 4) as usize], ops)
+                })
+                .collect();
+            ThreadTrace::new(txs)
+        })
+        .collect();
+    WorkloadTrace::new("horizon", threads)
+}
+
+#[test]
+fn deadlines_straddling_the_event_wheel_horizon_are_engine_exact() {
+    // Back-offs of 3000–12 000 cycles, a 6000-cycle gating window and
+    // throttle windows put hook and processor deadlines past the horizon.
+    for mode in [
+        GatingMode::Ungated,
+        GatingMode::ExponentialBackoff { base: 3000, cap: 2 },
+        GatingMode::ClockGateFixedWindow { window: 6000 },
+        GatingMode::Throttle { w0: 5000 },
+    ] {
+        for topology in [TopologyConfig::Bus, sharded()] {
+            let context = format!("{} on {topology:?}", mode.label());
+            let fast = run_trace_on(mode, horizon_trace(), EngineKind::FastForward, topology);
+            let naive = run_trace_on(mode, horizon_trace(), EngineKind::Naive, topology);
+            assert_identical(&fast, &naive, &context);
+            assert_eq!(fast.outcome.total_commits, 16, "{context}");
+            assert!(fast.outcome.total_aborts > 0, "{context}: must contend");
+        }
+    }
+}
+
 /// A 64-processor intruder machine on the default sharded fabric with the
 /// paper's Eq. 8 clock-gating controller.
 fn contended_sharded_system() -> TccSystem<Box<dyn PolicyHook>> {
@@ -352,7 +397,7 @@ fn incremental_view_equals_a_full_refresh_after_every_fast_step() {
     while !sys.is_complete() {
         sys.step();
         steps += 1;
-        if let Err(e) = sys.debug_check_view() {
+        if let Err(e) = sys.debug_check_view().and(sys.debug_check_queue()) {
             panic!("after fast step {steps}: {e}");
         }
         assert!(sys.now() < 50_000_000, "run must finish");
@@ -378,7 +423,7 @@ fn incremental_view_survives_interleaved_naive_steps() {
             sys.step_naive();
         } else {
             sys.step();
-            if let Err(e) = sys.debug_check_view() {
+            if let Err(e) = sys.debug_check_view().and(sys.debug_check_queue()) {
                 panic!("after step {steps}: {e}");
             }
         }

@@ -194,7 +194,9 @@ impl<const W: usize> Directory<W> {
     }
 
     /// Inverse of [`Self::save_ckpt`]. A processor count or sharer the
-    /// `W`-word sets cannot hold is reported as a corrupt payload.
+    /// `W`-word sets cannot hold, or sharer bits and reader sets that do
+    /// not name the same `(line, processor)` pairs, are reported as a
+    /// corrupt payload.
     pub fn load_ckpt(r: &mut CkptReader<'_>) -> Result<Self, CkptError> {
         let id = r.get_usize()?;
         let num_procs = r.get_usize()?;
@@ -215,6 +217,27 @@ impl<const W: usize> Directory<W> {
         for _ in 0..num_procs {
             let members = r.get_u64_vec()?;
             reader_sets.push(members.into_iter().map(LineAddr).collect::<FxHashSet<_>>());
+        }
+        // The reader sets index the sharer bits: a bit without its entry
+        // would never be cleared, an entry without its bit would clear
+        // nothing. Every bit must have its entry, and the counts must agree
+        // so that no entry is left over.
+        let mut bits = 0usize;
+        for (line, entry) in &lines {
+            for p in entry.sharers {
+                if !reader_sets.get(p).is_some_and(|set| set.contains(line)) {
+                    return Err(CkptError::Corrupt(format!(
+                        "sharer {p} of line {:#x} has no reader-set entry",
+                        line.0
+                    )));
+                }
+                bits += 1;
+            }
+        }
+        if bits != reader_sets.iter().map(FxHashSet::len).sum::<usize>() {
+            return Err(CkptError::Corrupt(
+                "a reader-set entry names a line its processor does not share".into(),
+            ));
         }
         Ok(Self {
             id,
@@ -340,6 +363,61 @@ mod tests {
         let victims = d.commit_line(LineAddr(5), 1000);
         assert_eq!(victims.iter().collect::<Vec<_>>(), vec![70]);
         assert_eq!(d.owner(LineAddr(5)), Some(1000));
+    }
+
+    /// A 4-processor directory payload with line 0 shared by `sharers` and
+    /// the reader sets `readers` (one line list per processor).
+    fn payload(sharers: &[ProcId], readers: [&[u64]; 4]) -> Vec<u8> {
+        let mut w = CkptWriter::new();
+        w.put_usize(0);
+        w.put_usize(4);
+        w.put_usize(1);
+        w.put_u64(0);
+        ProcBits::<1>::from_iter(sharers.iter().copied()).save_ckpt(&mut w);
+        w.put_opt_usize(None);
+        for set in readers {
+            w.put_u64_slice(set);
+        }
+        for _ in 0..3 {
+            w.put_u64(0);
+        }
+        w.into_payload()
+    }
+
+    fn load(payload: &[u8]) -> Result<Directory<1>, CkptError> {
+        Directory::<1>::load_ckpt(&mut CkptReader::new(payload))
+    }
+
+    #[test]
+    fn checkpoint_round_trips() {
+        let mut d = Directory::<1>::new(0, 4);
+        d.add_sharer(LineAddr(0), 1);
+        d.add_sharer(LineAddr(0), 2);
+        d.add_sharer(LineAddr(9), 2);
+        d.commit_line(LineAddr(9), 3);
+        let mut w = CkptWriter::new();
+        d.save_ckpt(&mut w);
+        let bytes = w.into_payload();
+        let mut again = CkptWriter::new();
+        load(&bytes).unwrap().save_ckpt(&mut again);
+        assert_eq!(again.into_payload(), bytes);
+        assert!(load(&payload(&[1, 2], [&[], &[0], &[0], &[]])).is_ok());
+    }
+
+    #[test]
+    fn restore_rejects_sharer_bits_and_reader_sets_that_disagree() {
+        // A bit with no entry, an entry with no bit, and an entry for a
+        // line the directory does not track at all.
+        for bad in [
+            payload(&[1, 2], [&[], &[0], &[], &[]]),
+            payload(&[1], [&[], &[0], &[0], &[]]),
+            payload(&[1], [&[], &[0, 64], &[], &[]]),
+        ] {
+            match load(&bad) {
+                Err(CkptError::Corrupt(_)) => {}
+                other => panic!("inconsistent directory restored: {other:?}"),
+            }
+        }
     }
 
     #[test]

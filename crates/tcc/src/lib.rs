@@ -51,6 +51,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod deadlines;
 pub mod dirctrl;
 pub mod hooks;
 pub mod processor;

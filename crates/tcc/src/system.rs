@@ -22,6 +22,7 @@ use htm_sim::interval::{IntervalSeg, IntervalTracker};
 use htm_sim::topology::{Interconnect, Node, Route, Topology, TopologyConfig};
 use htm_sim::{proc_set_words, Cycle, DirId, ProcBits, ProcId};
 
+use crate::deadlines::DeadlineQueue;
 use crate::dirctrl::DirCtrl;
 use crate::hooks::{AbortAction, GateCommand, GatingHook, SystemView};
 use crate::processor::{CommitStep, Phase, ProcEvent, Processor, RetryAfter};
@@ -171,12 +172,14 @@ struct Machine<H: GatingHook, const W: usize> {
     /// settles the balance whenever the processor is processed or the run
     /// ends.
     acct_until: Vec<Cycle>,
-    /// Event queue of the fast engine: `(deadline, proc)` pairs, earliest
-    /// first, with lazy deletion (entries are validated against the
-    /// processor's actual state when popped and re-pushed if stale).
-    /// Commit spinners are deliberately *not* tracked here — their readiness
-    /// depends on shared grant state, so `plan_step` probes them directly.
-    deadlines: std::collections::BinaryHeap<std::cmp::Reverse<(Cycle, ProcId)>>,
+    /// Event queue of the fast engine: `(deadline, proc)` pairs on a timing
+    /// wheel of one-cycle slots, with an overflow heap for deadlines past
+    /// its horizon ([`DeadlineQueue`]). Deletion is lazy: entries are
+    /// validated against the processor's actual state when popped and
+    /// re-pushed if stale. Commit spinners are deliberately *not* tracked
+    /// here — their readiness depends on shared grant state, so
+    /// `plan_step` probes them directly.
+    deadlines: DeadlineQueue,
     /// Set of processors currently in `Phase::SpinCommit`.
     spin_mask: ProcBits<W>,
     /// Start-of-cycle population counts `(gated, missing, committing,
@@ -391,6 +394,15 @@ impl<H: GatingHook> TccSystem<H> {
         on_machine!(&self.0, m => m.debug_check_view())
     }
 
+    /// Check the fast engine's event queue: every processor that will act
+    /// on its own (a phase deadline or a pending inbox delivery; for a
+    /// commit spinner only the latter) has a queued entry at or before that
+    /// cycle. Returns the first processor without one. Does not change the
+    /// system. Exists for the engine tests.
+    pub fn debug_check_queue(&self) -> Result<(), String> {
+        on_machine!(&self.0, m => m.debug_check_queue())
+    }
+
     /// Consume the system and return the outcome accumulated so far together
     /// with the hook (so controller statistics can be read out directly).
     #[must_use]
@@ -479,7 +491,7 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
             view_dirty: ProcBits::empty(),
             dirs_dirty: Vec::new(),
             acct_until: vec![0; num_procs],
-            deadlines: std::collections::BinaryHeap::new(),
+            deadlines: DeadlineQueue::new(),
             spin_mask: ProcBits::empty(),
             state_counts: (0, 0, 0, 0),
             done_count,
@@ -795,11 +807,7 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
         // Drain the event queue up to `now`, validating lazily: an entry is
         // stale if the processor's deadline moved (it was processed since,
         // or the entry predates a newer, earlier event).
-        while let Some(&std::cmp::Reverse((d, i))) = self.deadlines.peek() {
-            if d > now {
-                break;
-            }
-            self.deadlines.pop();
+        while let Some(i) = self.deadlines.pop_due(now) {
             if active.contains(i) {
                 continue;
             }
@@ -812,7 +820,7 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
             };
             match effective {
                 Some(e) if e <= now => active.insert(i),
-                Some(e) => self.deadlines.push(std::cmp::Reverse((e, i))),
+                Some(e) => self.deadlines.push(e, i),
                 None => {}
             }
         }
@@ -836,7 +844,7 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
                 hook_due: true,
             };
         }
-        merge(&mut horizon, self.deadlines.peek().map(|r| r.0 .0));
+        merge(&mut horizon, self.deadlines.peek());
         merge(&mut horizon, hook_deadline);
         match horizon {
             Some(h) => {
@@ -859,7 +867,7 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
     /// construction they are only invalidated by interleaved `step_naive`
     /// calls, which mutate processors without maintaining them).
     fn rebuild_fast_state(&mut self) {
-        self.deadlines.clear();
+        self.deadlines.clear(self.now);
         self.spin_mask = ProcBits::empty();
         let mut gated = 0usize;
         let mut missing = 0usize;
@@ -878,11 +886,11 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
                 // A spinner's only queue-tracked wake source is its inbox
                 // (grant state is probed directly by `plan_step`).
                 if let Some(d) = proc.inbox.next_delivery() {
-                    self.deadlines.push(std::cmp::Reverse((d, i)));
+                    self.deadlines.push(d, i);
                 }
             } else if let Some(d) = proc.next_deadline(self.acct_until[i]) {
                 // Already folds in the earliest inbox arrival.
-                self.deadlines.push(std::cmp::Reverse((d, i)));
+                self.deadlines.push(d, i);
             }
         }
         self.state_counts = (gated, missing, committing, throttled);
@@ -971,15 +979,15 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
                 // this entry a pending delivery is unreachable whenever the
                 // rest of the machine is quiescent at its arrival cycle:
                 // the emission-time entry may have been collapsed into a
-                // phase deadline by a heap rebuild (after naive steps or a
+                // phase deadline by a queue rebuild (after naive steps or a
                 // checkpoint restore).
                 if let Some(d) = proc.inbox.next_delivery() {
-                    self.deadlines.push(std::cmp::Reverse((d, i)));
+                    self.deadlines.push(d, i);
                 }
             } else {
                 self.spin_mask.remove(i);
                 if let Some(d) = proc.next_deadline(now + 1) {
-                    self.deadlines.push(std::cmp::Reverse((d, i)));
+                    self.deadlines.push(d, i);
                 }
             }
         }
@@ -1150,6 +1158,35 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
         Ok(())
     }
 
+    fn debug_check_queue(&self) -> Result<(), String> {
+        if self.fast_state_stale {
+            // The next plan rebuilds the queue from every processor.
+            return Ok(());
+        }
+        let mut earliest = vec![Cycle::MAX; self.procs.len()];
+        self.deadlines
+            .for_each(|d, i| earliest[i] = earliest[i].min(d));
+        for (i, proc) in self.procs.iter().enumerate() {
+            let due = if matches!(proc.phase, Phase::SpinCommit { .. }) {
+                proc.inbox.next_delivery()
+            } else {
+                proc.next_deadline(self.acct_until[i])
+            };
+            if let Some(d) = due.filter(|&d| earliest[i] > d) {
+                return Err(format!(
+                    "cycle {}: processor {i} acts at {d} but its earliest queued entry is {}",
+                    self.now,
+                    if earliest[i] == Cycle::MAX {
+                        "none".to_string()
+                    } else {
+                        earliest[i].to_string()
+                    }
+                ));
+            }
+        }
+        Ok(())
+    }
+
     fn apply_hook_commands(&mut self) {
         let mut commands = std::mem::take(&mut self.tick_scratch);
         commands.clear();
@@ -1167,7 +1204,7 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
                     self.procs[proc]
                         .inbox
                         .push(arrive, ProcEvent::TurnOn { dir });
-                    self.deadlines.push(std::cmp::Reverse((arrive, proc)));
+                    self.deadlines.push(arrive, proc);
                 }
             }
         }
@@ -1579,8 +1616,8 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
 
     fn try_start_flush(&mut self, i: ProcId, step_idx: usize) {
         let tid = self.procs[i].tid.expect("commit spin requires a TID");
-        let step = self.procs[i].commit_plan[step_idx].clone();
-        if !self.dirs[step.dir].can_grant(i, tid, self.now) {
+        let dir = self.procs[i].commit_plan[step_idx].dir;
+        if !self.dirs[dir].can_grant(i, tid, self.now) {
             return;
         }
         // Granted: the flush occupies the directory for its lookup latency
@@ -1593,18 +1630,21 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
         let aborter_tx = self.procs[i].current_tx_id().unwrap_or_default();
         let flush_route = Route {
             src: Node::Proc(i),
-            dst: Node::Dir(step.dir),
+            dst: Node::Dir(dir),
         };
+        // Borrowed out of the plan for the walk and put back after it; the
+        // loop only touches other processors' state.
+        let lines = std::mem::take(&mut self.procs[i].commit_plan[step_idx].lines);
         let mut t = self.now + self.cfg.directory_latency;
-        for &line in &step.lines {
+        for &line in &lines {
             t = self.net.request(t, flush_route, BusTraffic::Data);
-            let victims = self.dirs[step.dir].directory.commit_line(line, i);
+            let victims = self.dirs[dir].directory.commit_line(line, i);
             for victim in victims {
                 if victim == i {
                     continue;
                 }
                 let inval_route = Route {
-                    src: Node::Dir(step.dir),
+                    src: Node::Dir(dir),
                     dst: Node::Proc(victim),
                 };
                 let deliver = self
@@ -1613,15 +1653,16 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
                 let deliver = deliver.max(self.now + 1);
                 let ev = ProcEvent::Invalidation {
                     line,
-                    dir: step.dir,
+                    dir,
                     aborter: i,
                     aborter_tx,
                 };
                 self.procs[victim].inbox.push(deliver, ev);
-                self.deadlines.push(std::cmp::Reverse((deliver, victim)));
+                self.deadlines.push(deliver, victim);
             }
         }
-        self.dirs[step.dir].occupy(i, self.now, t);
+        self.procs[i].commit_plan[step_idx].lines = lines;
+        self.dirs[dir].occupy(i, self.now, t);
         self.procs[i].phase = Phase::Committing { step_idx, until: t };
     }
 
@@ -1942,9 +1983,14 @@ mod tests {
         }
 
         fn on_tick(&mut self, now: Cycle, _view: &SystemView, out: &mut Vec<GateCommand>) {
+            // The timer is spent once it fires, whether or not the system
+            // honoured the gate (it ignores one whose victim is already
+            // committing): the next abort of that victim arms a new one.
+            let gated = &mut self.gated;
             self.pending.retain(|&(proc, dir, due)| {
                 if now >= due {
                     out.push(GateCommand::UngateProcessor { proc, dir });
+                    gated[proc] = false;
                     false
                 } else {
                     true
@@ -1954,10 +2000,6 @@ mod tests {
 
         fn next_deadline(&self, now: Cycle) -> Option<Cycle> {
             self.pending.iter().map(|&(_, _, due)| due.max(now)).min()
-        }
-
-        fn on_wake(&mut self, proc: ProcId, _now: Cycle) {
-            self.gated[proc] = false;
         }
     }
 
@@ -2117,6 +2159,62 @@ mod tests {
         }
     }
 
+    /// Two processors contending on one line with compute spans on both
+    /// sides of the event queue's 4096-cycle wheel horizon.
+    fn horizon_workload() -> WorkloadTrace {
+        let tx = |id: u64, span: u64| {
+            Transaction::new(id, vec![Op::Read(0), Op::Compute(span), Op::Write(0)])
+        };
+        WorkloadTrace::new(
+            "horizon",
+            vec![
+                ThreadTrace::new(vec![tx(1, 4095), tx(2, 4097), tx(3, 10_000)]),
+                ThreadTrace::new(vec![tx(11, 4096), tx(12, 10_000), tx(13, 4095)]),
+            ],
+        )
+    }
+
+    /// Back-offs of 3000, 6000 and 12 000 cycles: the later ones overflow
+    /// the wheel.
+    fn horizon_hook() -> ExponentialBackoff {
+        ExponentialBackoff::new(2, 3000, 2)
+    }
+
+    #[test]
+    fn checkpoint_with_far_deadlines_pending_resumes_byte_identically() {
+        let mut sys = Machine::<_, 1>::new(cfg(2), horizon_workload(), horizon_hook()).unwrap();
+        while sys.deadlines.overflow_len() == 0 {
+            assert!(!sys.is_complete(), "no deadline ever passed the horizon");
+            sys.step();
+        }
+        let payload = sys.save_checkpoint();
+        let mut resumed = Machine::<_, 1>::restore_checkpoint(
+            cfg(2),
+            horizon_workload(),
+            horizon_hook(),
+            &payload,
+        )
+        .unwrap();
+        let later = sys.now + 20_000;
+        sys.advance_until(later);
+        resumed.advance_until(later);
+        assert!(!sys.is_complete(), "the run must still be going");
+        assert_eq!(resumed.save_checkpoint(), sys.save_checkpoint());
+        let (outcome, _) = resumed
+            .run_bounded(5_000_000, EngineKind::FastForward)
+            .unwrap();
+        let (reference, _) = TccSystem::new(cfg(2), horizon_workload(), horizon_hook())
+            .unwrap()
+            .run_bounded(5_000_000, EngineKind::Naive)
+            .unwrap();
+        assert_eq!(outcome, reference);
+        assert_eq!(outcome.total_commits, 6);
+        assert!(
+            outcome.total_aborts > 0,
+            "the back-off windows must be used"
+        );
+    }
+
     #[test]
     fn checkpoint_resumed_run_equals_uninterrupted_run_naive_engine() {
         let (reference, _) = TccSystem::new(cfg(2), ckpt_workload(), ckpt_hook())
@@ -2259,8 +2357,7 @@ mod tests {
     /// aborting directory has an odd-numbered processor marked, and gates
     /// it for 120 cycles otherwise, so the run depends on the widened marked
     /// sets of the view. Unlike [`FixedWindowGate`] it asks the view whether
-    /// the victim is already stopped, so a gate the system ignores (the
-    /// victim was committing) cannot strand a later one without its timer.
+    /// the victim is already stopped instead of keeping flags of its own.
     #[derive(Default)]
     struct MarkedAwareGate {
         pending: Vec<(ProcId, DirId, Cycle)>,
@@ -2393,8 +2490,14 @@ mod tests {
     }
 
     /// `payload` with directory 0's sharer/owner record replaced by one
-    /// whose only line is shared by `sharer`.
-    fn splice_sharer(sys: &mut Machine<NoGating, 1>, payload: &[u8], sharer: ProcId) -> Vec<u8> {
+    /// whose only line is shared by `sharer`, with or without the matching
+    /// entry in `sharer`'s reader set.
+    fn splice_sharer(
+        sys: &mut Machine<NoGating, 1>,
+        payload: &[u8],
+        sharer: ProcId,
+        reader_entry: bool,
+    ) -> Vec<u8> {
         let mut r = CkptReader::new(payload);
         SimConfig::load_ckpt(&mut r).unwrap();
         r.get_str().unwrap();
@@ -2420,8 +2523,12 @@ mod tests {
         w.put_u64(0);
         htm_sim::ProcSet::from_iter([sharer]).save_ckpt(&mut w);
         w.put_opt_usize(None);
-        for _ in 0..sys.procs.len() {
-            w.put_u64_slice(&[]);
+        for p in 0..sys.procs.len() {
+            w.put_u64_slice(if reader_entry && p == sharer {
+                &[0]
+            } else {
+                &[]
+            });
         }
         for _ in 0..3 {
             w.put_u64(0);
@@ -2440,14 +2547,45 @@ mod tests {
         let restore = |payload: &[u8]| {
             TccSystem::restore_checkpoint(cfg(4), contended_workload(4, 1), NoGating, payload)
         };
-        // The splice itself is well formed: a member the machine has loads.
-        assert!(restore(&splice_sharer(&mut sys, &payload, 2)).is_ok());
+        // The splice itself is well formed: a member the machine has loads,
+        // with its reader-set entry.
+        assert!(restore(&splice_sharer(&mut sys, &payload, 2, true)).is_ok());
+        // The same sharer bit without its reader-set entry is inconsistent.
+        match restore(&splice_sharer(&mut sys, &payload, 2, false)) {
+            Err(SimError::Checkpoint(msg)) => assert!(msg.contains("reader-set"), "{msg}"),
+            Err(other) => panic!("unexpected error {other}"),
+            Ok(_) => panic!("a sharer bit without its reader-set entry restored"),
+        }
         // Processor 100 does not fit one word: a clean error, no panic.
-        match restore(&splice_sharer(&mut sys, &payload, 100)) {
+        match restore(&splice_sharer(&mut sys, &payload, 100, true)) {
             Err(SimError::Checkpoint(msg)) => assert!(msg.contains("out of range"), "{msg}"),
             Err(other) => panic!("unexpected error {other}"),
             Ok(_) => panic!("processor 100 restored into a 4-processor machine"),
         }
+    }
+
+    /// The gate-once hook on a grouped 128-processor machine: some of its
+    /// gates land on victims already past their validation point, which the
+    /// system ignores, and a later abort of such a victim must still get a
+    /// timer of its own.
+    #[test]
+    fn fixed_window_gate_finishes_a_grouped_128_processor_run() {
+        let procs = 128;
+        let run = |engine| {
+            TccSystem::new(
+                width_cfg(procs),
+                contended_workload(procs, 3),
+                FixedWindowGate::new(procs, 120),
+            )
+            .unwrap()
+            .run_bounded(5_000_000, engine)
+            .unwrap()
+            .0
+        };
+        let fast = run(EngineKind::FastForward);
+        assert!(fast.total_gatings > 0, "the run must gate");
+        assert_eq!(fast.total_commits, 3 * procs as u64);
+        assert_eq!(fast, run(EngineKind::Naive));
     }
 
     #[test]
