@@ -168,6 +168,14 @@ impl DeadlineQueue {
         }
     }
 
+    /// Number of queued entries, wheel and overflow heap together.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        let mut n = 0;
+        self.for_each(|_, _| n += 1);
+        n
+    }
+
     /// Number of entries in the overflow heap.
     #[cfg(test)]
     pub(crate) fn overflow_len(&self) -> usize {

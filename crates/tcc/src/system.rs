@@ -1187,6 +1187,15 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
         Ok(())
     }
 
+    /// Queue `proc` for the fast engine at `deadline`, unless the queue is
+    /// stale: the next plan then rebuilds it from every processor, so a
+    /// naive step leaves nothing behind that only a fast plan would pop.
+    fn queue_deadline(&mut self, deadline: Cycle, proc: ProcId) {
+        if !self.fast_state_stale {
+            self.deadlines.push(deadline, proc);
+        }
+    }
+
     fn apply_hook_commands(&mut self) {
         let mut commands = std::mem::take(&mut self.tick_scratch);
         commands.clear();
@@ -1204,7 +1213,7 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
                     self.procs[proc]
                         .inbox
                         .push(arrive, ProcEvent::TurnOn { dir });
-                    self.deadlines.push(arrive, proc);
+                    self.queue_deadline(arrive, proc);
                 }
             }
         }
@@ -1658,7 +1667,7 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
                     aborter_tx,
                 };
                 self.procs[victim].inbox.push(deliver, ev);
-                self.deadlines.push(deliver, victim);
+                self.queue_deadline(deliver, victim);
             }
         }
         self.procs[i].commit_plan[step_idx].lines = lines;
@@ -2586,6 +2595,31 @@ mod tests {
         assert!(fast.total_gatings > 0, "the run must gate");
         assert_eq!(fast.total_commits, 3 * procs as u64);
         assert_eq!(fast, run(EngineKind::Naive));
+    }
+
+    /// Naive steps leave the fast engine's queue empty: the invalidations
+    /// and `TurnOn`s they deliver are found by the next fast plan's
+    /// rebuild, not by entries that only a fast plan would pop.
+    #[test]
+    fn naive_steps_leave_the_event_queue_empty() {
+        let procs = 64;
+        let mut sys = Machine::<_, 1>::new(
+            width_cfg(procs),
+            contended_workload(procs, 3),
+            MarkedAwareGate::default(),
+        )
+        .unwrap();
+        while !sys.is_complete() {
+            assert!(sys.now < 5_000_000, "naive {procs}p run livelocked");
+            sys.step_naive();
+            if sys.now % 256 == 0 {
+                assert_eq!(sys.deadlines.len(), 0, "cycle {}", sys.now);
+            }
+        }
+        assert_eq!(sys.deadlines.len(), 0);
+        let (outcome, _) = sys.into_parts();
+        assert!(outcome.total_aborts > 0, "the run must invalidate");
+        assert!(outcome.total_gatings > 0, "the run must gate and wake");
     }
 
     #[test]
