@@ -113,6 +113,16 @@ impl Default for Fnv64 {
 impl Fnv64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
+    /// `PRIME^k` for `k` in `0..=8`.
+    const PRIME_POWERS: [u64; 9] = {
+        let mut powers = [1u64; 9];
+        let mut k = 1;
+        while k < 9 {
+            powers[k] = powers[k - 1].wrapping_mul(Self::PRIME);
+            k += 1;
+        }
+        powers
+    };
 
     /// Start a fresh hash.
     #[must_use]
@@ -129,8 +139,22 @@ impl Fnv64 {
     }
 
     /// Fold a `u64` (little-endian) into the hash.
+    ///
+    /// Equal to `write(&v.to_le_bytes())`. The bytes above the highest
+    /// non-zero one are zeros, and XOR with a zero byte is the identity, so
+    /// each of them only multiplies by `PRIME`: the `k` of them fold into
+    /// one multiplication by `PRIME^k` (exact, since wrapping
+    /// multiplication is associative).
     pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
+        let significant = 8 - (v.leading_zeros() / 8) as usize;
+        let mut hash = self.0;
+        let mut rest = v;
+        for _ in 0..significant {
+            hash ^= rest & 0xff;
+            hash = hash.wrapping_mul(Self::PRIME);
+            rest >>= 8;
+        }
+        self.0 = hash.wrapping_mul(Self::PRIME_POWERS[8 - significant]);
     }
 
     /// The accumulated hash value.
@@ -647,6 +671,42 @@ mod tests {
             let back = crate::config::SimConfig::load_ckpt(&mut r).unwrap();
             r.expect_end().unwrap();
             assert_eq!(back, cfg);
+        }
+    }
+
+    #[test]
+    fn fnv_write_u64_matches_the_byte_wise_fold() {
+        let bytewise = |v: u64| {
+            let mut h = Fnv64::new();
+            h.write(&v.to_le_bytes());
+            h.finish()
+        };
+        let folded = |v: u64| {
+            let mut h = Fnv64::new();
+            h.write_u64(v);
+            h.finish()
+        };
+        // Every byte-length boundary: 0, 0xff, 0x100, 0xffff, 0x1_0000, …
+        let mut values = vec![0, u64::MAX];
+        for bytes in 1..8 {
+            let top = 1u64 << (8 * bytes);
+            values.extend([top - 1, top, top + 1]);
+        }
+        let mut rng = crate::rng::DeterministicRng::new(20);
+        for _ in 0..10_000 {
+            // Random values spread over every length.
+            let len = rng.gen_range(65);
+            values.push(rng.next_u64_raw().checked_shr(64 - len as u32).unwrap_or(0));
+        }
+        for v in values {
+            assert_eq!(folded(v), bytewise(v), "{v:#x}");
+        }
+        // A running hash, not only a fresh one.
+        let (mut a, mut b) = (Fnv64::new(), Fnv64::new());
+        for v in [7u64, 0, 0x1_0000, u64::MAX, 1 << 63, 300] {
+            a.write_u64(v);
+            b.write(&v.to_le_bytes());
+            assert_eq!(a.finish(), b.finish());
         }
     }
 

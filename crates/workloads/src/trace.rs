@@ -212,7 +212,19 @@ pub struct TraceSummary {
     pub fingerprint: u64,
 }
 
+/// Bytes the reader pulls from its source, and the writer hands to its
+/// sink, at a time.
+const CHUNK: usize = 64 * 1024;
+
+/// Most entries a declared count may reserve up front. A count is only a
+/// claim until its lines arrive, so a huge one must not allocate before
+/// the file backs it up.
+const MAX_RESERVE: usize = 1 << 16;
+
 /// Serialize a workload in canonical `htmtrace v1` form.
+///
+/// The four header lines go through `fmt`; the body is formatted by hand
+/// into one reused buffer that is handed to `w` 64 KiB at a time.
 ///
 /// # Errors
 /// Propagates writer failures.
@@ -221,27 +233,55 @@ pub fn write_to<W: Write>(w: &mut W, workload: &WorkloadTrace) -> io::Result<()>
     writeln!(w, "procs {}", workload.num_threads())?;
     writeln!(w, "workload {}", workload.name)?;
     writeln!(w, "fingerprint {:016x}", workload.fingerprint())?;
+    let mut out = Vec::with_capacity(CHUNK + 64);
     for (idx, thread) in workload.threads.iter().enumerate() {
-        writeln!(w, "thread {idx} txs {}", thread.transactions.len())?;
+        out.extend_from_slice(b"thread ");
+        push_decimal(&mut out, idx as u64);
+        out.extend_from_slice(b" txs ");
+        push_decimal(&mut out, thread.transactions.len() as u64);
+        out.push(b'\n');
         for tx in &thread.transactions {
-            writeln!(
-                w,
-                "tx {} pre {} ops {}",
-                tx.tx_id,
-                tx.pre_compute,
-                tx.ops.len()
-            )?;
+            out.extend_from_slice(b"tx ");
+            push_decimal(&mut out, tx.tx_id);
+            out.extend_from_slice(b" pre ");
+            push_decimal(&mut out, tx.pre_compute);
+            out.extend_from_slice(b" ops ");
+            push_decimal(&mut out, tx.ops.len() as u64);
+            out.push(b'\n');
             for op in &tx.ops {
-                match op {
-                    Op::Read(a) => writeln!(w, "r {a}")?,
-                    Op::Write(a) => writeln!(w, "w {a}")?,
-                    Op::Compute(c) => writeln!(w, "c {c}")?,
+                let (kind, value) = match *op {
+                    Op::Read(a) => (b'r', a),
+                    Op::Write(a) => (b'w', a),
+                    Op::Compute(c) => (b'c', c),
+                };
+                out.extend_from_slice(&[kind, b' ']);
+                push_decimal(&mut out, value);
+                out.push(b'\n');
+                if out.len() >= CHUNK {
+                    w.write_all(&out)?;
+                    out.clear();
                 }
             }
-            writeln!(w, "end")?;
+            out.extend_from_slice(b"end\n");
         }
     }
-    writeln!(w, "eof")
+    out.extend_from_slice(b"eof\n");
+    w.write_all(&out)
+}
+
+/// Append the decimal digits of `v` to `out`.
+fn push_decimal(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 /// The canonical trace text for a workload (see [`write_to`]).
@@ -269,18 +309,21 @@ pub fn record_to_path(path: impl AsRef<Path>, workload: &WorkloadTrace) -> Resul
 /// Any [`TraceError`]: I/O, grammar, truncation, fingerprint mismatch,
 /// unsupported version, or a processor-count mismatch.
 pub fn read_from<R: BufRead>(reader: R) -> Result<LoadedTrace, TraceError> {
-    let mut threads: Vec<ThreadTrace> = Vec::new();
-    let (header, fingerprint) = stream(reader, |thread, tx| {
-        while threads.len() <= thread {
-            threads.push(ThreadTrace::default());
+    /// Collects every transaction, each thread reserved from its count.
+    struct Collect(Vec<ThreadTrace>);
+    impl Sink for Collect {
+        fn thread(&mut self, txs: usize) {
+            let transactions = Vec::with_capacity(txs.min(MAX_RESERVE));
+            self.0.push(ThreadTrace::new(transactions));
         }
-        threads[thread].transactions.push(tx);
-    })?;
-    while threads.len() < header.procs {
-        threads.push(ThreadTrace::default());
+        fn tx(&mut self, thread: usize, tx: Transaction) {
+            self.0[thread].transactions.push(tx);
+        }
     }
+    let mut threads = Collect(Vec::new());
+    let (header, fingerprint) = stream(reader, &mut threads)?;
     Ok(LoadedTrace {
-        workload: WorkloadTrace::new(header.name, threads),
+        workload: WorkloadTrace::new(header.name, threads.0),
         fingerprint,
     })
 }
@@ -295,26 +338,35 @@ pub fn read_from_path(path: impl AsRef<Path>) -> Result<LoadedTrace, TraceError>
 
 /// Stream a trace for verification only: the full structure is parsed and
 /// the fingerprint checked, but every transaction is dropped after
-/// hashing, so memory use is O(largest transaction) regardless of file
-/// size.
+/// hashing, so memory use is one read chunk plus the largest transaction
+/// regardless of file size.
 ///
 /// # Errors
 /// See [`read_from`].
 pub fn validate_from<R: BufRead>(reader: R) -> Result<TraceSummary, TraceError> {
-    let mut transactions = 0usize;
-    let mut ops = 0usize;
-    let mut memory_refs = 0usize;
-    let (header, fingerprint) = stream(reader, |_, tx| {
-        transactions += 1;
-        ops += tx.ops.len();
-        memory_refs += tx.memory_ops();
-    })?;
+    /// Counts transactions and operations and drops them.
+    #[derive(Default)]
+    struct Count {
+        transactions: usize,
+        ops: usize,
+        memory_refs: usize,
+    }
+    impl Sink for Count {
+        fn thread(&mut self, _txs: usize) {}
+        fn tx(&mut self, _thread: usize, tx: Transaction) {
+            self.transactions += 1;
+            self.ops += tx.ops.len();
+            self.memory_refs += tx.memory_ops();
+        }
+    }
+    let mut count = Count::default();
+    let (header, fingerprint) = stream(reader, &mut count)?;
     Ok(TraceSummary {
         name: header.name,
         procs: header.procs,
-        transactions,
-        ops,
-        memory_refs,
+        transactions: count.transactions,
+        ops: count.ops,
+        memory_refs: count.memory_refs,
         fingerprint,
     })
 }
@@ -333,38 +385,142 @@ struct Header {
     fingerprint: u64,
 }
 
-/// Line source that skips blanks/comments and tracks 1-based line numbers.
+/// Where [`stream`] hands the body, in file order.
+trait Sink {
+    /// The next thread section declares `txs` transactions.
+    fn thread(&mut self, txs: usize);
+    /// Transaction `tx` of thread `thread` is complete.
+    fn tx(&mut self, thread: usize, tx: Transaction);
+}
+
+/// Line source over one [`CHUNK`]-sized buffer: skips blanks and comments,
+/// tracks 1-based line numbers, and checks each line's UTF-8 as it
+/// arrives. A line that straddles the end of the buffer is moved to its
+/// front before the next read; one longer than the buffer grows it.
 struct Lines<R> {
     inner: R,
-    buf: String,
+    buf: Vec<u8>,
+    /// The current line (without its line end) is `buf[start..end]`.
+    start: usize,
+    end: usize,
+    /// Unconsumed bytes are `buf[pos..filled]`; `buf[pos..scanned]` holds
+    /// no `\n`.
+    pos: usize,
+    scanned: usize,
+    filled: usize,
+    eof: bool,
     line: usize,
 }
 
-impl<R: BufRead> Lines<R> {
+impl<R: Read> Lines<R> {
     fn new(inner: R) -> Self {
         Self {
             inner,
-            buf: String::new(),
+            buf: vec![0; CHUNK],
+            start: 0,
+            end: 0,
+            pos: 0,
+            scanned: 0,
+            filled: 0,
+            eof: false,
             line: 0,
         }
     }
 
-    /// Advance to the next non-blank, non-comment line; the content is in
-    /// `self.buf` (trailing newline stripped). Returns `false` at EOF.
+    /// The current line's bytes.
+    fn bytes(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    /// The current line's text.
+    fn text(&self) -> &str {
+        std::str::from_utf8(self.bytes()).expect("`advance` checked the line's UTF-8")
+    }
+
+    /// Advance to the next non-blank, non-comment line; its content is
+    /// [`Self::bytes`] (line end stripped). Returns `false` at EOF.
     fn advance(&mut self) -> Result<bool, TraceError> {
         loop {
-            self.buf.clear();
-            if self.inner.read_line(&mut self.buf)? == 0 {
+            if !self.next_raw_line()? {
                 return Ok(false);
             }
             self.line += 1;
-            while self.buf.ends_with('\n') || self.buf.ends_with('\r') {
-                self.buf.pop();
+            let raw = &self.buf[self.start..self.end];
+            if !raw.is_ascii() && std::str::from_utf8(raw).is_err() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "stream did not contain valid UTF-8",
+                )
+                .into());
             }
-            let trimmed = self.buf.trim_start();
+            while self.end > self.start && self.buf[self.end - 1] == b'\r' {
+                self.end -= 1;
+            }
+            // Every canonical line starts with a letter; anything else takes
+            // the `str` rule.
+            if self.bytes().first().is_some_and(u8::is_ascii_alphabetic) {
+                return Ok(true);
+            }
+            let trimmed = self.text().trim_start();
             if !trimmed.is_empty() && !trimmed.starts_with('#') {
                 return Ok(true);
             }
+        }
+    }
+
+    /// Make the next `\n`-terminated line (or the unterminated tail at
+    /// EOF) current. Returns `false` when no byte is left.
+    fn next_raw_line(&mut self) -> io::Result<bool> {
+        loop {
+            let unscanned = &self.buf[self.scanned..self.filled];
+            if let Some(at) = unscanned.iter().position(|&b| b == b'\n') {
+                self.start = self.pos;
+                self.end = self.scanned + at;
+                self.pos = self.end + 1;
+                self.scanned = self.pos;
+                return Ok(true);
+            }
+            self.scanned = self.filled;
+            if self.eof {
+                if self.pos == self.filled {
+                    return Ok(false);
+                }
+                (self.start, self.end) = (self.pos, self.filled);
+                self.pos = self.filled;
+                return Ok(true);
+            }
+            self.refill()?;
+        }
+    }
+
+    /// Read more bytes behind the unconsumed ones, moving those to the
+    /// front of the buffer first.
+    fn refill(&mut self) -> io::Result<()> {
+        if self.pos > 0 {
+            self.buf.copy_within(self.pos..self.filled, 0);
+            self.filled -= self.pos;
+            self.scanned -= self.pos;
+            self.pos = 0;
+        }
+        if self.filled == self.buf.len() {
+            self.buf.resize(2 * self.buf.len(), 0);
+        }
+        loop {
+            match self.inner.read(&mut self.buf[self.filled..]) {
+                Ok(0) => self.eof = true,
+                Ok(n) => self.filled += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+            return Ok(());
+        }
+    }
+
+    /// `Truncated` at the line after the last one read.
+    fn truncated(&self, expected: impl Into<String>) -> TraceError {
+        TraceError::Truncated {
+            line: self.line + 1,
+            expected: expected.into(),
         }
     }
 
@@ -372,10 +528,7 @@ impl<R: BufRead> Lines<R> {
         if self.advance()? {
             Ok(())
         } else {
-            Err(TraceError::Truncated {
-                line: self.line + 1,
-                expected: expected.to_string(),
-            })
+            Err(self.truncated(expected))
         }
     }
 
@@ -387,20 +540,56 @@ impl<R: BufRead> Lines<R> {
     }
 }
 
-fn parse_u64<R: BufRead>(lines: &Lines<R>, token: &str, what: &str) -> Result<u64, TraceError> {
+fn parse_u64<R: Read>(lines: &Lines<R>, token: &str, what: &str) -> Result<u64, TraceError> {
     token
         .parse::<u64>()
         .map_err(|_| lines.parse_err(format!("invalid {what} `{token}`")))
 }
 
-/// Parse + verify a trace, handing each transaction to `sink(thread, tx)`
-/// as it completes. The FNV fingerprint is folded incrementally in exactly
-/// the order of `htm_tcc::txn::fingerprint_parts` and checked against the
-/// header after `eof`.
-fn stream<R: BufRead, F: FnMut(usize, Transaction)>(
-    reader: R,
-    mut sink: F,
-) -> Result<(Header, u64), TraceError> {
+/// A non-empty run of ASCII digits that fits a `u64`, else `None` (the
+/// caller then takes the `str` path, which names the error).
+fn digits(bytes: &[u8]) -> Option<u64> {
+    if bytes.is_empty() {
+        return None;
+    }
+    bytes.iter().try_fold(0u64, |v, &b| {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        v.checked_mul(10)?.checked_add(u64::from(d))
+    })
+}
+
+/// `KEYWORD DIGITS` at the front of `bytes`, with one space between and
+/// one space or the line end after: the number and the rest after it.
+fn keyword_number<'a>(bytes: &'a [u8], keyword: &[u8]) -> Option<(u64, &'a [u8])> {
+    let rest = bytes.strip_prefix(keyword)?.strip_prefix(b" ")?;
+    let len = rest.iter().position(|&b| b == b' ').unwrap_or(rest.len());
+    Some((digits(&rest[..len])?, &rest[len..]))
+}
+
+/// The canonical `tx ID pre P ops N` line.
+fn fast_tx_line(bytes: &[u8]) -> Option<(u64, u64, u64)> {
+    let (id, rest) = keyword_number(bytes, b"tx")?;
+    let (pre, rest) = keyword_number(rest.strip_prefix(b" ")?, b"pre")?;
+    let (ops, rest) = keyword_number(rest.strip_prefix(b" ")?, b"ops")?;
+    rest.is_empty().then_some((id, pre, ops))
+}
+
+/// The canonical `r|w|c|m DIGITS` line.
+fn fast_op_line(bytes: &[u8]) -> Option<(u8, u64)> {
+    match bytes {
+        [kind @ (b'r' | b'w' | b'c' | b'm'), b' ', value @ ..] => Some((*kind, digits(value)?)),
+        _ => None,
+    }
+}
+
+/// Parse + verify a trace, handing each thread's declared count and each
+/// transaction to `sink` as they complete. The FNV fingerprint is folded
+/// incrementally in exactly the order of `htm_tcc::txn::fingerprint_parts`
+/// and checked against the header after `eof`.
+fn stream<R: Read>(reader: R, sink: &mut impl Sink) -> Result<(Header, u64), TraceError> {
     let mut lines = Lines::new(reader);
     let header = read_header(&mut lines)?;
 
@@ -410,7 +599,7 @@ fn stream<R: BufRead, F: FnMut(usize, Transaction)>(
     hash.write_u64(header.procs as u64);
 
     for thread_idx in 0..header.procs {
-        if !lines.advance()? || lines.buf.trim() == "eof" {
+        if !lines.advance()? || lines.text().trim() == "eof" {
             // Header promised more processors than the body delivers: the
             // dedicated over-declared-procs pre-flight, not a generic
             // truncation.
@@ -421,15 +610,16 @@ fn stream<R: BufRead, F: FnMut(usize, Transaction)>(
         }
         let txs = parse_thread_line(&lines, thread_idx)?;
         hash.write_u64(txs as u64);
+        sink.thread(txs);
         for _ in 0..txs {
             let tx = read_tx(&mut lines, &mut hash)?;
-            sink(thread_idx, tx);
+            sink.tx(thread_idx, tx);
         }
     }
 
     lines.expect("`eof` trailer")?;
-    if lines.buf.trim() != "eof" {
-        if lines.buf.trim().starts_with("thread ") {
+    if lines.text().trim() != "eof" {
+        if lines.text().trim().starts_with("thread ") {
             // More thread sections than the header declared.
             let extra = count_extra_threads(&mut lines)?;
             return Err(TraceError::ThreadCountMismatch {
@@ -437,7 +627,7 @@ fn stream<R: BufRead, F: FnMut(usize, Transaction)>(
                 found: header.procs + 1 + extra,
             });
         }
-        return Err(lines.parse_err(format!("expected `eof`, found `{}`", lines.buf.trim())));
+        return Err(lines.parse_err(format!("expected `eof`, found `{}`", lines.text().trim())));
     }
     if lines.advance()? {
         return Err(lines.parse_err("trailing content after `eof`"));
@@ -453,20 +643,20 @@ fn stream<R: BufRead, F: FnMut(usize, Transaction)>(
     Ok((header, computed))
 }
 
-fn count_extra_threads<R: BufRead>(lines: &mut Lines<R>) -> Result<usize, TraceError> {
+fn count_extra_threads<R: Read>(lines: &mut Lines<R>) -> Result<usize, TraceError> {
     let mut extra = 0;
     while lines.advance()? {
-        if lines.buf.trim().starts_with("thread ") {
+        if lines.text().trim().starts_with("thread ") {
             extra += 1;
         }
     }
     Ok(extra)
 }
 
-fn read_header<R: BufRead>(lines: &mut Lines<R>) -> Result<Header, TraceError> {
+fn read_header<R: Read>(lines: &mut Lines<R>) -> Result<Header, TraceError> {
     lines.expect("`htmtrace v1` header")?;
     let version = lines
-        .buf
+        .text()
         .trim()
         .strip_prefix("htmtrace ")
         .ok_or_else(|| lines.parse_err("not an htmtrace file (missing `htmtrace v1` header)"))?
@@ -478,13 +668,12 @@ fn read_header<R: BufRead>(lines: &mut Lines<R>) -> Result<Header, TraceError> {
     lines.expect("`procs N` header line")?;
     let procs = {
         let token = lines
-            .buf
+            .text()
             .trim()
             .strip_prefix("procs ")
             .ok_or_else(|| lines.parse_err("expected `procs N`"))?
-            .trim()
-            .to_string();
-        let n = parse_u64(lines, &token, "processor count")? as usize;
+            .trim();
+        let n = parse_u64(lines, token, "processor count")? as usize;
         if n == 0 {
             return Err(lines.parse_err("processor count must be at least 1"));
         }
@@ -493,7 +682,7 @@ fn read_header<R: BufRead>(lines: &mut Lines<R>) -> Result<Header, TraceError> {
 
     lines.expect("`workload NAME` header line")?;
     let name = lines
-        .buf
+        .text()
         .trim()
         .strip_prefix("workload ")
         .ok_or_else(|| lines.parse_err("expected `workload NAME`"))?
@@ -506,13 +695,12 @@ fn read_header<R: BufRead>(lines: &mut Lines<R>) -> Result<Header, TraceError> {
     lines.expect("`fingerprint HEX16` header line")?;
     let fingerprint = {
         let token = lines
-            .buf
+            .text()
             .trim()
             .strip_prefix("fingerprint ")
             .ok_or_else(|| lines.parse_err("expected `fingerprint HEX16`"))?
-            .trim()
-            .to_string();
-        u64::from_str_radix(&token, 16)
+            .trim();
+        u64::from_str_radix(token, 16)
             .map_err(|_| lines.parse_err(format!("invalid fingerprint `{token}`")))?
     };
 
@@ -523,11 +711,8 @@ fn read_header<R: BufRead>(lines: &mut Lines<R>) -> Result<Header, TraceError> {
     })
 }
 
-fn parse_thread_line<R: BufRead>(
-    lines: &Lines<R>,
-    expected_idx: usize,
-) -> Result<usize, TraceError> {
-    let mut parts = lines.buf.trim().split_ascii_whitespace();
+fn parse_thread_line<R: Read>(lines: &Lines<R>, expected_idx: usize) -> Result<usize, TraceError> {
+    let mut parts = lines.text().trim().split_ascii_whitespace();
     let (kw, idx, txs_kw, txs) = (parts.next(), parts.next(), parts.next(), parts.next());
     match (kw, idx, txs_kw, txs, parts.next()) {
         (Some("thread"), Some(idx), Some("txs"), Some(txs), None) => {
@@ -542,68 +727,86 @@ fn parse_thread_line<R: BufRead>(
         }
         _ => Err(lines.parse_err(format!(
             "expected `thread {expected_idx} txs N`, found `{}`",
-            lines.buf.trim()
+            lines.text().trim()
         ))),
     }
 }
 
-fn read_tx<R: BufRead>(lines: &mut Lines<R>, hash: &mut Fnv64) -> Result<Transaction, TraceError> {
-    lines.expect("`tx ID pre P ops N` line")?;
-    let (tx_id, pre_compute, declared_ops) = {
-        let mut parts = lines.buf.trim().split_ascii_whitespace();
-        match (
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-        ) {
-            (Some("tx"), Some(id), Some("pre"), Some(pre), Some("ops"), Some(n), None) => (
-                parse_u64(lines, id, "tx id")?,
-                parse_u64(lines, pre, "pre-compute cycle count")?,
-                parse_u64(lines, n, "op count")? as usize,
-            ),
-            _ => {
-                return Err(lines.parse_err(format!(
-                    "expected `tx ID pre P ops N`, found `{}`",
-                    lines.buf.trim()
-                )))
-            }
+/// A `tx` line off the canonical byte pattern: tokenized as `str`.
+fn parse_tx_line<R: Read>(lines: &Lines<R>) -> Result<(u64, u64, u64), TraceError> {
+    let mut parts = lines.text().trim().split_ascii_whitespace();
+    match (
+        parts.next(),
+        parts.next(),
+        parts.next(),
+        parts.next(),
+        parts.next(),
+        parts.next(),
+        parts.next(),
+    ) {
+        (Some("tx"), Some(id), Some("pre"), Some(pre), Some("ops"), Some(n), None) => Ok((
+            parse_u64(lines, id, "tx id")?,
+            parse_u64(lines, pre, "pre-compute cycle count")?,
+            parse_u64(lines, n, "op count")?,
+        )),
+        _ => Err(lines.parse_err(format!(
+            "expected `tx ID pre P ops N`, found `{}`",
+            lines.text().trim()
+        ))),
+    }
+}
+
+/// An op line off the canonical byte pattern: tokenized as `str`.
+fn parse_op_line<R: Read>(lines: &Lines<R>) -> Result<(u8, u64), TraceError> {
+    let mut parts = lines.text().trim().split_ascii_whitespace();
+    let (kind, value) = match (parts.next(), parts.next(), parts.next()) {
+        (Some(kind), Some(value), None) => (kind, value),
+        _ => {
+            return Err(lines.parse_err(format!(
+                "expected `r|w|c|m VALUE`, found `{}`",
+                lines.text().trim()
+            )))
         }
     };
+    let value = parse_u64(lines, value, "operand")?;
+    match kind {
+        "r" | "w" | "c" | "m" => Ok((kind.as_bytes()[0], value)),
+        other => Err(lines.parse_err(format!("unknown op kind `{other}`"))),
+    }
+}
+
+fn read_tx<R: Read>(lines: &mut Lines<R>, hash: &mut Fnv64) -> Result<Transaction, TraceError> {
+    lines.expect("`tx ID pre P ops N` line")?;
+    let (tx_id, pre_compute, declared_ops) = match fast_tx_line(lines.bytes()) {
+        Some(fields) => fields,
+        None => parse_tx_line(lines)?,
+    };
+    let declared_ops = declared_ops as usize;
 
     hash.write_u64(tx_id);
     hash.write_u64(pre_compute);
     hash.write_u64(declared_ops as u64);
 
-    let mut ops = Vec::with_capacity(declared_ops);
+    let mut ops = Vec::with_capacity(declared_ops.min(MAX_RESERVE));
     while ops.len() < declared_ops {
-        lines.expect(&format!(
-            "operation line ({} of {} in current tx)",
-            ops.len() + 1,
-            declared_ops
-        ))?;
-        let (kind, value) = {
-            let mut parts = lines.buf.trim().split_ascii_whitespace();
-            match (parts.next(), parts.next(), parts.next()) {
-                (Some(kind), Some(value), None) => (kind.to_string(), value.to_string()),
-                _ => {
-                    return Err(lines.parse_err(format!(
-                        "expected `r|w|c|m VALUE`, found `{}`",
-                        lines.buf.trim()
-                    )))
-                }
-            }
+        if !lines.advance()? {
+            return Err(lines.truncated(format!(
+                "operation line ({} of {} in current tx)",
+                ops.len() + 1,
+                declared_ops
+            )));
+        }
+        let (kind, value) = match fast_op_line(lines.bytes()) {
+            Some(op) => op,
+            None => parse_op_line(lines)?,
         };
-        let value = parse_u64(lines, &value, "operand")?;
-        match kind.as_str() {
-            "r" => ops.push(Op::Read(value)),
-            "w" => ops.push(Op::Write(value)),
-            "c" => ops.push(Op::Compute(value)),
-            "m" => {
-                // Read-modify-write sugar: two ops toward the declared count.
+        match kind {
+            b'r' => ops.push(Op::Read(value)),
+            b'w' => ops.push(Op::Write(value)),
+            b'c' => ops.push(Op::Compute(value)),
+            _ => {
+                // `m`, read-modify-write sugar: two ops toward the declared
+                // count.
                 if ops.len() + 2 > declared_ops {
                     return Err(lines.parse_err(
                         "`m` expands to a read + a write and needs 2 remaining \
@@ -613,15 +816,14 @@ fn read_tx<R: BufRead>(lines: &mut Lines<R>, hash: &mut Fnv64) -> Result<Transac
                 ops.push(Op::Read(value));
                 ops.push(Op::Write(value));
             }
-            other => return Err(lines.parse_err(format!("unknown op kind `{other}`"))),
         }
     }
 
     lines.expect("`end` after the declared ops")?;
-    if lines.buf.trim() != "end" {
+    if lines.bytes() != b"end" && lines.text().trim() != "end" {
         return Err(lines.parse_err(format!(
             "expected `end` after {declared_ops} ops, found `{}`",
-            lines.buf.trim()
+            lines.text().trim()
         )));
     }
 

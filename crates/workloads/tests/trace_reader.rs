@@ -6,9 +6,18 @@
 //! (CRLF line ends, tabs, leading blanks, a `+7` operand, `u64::MAX`, no
 //! newline after `eof`, a comment longer than the reader's chunk) are
 //! checked against the workload they spell.
+//!
+//! The chunk-boundary properties then check that a source which hands
+//! over 1–7 bytes per `read` gives the same result, or the same error, as
+//! a whole slice, for generated workloads and for random cuts and edits
+//! of their text.
 
+use std::io::{self, BufReader, Read};
+
+use htm_sim::rng::DeterministicRng;
 use htm_tcc::txn::{Op, ThreadTrace, Transaction, WorkloadTrace};
-use htm_workloads::trace::{self, read_from, validate_from};
+use htm_workloads::trace::{self, read_from, validate_from, LoadedTrace, TraceSummary};
+use htm_workloads::{by_name, WorkloadScale, CORPUS_WORKLOADS};
 
 /// The two-thread toy of the module documentation.
 fn toy() -> WorkloadTrace {
@@ -301,4 +310,108 @@ fn tolerated_spellings_still_parse() {
     let max_text = trace::render(&max);
     assert!(max_text.contains("r 18446744073709551615\n"));
     assert_parses_to(max_text.as_bytes(), &max, "u64::MAX operand");
+}
+
+/// A source that hands over 1–7 bytes per `read`, so lines straddle every
+/// possible read boundary.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    rng: DeterministicRng,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = (1 + self.rng.gen_range(7) as usize)
+            .min(buf.len())
+            .min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+fn trickle(bytes: &[u8], seed: u64) -> BufReader<Trickle<'_>> {
+    BufReader::with_capacity(
+        1,
+        Trickle {
+            bytes,
+            rng: DeterministicRng::new(seed),
+        },
+    )
+}
+
+type Outcome = (Result<LoadedTrace, String>, Result<TraceSummary, String>);
+
+fn whole(bytes: &[u8]) -> Outcome {
+    (
+        read_from(bytes).map_err(|e| e.to_string()),
+        validate_from(bytes).map_err(|e| e.to_string()),
+    )
+}
+
+fn trickled(bytes: &[u8], seed: u64) -> Outcome {
+    (
+        read_from(trickle(bytes, seed)).map_err(|e| e.to_string()),
+        validate_from(trickle(bytes, seed)).map_err(|e| e.to_string()),
+    )
+}
+
+/// Bytes a random edit may write: digits, letters of the grammar, blanks,
+/// line ends, a comment mark and a non-ASCII byte.
+const EDIT_BYTES: &[u8] = b"0123456789rwcmtxpreodsnf #\t\r\n\xc3";
+
+#[test]
+fn a_trickling_source_reads_like_a_whole_slice() {
+    let mut names = vec!["genome", "yada", "intruder"];
+    names.extend(CORPUS_WORKLOADS);
+    let mut rng = DeterministicRng::new(7);
+    for (case, name) in names.iter().enumerate() {
+        for procs in [1, 3] {
+            let seed = case as u64 * 10 + procs as u64;
+            let w = by_name(name, procs, WorkloadScale::Test, seed).unwrap();
+            let text = trace::render(&w).into_bytes();
+            let expected = whole(&text);
+            assert_eq!(expected.0.as_ref().unwrap().workload, w, "{name}");
+            assert_eq!(trickled(&text, seed), expected, "{name}");
+
+            for _ in 0..8 {
+                let cut = rng.gen_range(text.len() as u64 + 1) as usize;
+                let cut_text = &text[..cut];
+                assert_eq!(
+                    trickled(cut_text, seed),
+                    whole(cut_text),
+                    "{name} cut at byte {cut}"
+                );
+
+                let mut edited = text.clone();
+                let at = rng.gen_range(text.len() as u64) as usize;
+                edited[at] = EDIT_BYTES[rng.gen_range(EDIT_BYTES.len() as u64) as usize];
+                assert_eq!(
+                    trickled(&edited, seed),
+                    whole(&edited),
+                    "{name} edited at byte {at}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn lines_straddling_a_full_chunk_read_like_short_reads() {
+    // Larger than the reader's chunk, so whole-slice reads cut lines at the
+    // chunk's end and a long comment grows the buffer.
+    let w = by_name("intruder", 2, WorkloadScale::Full, 3)
+        .unwrap()
+        .tiled(20);
+    let text = trace::render(&w);
+    assert!(text.len() > 256 * 1024, "{} bytes", text.len());
+    let long_comment = format!("# {}\n", "y".repeat(150_000));
+    let at = text.len() / 3;
+    let at = text[..at].rfind('\n').unwrap() + 1;
+    let commented = format!("{}{long_comment}{}", &text[..at], &text[at..]);
+    for bytes in [text.as_bytes(), commented.as_bytes()] {
+        let expected = whole(bytes);
+        assert_eq!(expected.0.as_ref().unwrap().workload, w);
+        assert_eq!(trickled(bytes, 11), expected);
+    }
 }
