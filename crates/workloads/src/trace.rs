@@ -14,7 +14,7 @@
 //! htmtrace v1
 //! procs 2
 //! workload toy
-//! fingerprint 90b8385f9f7e1aa2
+//! fingerprint 5f5933f91e178e8a
 //! thread 0 txs 1
 //! tx 16384 pre 12 ops 3
 //! r 640
@@ -52,13 +52,19 @@
 //!
 //! # Bounded-memory reader
 //!
-//! [`read_from`] parses from any [`BufRead`] through a single reused line
-//! buffer: the file text is never materialized, and transient state is one
-//! line plus one transaction's operations. The decoded [`WorkloadTrace`]
-//! is the same compact structure the generators build (~16 bytes per
-//! operation). [`validate_from`] drops each transaction after hashing it,
-//! so pre-flight checks over multi-million-reference traces run in O(1)
-//! memory no matter the file size.
+//! [`read_from`] parses from any [`BufRead`] through one 64 KiB byte
+//! buffer filled by `read`: lines are scanned in place, and a line that
+//! straddles the buffer's end is carried to its front before the next
+//! read. The file text is never materialized. Transient state is the
+//! buffer plus one transaction's operations; only a line longer than the
+//! buffer (a long comment, say) grows it, to that line's length. Canonical
+//! lines are parsed straight from bytes; any other line takes a `str`
+//! tokenizer, so the tolerated spellings and every error message are one
+//! rule. The decoded [`WorkloadTrace`] is the same compact structure the
+//! generators build (~16 bytes per operation). [`validate_from`] drops
+//! each transaction after hashing it, so pre-flight checks over
+//! multi-million-reference traces hold one buffer and one transaction no
+//! matter the file size.
 
 use std::error::Error;
 use std::fmt;
@@ -212,8 +218,8 @@ pub struct TraceSummary {
     pub fingerprint: u64,
 }
 
-/// Bytes the reader pulls from its source, and the writer hands to its
-/// sink, at a time.
+/// The reader's buffer size, and about how many bytes the writer hands
+/// its sink at a time.
 const CHUNK: usize = 64 * 1024;
 
 /// Most entries a declared count may reserve up front. A count is only a

@@ -69,6 +69,7 @@ fn error_of(bytes: &[u8]) -> String {
 #[test]
 fn malformed_inputs_fail_with_pinned_messages() {
     let text = base();
+    // The fingerprint the module documentation shows for this toy.
     assert_eq!(toy().fingerprint(), 0x5f59_33f9_1e17_8e8a);
     let fp = format!("{:016x}", toy().fingerprint());
     let truncated_op = &text[..text.find("c 3\n").unwrap()];
