@@ -30,8 +30,8 @@ fn usage() -> ! {
         "usage: divergence [--budget N] [--seed S] [--out DIR] [--case FILE] [--inject-bug]\n\
          \n\
          Fuzz the exactness invariant: run random/mutated conflict traces and\n\
-         machine configurations on all three stepping engines (naive reference,\n\
-         fast-forward, shard-parallel) and field-wise diff the full reports.\n\
+         machine configurations on both stepping engines (naive reference and\n\
+         fast-forward) and field-wise diff the full reports.\n\
          A found divergence is auto-shrunk to a minimal `.case` file.\n\
          \n\
          options:\n\
@@ -124,7 +124,7 @@ fn main() {
             Err(err) => cli::fail(&format!("{}: simulation failed: {err}", path.display())),
         };
         if divergences.is_empty() {
-            eprintln!("{}: engine-exact on all three engines", path.display());
+            eprintln!("{}: engine-exact on both engines", path.display());
             return;
         }
         eprintln!("{}: DIVERGENCE", path.display());

@@ -16,22 +16,17 @@
 //!
 //! Engine and topology options:
 //!
-//! * `--engine fast|naive|shard|auto` selects the stepping engine (default
-//!   `fast`, the event-driven fast-forward engine; `naive` is the
-//!   one-step-per-cycle reference; `shard` is the shard-parallel engine
-//!   that simulates conflict-isolated islands on parallel host threads;
-//!   `auto` picks per run — shard-parallel when a sharded workload splits
-//!   into >1 island, fast-forward otherwise). All engines produce
-//!   byte-identical table/figure artifacts — CI runs the smoke matrices
-//!   with every engine and fails on any divergence.
+//! * `--engine fast|naive` selects the stepping engine (default `fast`, the
+//!   event-driven fast-forward engine; `naive` is the one-step-per-cycle
+//!   reference). Both produce byte-identical table/figure artifacts — CI
+//!   runs the smoke matrices on both and fails on any divergence.
 //! * `--topology bus|sharded[:BANKS[:mesh|xbar]]` swaps the interconnect
 //!   (default `bus`, the paper's machine; see `docs/SCALING.md`).
-//! * `--threads N` caps the process-wide worker pool: matrix cells and
-//!   shard-parallel islands share that one budget, so nested parallelism
-//!   never oversubscribes the host. Purely a
-//!   wall-clock knob — output bytes are identical for every `N`.
+//! * `--threads N` caps the process-wide worker pool the matrix cells run
+//!   on. Purely a wall-clock knob — output bytes are identical for every
+//!   `N`.
 //! * `--scale-smoke` is the large-machine CI gate: tiny workloads
-//!   (including the island-friendly `clustered` one) on 64-, 512- and
+//!   (including the cluster-isolated `clustered` one) on 64-, 512- and
 //!   1024-processor machines — the last being the simulator's
 //!   [`htm_sim::MAX_PROCS`] ceiling.
 //! * `--timing` writes a `BENCH_reproduce.json` artifact with the wall-clock
@@ -68,7 +63,7 @@ fn usage() -> ! {
          \x20 --max-procs N   drop matrix cells above N processors; CI uses it\n\
          \x20                 to keep the cycle-stepping naive reference arm of\n\
          \x20                 the scale smoke at 64p while the event-driven\n\
-         \x20                 engines take the full 512-1024p corpus\n\
+         \x20                 engine takes the full 512-1024p corpus\n\
          \x20 --record-trace FILE  record a workload as an htmtrace file and\n\
          \x20                 exit; the source is --from\n\
          \x20 --from SPEC     what --record-trace records, as\n\

@@ -25,7 +25,7 @@ use htm_bench::outln;
 
 fn usage() -> ! {
     cli::fail(&format!(
-        "usage: sweep --grid NAME | --trace FILE [--out DIR] [--engine fast|naive|shard|auto] [--topology T] [--threads N] [--objective O]\n\
+        "usage: sweep --grid NAME | --trace FILE [--out DIR] [--engine fast|naive] [--topology T] [--threads N] [--objective O]\n\
          \x20            [--resume] [--checkpoint-every N] [--checkpoint-dir D] [--replay-to CYCLE --replay-key KEY]\n\
          \x20            [--list] [--list-policies]\n\
          \n\

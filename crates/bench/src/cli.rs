@@ -11,18 +11,16 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use clockgate_htm::context::{CheckpointSpec, RunContext, TraceWorkload};
-use clockgate_htm::sim::EngineChoice;
+use clockgate_htm::sim::EngineKind;
 use htm_sim::pool::WorkerPool;
 use htm_sim::topology::TopologyConfig;
 
 /// Help text of the six run flags, as both binaries print it.
 pub const RUN_FLAGS_HELP: &str = "\
 run options (shared by reproduce and sweep):
-  --engine E      stepping engine: fast (default), naive, shard
-                  (shard-parallel islands on host threads), or
-                  auto (per run: shard when a sharded workload
-                  splits into >1 island, fast otherwise);
-                  artifacts are byte-identical in every case
+  --engine E      stepping engine: fast (default, event-driven
+                  fast-forward) or naive (one step per cycle, the
+                  reference); artifacts are byte-identical
   --topology T    interconnect: bus (default) or
                   sharded[:BANKS[:mesh|xbar]] (BANKS=0: one bank per
                   directory); off the bus, run and cell keys carry a
@@ -30,9 +28,9 @@ run options (shared by reproduce and sweep):
                   on resume; see docs/SCALING.md
   --threads N     cap the process-wide worker pool at N threads
                   (default: the host's available parallelism);
-                  matrix or sweep cells and shard-parallel islands
-                  draw from this one budget. Affects wall-clock
-                  only — artifacts are byte-identical for every N
+                  matrix or sweep cells run in parallel on it.
+                  Affects wall-clock only — artifacts are
+                  byte-identical for every N
   --checkpoint-every N  checkpoint every simulation run every N
                   simulated cycles; an interrupted run resumes from
                   its newest valid checkpoint with identical output
@@ -95,7 +93,7 @@ pub fn print_policy_list() {
     outln!(
         "\nEvery policy runs on either interconnect topology \
          (--topology bus|sharded[:BANKS[:mesh|xbar]], default bus) \
-         and any stepping engine (--engine fast|naive|shard|auto)."
+         and either stepping engine (--engine fast|naive)."
     );
 }
 
@@ -125,7 +123,7 @@ pub fn load_trace(path: &Path) -> TraceWorkload {
 #[derive(Debug, Default)]
 pub struct RunFlags {
     /// `--engine`.
-    pub engine: EngineChoice,
+    pub engine: EngineKind,
     /// `--topology`.
     pub topology: TopologyConfig,
     /// `--trace`.
@@ -147,11 +145,9 @@ impl RunFlags {
     ) -> Result<bool, String> {
         match flag {
             "--engine" => {
-                let value = args
-                    .next()
-                    .ok_or("--engine needs a value: fast, naive, shard or auto")?;
-                self.engine = EngineChoice::parse(&value).ok_or_else(|| {
-                    format!("--engine: `{value}` is not an engine; use fast, naive, shard or auto")
+                let value = args.next().ok_or("--engine needs a value: fast or naive")?;
+                self.engine = EngineKind::parse(&value).ok_or_else(|| {
+                    format!("--engine: `{value}` is not an engine; use fast or naive")
                 })?;
             }
             "--topology" => {
@@ -239,7 +235,6 @@ impl RunFlags {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clockgate_htm::sim::EngineKind;
 
     /// Feed `line` through [`RunFlags::take`], returning the flags and the
     /// arguments it left to the caller.
@@ -264,12 +259,12 @@ mod tests {
     #[test]
     fn every_run_flag_keeps_its_last_value() {
         let (flags, rest) = parse(
-            "--engine naive --engine auto --topology sharded --topology bus --smoke \
+            "--engine fast --engine naive --topology sharded --topology bus --smoke \
              --checkpoint-every 5 --checkpoint-every 7 --checkpoint-dir a --checkpoint-dir b \
              --trace x.trace --trace y.trace fig7",
         )
         .unwrap();
-        assert_eq!(flags.engine, EngineChoice::Auto);
+        assert_eq!(flags.engine, EngineKind::Naive);
         assert_eq!(flags.topology, TopologyConfig::Bus);
         assert_eq!(flags.checkpoint_every, Some(7));
         assert_eq!(flags.checkpoint_dir, Some(PathBuf::from("b")));
@@ -285,7 +280,7 @@ mod tests {
     fn the_context_carries_the_flags() {
         let (flags, _) = parse("--engine naive --topology sharded --checkpoint-every 9").unwrap();
         let ctx = flags.context(Path::new("out"), None);
-        assert_eq!(ctx.engine, EngineKind::Naive.into());
+        assert_eq!(ctx.engine, EngineKind::Naive);
         assert_eq!(ctx.topology, TopologyConfig::sharded_default());
         assert_eq!(
             ctx.checkpoint,

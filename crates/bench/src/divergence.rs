@@ -1,13 +1,12 @@
 //! Divergence-hunting fuzz harness for the stepping engines.
 //!
 //! The simulator's core robustness claim is the exactness invariant: the
-//! event-driven fast-forward engine and the shard-parallel island engine
-//! must reproduce the one-step-per-cycle naive reference engine *byte for
-//! byte* in every report field, for every machine configuration and every
-//! workload trace. The `engine_differential` suite pins that claim on fixed
-//! grids and proptest-generated traces; this module hunts for violations
-//! adversarially and, when it finds one, boils it down to the smallest
-//! reproducing case:
+//! event-driven fast-forward engine must reproduce the one-step-per-cycle
+//! naive reference engine *byte for byte* in every report field, for every
+//! machine configuration and every workload trace. The
+//! `engine_differential` suite pins that claim on fixed grids and
+//! proptest-generated traces; this module hunts for violations adversarially
+//! and, when it finds one, boils it down to the smallest reproducing case:
 //!
 //! 1. [`random_case`] samples a configuration point (processor count ×
 //!    topology × contention policy × L1 geometry) together with a small
@@ -18,7 +17,7 @@
 //!    and adversarial microbenchmarks), so realistic hotspot/zipfian/ring
 //!    access patterns reach the engine diff too; [`mutate_case`] perturbs an
 //!    existing case the way a coverage-guided fuzzer would.
-//! 2. [`run_case`] runs the case on all three engines and diffs the full
+//! 2. [`run_case`] runs the case on both engines and diffs the full
 //!    serialized [`SimReport`]s **field-wise**
 //!    (flattened JSON paths, so a single drifting counter is named
 //!    precisely).
@@ -341,7 +340,7 @@ fn random_tx(rng: &mut DeterministicRng, thread: u64, idx: u64) -> CaseTx {
 /// Seed case threads from a registered corpus scenario: generate the named
 /// workload at `Test` scale and truncate it (first transactions of each
 /// thread, first ops of each transaction) so the case stays small enough to
-/// run on all three engines and shrink quickly, while keeping the scenario's
+/// run on both engines and shrink quickly, while keeping the scenario's
 /// characteristic access pattern (hot counters, zipfian pools, ring slots).
 fn scenario_threads(rng: &mut DeterministicRng, name: &str) -> Vec<Vec<CaseTx>> {
     let procs = 2 + rng.gen_index(3);
@@ -464,7 +463,7 @@ pub struct FieldDiff {
 /// the naive reference, and exactly which report fields differ.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
-    /// Label of the diverging engine (`fast-forward` or `shard-parallel`).
+    /// Label of the diverging engine (`fast-forward`).
     pub engine: String,
     /// The differing fields, in path order.
     pub fields: Vec<FieldDiff>,
@@ -487,33 +486,32 @@ fn run_engine(
         .engine(engine);
     // The planted bug lives in the batched (fast-forward) accounting path,
     // which the naive engine never takes; perturbing only the fast engine
-    // keeps the reference and the shard engine honest witnesses.
+    // keeps the reference an honest witness.
     if inject_bug && engine == EngineKind::FastForward {
         builder = builder.debug_perturb_fast_accounting();
     }
     builder.run()
 }
 
-/// Run a case on all three engines and field-wise diff every report
-/// against the naive reference. An empty
-/// vector means the exactness invariant held.
+/// Run a case on both engines and field-wise diff the fast-forward report
+/// against the naive reference. An empty vector means the exactness
+/// invariant held.
 ///
 /// # Errors
 /// Propagates simulation errors (bad configuration, cycle-limit overrun).
 pub fn run_case(case: &CaseSpec, inject_bug: bool) -> Result<Vec<Divergence>, SimError> {
     let reference = to_json(&run_engine(case, EngineKind::Naive, inject_bug)?);
-    let mut divergences = Vec::new();
-    for engine in [EngineKind::FastForward, EngineKind::ShardParallel] {
-        let candidate = to_json(&run_engine(case, engine, inject_bug)?);
-        let fields = diff_reports(&reference, &candidate);
-        if !fields.is_empty() {
-            divergences.push(Divergence {
-                engine: engine.label().to_string(),
-                fields,
-            });
-        }
-    }
-    Ok(divergences)
+    let engine = EngineKind::FastForward;
+    let candidate = to_json(&run_engine(case, engine, inject_bug)?);
+    let fields = diff_reports(&reference, &candidate);
+    Ok(if fields.is_empty() {
+        Vec::new()
+    } else {
+        vec![Divergence {
+            engine: engine.label().to_string(),
+            fields,
+        }]
+    })
 }
 
 /// Field-wise diff of two serialized reports: both JSON documents are

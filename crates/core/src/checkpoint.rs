@@ -183,9 +183,6 @@ pub struct CheckpointRunInfo {
     /// (torn write, checksum mismatch, unreadable), with the reason each was
     /// skipped.
     pub skipped: Vec<(PathBuf, String)>,
-    /// The stepping engine the run executed under (the resolved kind when
-    /// the caller selected `auto`).
-    pub engine: EngineKind,
 }
 
 /// The full file name of the checkpoint of run `key` at cycle `cycle`.
@@ -406,7 +403,7 @@ fn restore_or_new<H: GatingHook>(
 /// in `every`-sized windows splits every engine jump additively (see
 /// [`TccSystem::advance_until`]), so the artifacts of a checkpointed,
 /// killed and resumed run are byte-identical to an uninterrupted one — on
-/// all three engines. `make_hook` must build a fresh hook with the run's
+/// both engines. `make_hook` must build a fresh hook with the run's
 /// original parameters; on resume its mutable state is overwritten through
 /// [`GatingHook::restore`].
 pub fn run_checkpointed<H, F>(
@@ -428,10 +425,7 @@ where
         path: ckpt.dir.clone(),
         source: e,
     })?;
-    let mut info = CheckpointRunInfo {
-        engine,
-        ..CheckpointRunInfo::default()
-    };
+    let mut info = CheckpointRunInfo::default();
     let found = if ckpt.resume {
         latest_valid_payload(&ckpt.dir, &ckpt.key, None, &mut info.skipped)?
     } else {
@@ -573,11 +567,7 @@ mod tests {
             .run_bounded(1_000_000, EngineKind::FastForward)
             .unwrap();
 
-        for engine in [
-            EngineKind::FastForward,
-            EngineKind::Naive,
-            EngineKind::ShardParallel,
-        ] {
+        for engine in [EngineKind::FastForward, EngineKind::Naive] {
             let dir = test_dir(&format!("equal-{}", engine.label()));
             let ckpt = CheckpointConfig::new(&dir, 500, "cell");
             let (outcome, _hook, info) = run_checkpointed(

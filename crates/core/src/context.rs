@@ -22,7 +22,7 @@ use htm_workloads::WorkloadScale;
 use crate::checkpoint::{
     remove_checkpoints, validate_checkpoint_dir, CheckpointConfig, CheckpointError,
 };
-use crate::sim::{EngineChoice, SimReport, SimulationBuilder};
+use crate::sim::{SimReport, SimulationBuilder};
 
 /// Durable checkpointing for every run of a matrix, fig7 sweep or sweep
 /// grid: each run writes a checkpoint of its simulator state into `dir`
@@ -70,8 +70,8 @@ impl TraceWorkload {
 /// checkpoints and no trace.
 #[derive(Debug, Clone, Default)]
 pub struct RunContext<'a> {
-    /// Stepping engine of every run (a fixed engine, or `auto` per run).
-    pub engine: EngineChoice,
+    /// Stepping engine of every run.
+    pub engine: EngineKind,
     /// Interconnect topology of every run.
     pub topology: TopologyConfig,
     /// Durable per-run checkpointing, if any.
@@ -126,18 +126,17 @@ impl RunContext<'_> {
         }
     }
 
-    /// Run `builder` as the run named `key`, returning the report and the
-    /// engine the run resolved to. Under checkpointing the run auto-resumes
-    /// from the newest valid checkpoint of `key`, reports skipped (torn or
-    /// corrupt) files and a resume on stderr, and deletes its checkpoints
-    /// once it completes.
+    /// Run `builder` as the run named `key`. Under checkpointing the run
+    /// auto-resumes from the newest valid checkpoint of `key`, reports
+    /// skipped (torn or corrupt) files and a resume on stderr, and deletes
+    /// its checkpoints once it completes.
     pub(crate) fn run(
         &self,
         builder: SimulationBuilder,
         key: &str,
-    ) -> Result<(SimReport, EngineKind), CheckpointError> {
+    ) -> Result<SimReport, CheckpointError> {
         let Some(spec) = &self.checkpoint else {
-            return Ok(builder.run_with_stats()?);
+            return Ok(builder.run()?);
         };
         let ckpt = CheckpointConfig::new(&spec.dir, spec.every, key);
         let (report, info) = builder.run_checkpointed(&ckpt)?;
@@ -155,7 +154,7 @@ impl RunContext<'_> {
             // problem: the completed run's artifact supersedes them.
             eprintln!("run `{key}`: could not clean up its checkpoints: {e}");
         }
-        Ok((report, info.engine))
+        Ok(report)
     }
 }
 
@@ -166,7 +165,7 @@ mod tests {
     #[test]
     fn default_context_is_fast_forward_on_the_bus_without_extras() {
         let ctx = RunContext::default();
-        assert_eq!(ctx.engine, EngineChoice::Fixed(EngineKind::FastForward));
+        assert_eq!(ctx.engine, EngineKind::FastForward);
         assert_eq!(ctx.topology, TopologyConfig::Bus);
         assert!(ctx.checkpoint.is_none() && ctx.trace.is_none());
     }

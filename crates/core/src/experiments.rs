@@ -31,7 +31,7 @@ use htm_workloads::WorkloadScale;
 
 use crate::context::RunContext;
 use crate::report::{fmt_f, fmt_factor, fmt_percent, format_table};
-use crate::sim::{compare_runs, EngineKind, GatingMode, SimReport};
+use crate::sim::{compare_runs, GatingMode, SimReport};
 
 pub use htm_workloads::registry::PAPER_WORKLOADS as EVALUATED_WORKLOADS;
 
@@ -225,9 +225,6 @@ pub struct CellTiming {
     pub procs: usize,
     /// Wall-clock milliseconds the cell took (ungated + gated run).
     pub wall_ms: f64,
-    /// Stepping engine the cell's runs resolved to (meaningful under
-    /// `--engine auto`, where each cell picks its own engine).
-    pub engine: String,
 }
 
 /// Wall-clock timing of a whole [`run_matrix`] invocation; serialized
@@ -259,7 +256,7 @@ fn run_one(
     mode: GatingMode,
     kind: &str,
     ctx: &RunContext<'_>,
-) -> Result<(SimReport, EngineKind), SimError> {
+) -> Result<SimReport, SimError> {
     let builder = ctx
         .builder(procs, workload, cfg.scale, cfg.seed)?
         .gating(mode)
@@ -334,14 +331,12 @@ fn run_cell(
     procs: usize,
     cfg: &ExperimentConfig,
     ctx: &RunContext<'_>,
-) -> Result<(MatrixCell, CellEnergyBreakdown, EngineKind), SimError> {
-    let (ungated, resolved) = run_one(workload, procs, cfg, GatingMode::Ungated, "ungated", ctx)?;
+) -> Result<(MatrixCell, CellEnergyBreakdown), SimError> {
+    let ungated = run_one(workload, procs, cfg, GatingMode::Ungated, "ungated", ctx)?;
     let gated_mode = GatingMode::ClockGate { w0: cfg.w0 };
-    let (gated, _) = run_one(workload, procs, cfg, gated_mode, "gated", ctx)?;
+    let gated = run_one(workload, procs, cfg, gated_mode, "gated", ctx)?;
     let comparison = compare_runs(&ungated, &gated);
     let breakdown = CellEnergyBreakdown::new(workload, procs, ungated.ledger, gated.ledger.clone());
-    // Both runs of a pair share (cfg, workload), so `auto` resolves them to
-    // the same engine.
     Ok((
         MatrixCell {
             workload: workload.to_string(),
@@ -351,7 +346,6 @@ fn run_cell(
             comparison,
         },
         breakdown,
-        resolved,
     ))
 }
 
@@ -389,7 +383,7 @@ pub fn run_matrix(
 
     // One pre-assigned slot per cell; each pool job writes only its own
     // slot, so cell order never depends on the schedule.
-    type CellResult = Result<(MatrixCell, CellEnergyBreakdown, EngineKind), SimError>;
+    type CellResult = Result<(MatrixCell, CellEnergyBreakdown), SimError>;
     let mut slots: Vec<Option<(CellResult, f64)>> = Vec::new();
     slots.resize_with(params.len(), || None);
     pool.scope(|scope| {
@@ -407,12 +401,11 @@ pub fn run_matrix(
     let mut timings = Vec::with_capacity(params.len());
     for slot in slots {
         let (result, wall_ms) = slot.expect("every cell job ran to completion");
-        let (cell, breakdown, resolved) = result?;
+        let (cell, breakdown) = result?;
         timings.push(CellTiming {
             workload: cell.workload.clone(),
             procs: cell.procs,
             wall_ms,
-            engine: resolved.label().to_string(),
         });
         cells.push(cell);
         breakdowns.push(breakdown);
@@ -685,7 +678,7 @@ pub fn fig7(
         // Baselines per workload.
         let mut baselines = Vec::new();
         for workload in &cfg.workloads {
-            let (ungated, _engine) = run_one(
+            let ungated = run_one(
                 workload,
                 procs,
                 cfg,
@@ -700,7 +693,7 @@ pub fn fig7(
             let kind = format!("fig7-w{w0}");
             for (workload, ungated) in cfg.workloads.iter().zip(&baselines) {
                 let mode = GatingMode::ClockGate { w0 };
-                let (gated, _engine) = run_one(workload, procs, cfg, mode, &kind, ctx)?;
+                let gated = run_one(workload, procs, cfg, mode, &kind, ctx)?;
                 speedups.push(compare_runs(ungated, &gated).speedup);
             }
             let avg = speedups.iter().sum::<f64>() / speedups.len().max(1) as f64;
@@ -745,6 +738,7 @@ pub fn render_fig7(result: &Fig7Result) -> String {
 mod tests {
     use super::*;
     use crate::context::CheckpointSpec;
+    use crate::sim::EngineKind;
     use htm_sim::topology::TopologyConfig;
 
     #[test]
@@ -846,7 +840,7 @@ mod tests {
         let cfg = ExperimentConfig::quick();
         let (fast, _, fast_breakdown) = run_matrix(&cfg, &RunContext::default()).unwrap();
         let naive_ctx = RunContext {
-            engine: EngineKind::Naive.into(),
+            engine: EngineKind::Naive,
             ..RunContext::default()
         };
         let (naive, _, naive_breakdown) = run_matrix(&cfg, &naive_ctx).unwrap();

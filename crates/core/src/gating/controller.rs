@@ -102,19 +102,6 @@ impl GatingStats {
         self.ungate_aborter_gone + self.ungate_different_tx + self.ungate_null_reply
     }
 
-    /// Fold another controller's counters into this one (fieldwise sums).
-    /// Used by the island-parallel runner to merge per-lane gating
-    /// statistics; each processor gates only within its own island, so the
-    /// merge is exact.
-    pub fn absorb(&mut self, other: &GatingStats) {
-        self.gatings += other.gatings;
-        self.renewals += other.renewals;
-        self.ungate_aborter_gone += other.ungate_aborter_gone;
-        self.ungate_different_tx += other.ungate_different_tx;
-        self.ungate_null_reply += other.ungate_null_reply;
-        self.stale_off_reconciled += other.stale_off_reconciled;
-    }
-
     /// Serialize the counters into a checkpoint payload.
     pub fn save_ckpt(&self, w: &mut CkptWriter) {
         w.put_u64(self.gatings);

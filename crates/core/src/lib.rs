@@ -75,7 +75,6 @@ pub mod checkpoint;
 pub mod context;
 pub mod experiments;
 pub mod gating;
-pub mod islands;
 pub mod pool;
 pub mod report;
 pub mod sim;
@@ -90,6 +89,5 @@ pub use gating::oracle::OracleHook;
 pub use gating::policy::{PolicyHook, PolicyInfo, PolicySpec, UncoreCharges, POLICY_REGISTRY};
 pub use gating::table::{GatingEntry, GatingTable};
 pub use gating::throttle::ThrottleHook;
-pub use islands::{partition_islands, run_shard_parallel, IslandRun};
 pub use sim::{GatingMode, SimReport, SimulationBuilder};
 pub use sweep::{run_sweep, CellRecord, SweepCell, SweepGrid};

@@ -41,90 +41,6 @@ use crate::gating::controller::GatingStats;
 /// it into an error instead of hanging).
 pub const DEFAULT_CYCLE_LIMIT: Cycle = 200_000_000;
 
-/// Engine selection for a run: either a fixed [`EngineKind`] or `Auto`,
-/// which resolves per run through [`choose_engine`] once the machine and
-/// workload are known. This is what the binaries' `--engine auto` flag maps
-/// to; every choice produces byte-identical artifacts (the engines are
-/// exact), so `Auto` is purely a wall-clock optimization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineChoice {
-    /// Always use this engine.
-    Fixed(EngineKind),
-    /// Pick the engine per run via [`choose_engine`].
-    Auto,
-}
-
-impl Default for EngineChoice {
-    fn default() -> Self {
-        EngineChoice::Fixed(EngineKind::default())
-    }
-}
-
-impl From<EngineKind> for EngineChoice {
-    fn from(kind: EngineKind) -> Self {
-        EngineChoice::Fixed(kind)
-    }
-}
-
-impl EngineChoice {
-    /// Short label for artifacts and log lines (`auto` or the fixed engine's
-    /// label).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineChoice::Fixed(kind) => kind.label(),
-            EngineChoice::Auto => "auto",
-        }
-    }
-
-    /// Parse a `--engine` CLI value. Accepted: `fast` / `fast-forward`,
-    /// `naive`, `shard` / `shard-parallel`, `auto`.
-    #[must_use]
-    pub fn parse(value: &str) -> Option<Self> {
-        match value {
-            "fast" | "fast-forward" => Some(EngineKind::FastForward.into()),
-            "naive" => Some(EngineKind::Naive.into()),
-            "shard" | "shard-parallel" => Some(EngineKind::ShardParallel.into()),
-            "auto" => Some(EngineChoice::Auto),
-            _ => None,
-        }
-    }
-
-    /// Resolve the choice for a concrete machine and workload.
-    #[must_use]
-    pub fn resolve(self, cfg: &SimConfig, workload: &WorkloadTrace) -> EngineKind {
-        match self {
-            EngineChoice::Fixed(kind) => kind,
-            EngineChoice::Auto => choose_engine(cfg, workload),
-        }
-    }
-}
-
-/// The `--engine auto` heuristic: pick the engine expected to be fastest
-/// for this machine and workload. All engines are byte-exact, so this only
-/// trades wall-clock time:
-///
-/// * On a sharded fabric (two or more bank channels) whose workload
-///   decomposes into two or more conflict-isolated islands
-///   ([`crate::islands::partition_islands`]), the island engine runs them
-///   in parallel with zero synchronization.
-/// * Everywhere else — the shared bus, a fabric collapsed to one bank
-///   channel, or a single contended island — the serial event-driven
-///   fast-forward engine.
-///
-/// The choice depends only on the machine and the workload, never on the
-/// host's thread budget.
-#[must_use]
-pub fn choose_engine(cfg: &SimConfig, workload: &WorkloadTrace) -> EngineKind {
-    let banked = matches!(cfg.topology, TopologyConfig::Sharded { .. })
-        && cfg.topology.effective_banks(cfg.num_dirs) >= 2;
-    if banked && crate::islands::partition_islands(cfg, workload).len() > 1 {
-        EngineKind::ShardParallel
-    } else {
-        EngineKind::FastForward
-    }
-}
-
 /// Result of a single simulation run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimReport {
@@ -174,7 +90,7 @@ pub struct SimulationBuilder {
     mode: GatingMode,
     power: PowerModelConfig,
     cycle_limit: Cycle,
-    engine: EngineChoice,
+    engine: EngineKind,
     debug_perturb: bool,
 }
 
@@ -194,7 +110,7 @@ impl SimulationBuilder {
             mode: GatingMode::Ungated,
             power: PowerModelConfig::alpha_21264_65nm(),
             cycle_limit: DEFAULT_CYCLE_LIMIT,
-            engine: EngineChoice::default(),
+            engine: EngineKind::default(),
             debug_perturb: false,
         }
     }
@@ -203,11 +119,9 @@ impl SimulationBuilder {
     /// ([`htm_tcc::system::TccSystem::debug_perturb_fast_accounting`]) into
     /// the run. Exists solely so the divergence fuzz harness can prove, end
     /// to end, that it detects a real engine-equivalence violation; never
-    /// set this outside that self-test. A perturbed run skips the
-    /// shard-parallel island fan-out so the planted bug is guaranteed to be
-    /// in the simulated machine (within one system the shard engine is the
-    /// fast-forward engine, so its batched accounting is perturbed too —
-    /// only the one-step-per-cycle naive engine stays ground truth).
+    /// set this outside that self-test. Only the fast-forward engine's
+    /// batched accounting is perturbed; the one-step-per-cycle naive engine
+    /// stays ground truth.
     #[must_use]
     pub fn debug_perturb_fast_accounting(mut self) -> Self {
         self.debug_perturb = true;
@@ -245,13 +159,8 @@ impl SimulationBuilder {
     /// Swap the interconnect topology of the current configuration (the
     /// Table II default is the shared split-transaction bus). Call *after*
     /// [`Self::processors`], which resets the whole configuration — and with
-    /// it the topology — to the Table II defaults.
-    ///
-    /// On a [`TopologyConfig::Sharded`] fabric the
-    /// [`EngineKind::ShardParallel`] engine can simulate conflict-isolated
-    /// processor islands on parallel host threads (see
-    /// [`crate::islands`]); every topology/engine combination produces
-    /// bit-identical outcomes.
+    /// it the topology — to the Table II defaults. Both engines produce
+    /// bit-identical outcomes on every topology.
     #[must_use]
     pub fn topology(mut self, topology: TopologyConfig) -> Self {
         self.config.topology = topology;
@@ -308,59 +217,35 @@ impl SimulationBuilder {
     }
 
     /// Select the stepping engine (default: [`EngineKind::FastForward`]).
-    /// Accepts a fixed [`EngineKind`] or [`EngineChoice::Auto`], which
-    /// resolves per run via [`choose_engine`].
     ///
-    /// Every engine produces bit-identical outcomes; the naive engine exists
+    /// Both engines produce bit-identical outcomes; the naive engine exists
     /// as the differential-testing ground truth and for timing comparisons.
     #[must_use]
-    pub fn engine(mut self, engine: impl Into<EngineChoice>) -> Self {
-        self.engine = engine.into();
+    pub fn engine(mut self, engine: EngineKind) -> Self {
+        self.engine = engine;
         self
     }
 
     /// Run the simulation.
-    pub fn run(self) -> Result<SimReport, SimError> {
-        self.run_with_stats().map(|(report, _engine)| report)
-    }
-
-    /// Run the simulation, additionally returning the engine that actually
-    /// drove it (resolved per run under [`EngineChoice::Auto`]). The engine
-    /// is deliberately not part of [`SimReport`]: reports are byte-compared
-    /// across engines. The report is byte-identical to [`Self::run`].
-    pub fn run_with_stats(mut self) -> Result<(SimReport, EngineKind), SimError> {
-        let (workload, engine) = self.take_workload()?;
-        let label = self.mode.label();
-        let limit = self.cycle_limit;
-        let power = self.power;
-
-        // The shard-parallel engine fans conflict-isolated islands out over
-        // host threads when the topology and workload allow it; otherwise
-        // (and for the serial engines) the policy spec resolves through the
-        // registry into a boxed hook and the whole machine runs in-process.
-        // `run_bounded` hands the hook back with the outcome, so the
-        // controller statistics and the policy's uncore-charge declaration
-        // come out directly. Both paths are bit-identical.
-        let islands_run = if engine == EngineKind::ShardParallel && !self.debug_perturb {
-            crate::islands::run_shard_parallel(&self.config, &workload, self.mode, limit)?
-        } else {
-            None
-        };
-        let (outcome, gating, charges) = match islands_run {
-            Some(run) => (run.outcome, run.gating, run.charges),
-            None => {
-                let hook = self.mode.build(&self.config);
-                let mut system = TccSystem::new(self.config, workload, hook)?;
-                if self.debug_perturb {
-                    system.debug_perturb_fast_accounting();
-                }
-                let (outcome, hook) = system.run_bounded(limit, engine)?;
-                (outcome, hook.gating_stats(), hook.uncore_charges())
-            }
-        };
-        Ok((
-            assemble_report(label, &power, outcome, gating, charges),
-            engine,
+    ///
+    /// The policy spec resolves through the registry into a boxed hook;
+    /// `run_bounded` hands the hook back with the outcome, so the controller
+    /// statistics and the policy's uncore-charge declaration come out
+    /// directly.
+    pub fn run(mut self) -> Result<SimReport, SimError> {
+        let workload = self.take_workload()?;
+        let hook = self.mode.build(&self.config);
+        let mut system = TccSystem::new(self.config, workload, hook)?;
+        if self.debug_perturb {
+            system.debug_perturb_fast_accounting();
+        }
+        let (outcome, hook) = system.run_bounded(self.cycle_limit, self.engine)?;
+        Ok(assemble_report(
+            self.mode.label(),
+            &self.power,
+            outcome,
+            hook.gating_stats(),
+            hook.uncore_charges(),
         ))
     }
 
@@ -369,21 +254,17 @@ impl SimulationBuilder {
     ///
     /// Produces a [`SimReport`] byte-identical to [`Self::run`] — taking and
     /// resuming from checkpoints is bit-exact (see [`crate::checkpoint`]).
-    /// Under checkpointing the [`EngineKind::ShardParallel`] island fan-out
-    /// is skipped and the whole machine runs in-process: within one system
-    /// the shard engine *is* the fast-forward engine, so the report is
-    /// unchanged — there is simply one coherent machine state to snapshot.
     pub fn run_checkpointed(
         mut self,
         ckpt: &CheckpointConfig,
     ) -> Result<(SimReport, CheckpointRunInfo), CheckpointError> {
-        let (workload, engine) = self.take_workload()?;
+        let workload = self.take_workload()?;
         let label = self.mode.label();
         let (outcome, hook, info) = crate::checkpoint::run_checkpointed(
             &self.config,
             &workload,
             || self.mode.build(&self.config),
-            engine,
+            self.engine,
             self.cycle_limit,
             ckpt,
         )?;
@@ -403,26 +284,23 @@ impl SimulationBuilder {
         key: &str,
         target: Cycle,
     ) -> Result<(ReplayReport, Vec<(PathBuf, String)>), CheckpointError> {
-        let (workload, engine) = self.take_workload()?;
+        let workload = self.take_workload()?;
         crate::checkpoint::replay_to(
             &self.config,
             &workload,
             || self.mode.build(&self.config),
-            engine,
+            self.engine,
             dir,
             key,
             target,
         )
     }
 
-    /// Move the workload out of the builder and resolve the engine for it.
-    fn take_workload(&mut self) -> Result<(WorkloadTrace, EngineKind), SimError> {
-        let workload = self
-            .workload
+    /// Move the workload out of the builder.
+    fn take_workload(&mut self) -> Result<WorkloadTrace, SimError> {
+        self.workload
             .take()
-            .ok_or_else(|| SimError::BadWorkload("no workload was provided".into()))?;
-        let engine = self.engine.resolve(&self.config, &workload);
-        Ok((workload, engine))
+            .ok_or_else(|| SimError::BadWorkload("no workload was provided".into()))
     }
 }
 

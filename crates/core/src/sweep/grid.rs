@@ -371,8 +371,8 @@ impl SweepGrid {
     /// cluster-isolated workload plus two STAMP-like ones at 64, 256, 512
     /// and 1024 processors (the simulator's [`htm_sim::MAX_PROCS`] ceiling),
     /// under the ungated / Eq. 8 / oracle trio. Meant to be run on the
-    /// sharded fabric (`sweep --grid scale --topology sharded`), where the
-    /// shard-parallel engine fans clustered islands out over host threads.
+    /// sharded fabric (`sweep --grid scale --topology sharded`), where
+    /// traffic to different directories does not serialize on one bus.
     #[must_use]
     pub fn scale() -> Self {
         Self {

@@ -35,7 +35,7 @@ use super::{CellRecord, SCHEMA_VERSION};
 use crate::checkpoint::{atomic_write_bytes, CheckpointError};
 use crate::context::RunContext;
 use crate::report::{to_json, to_json_compact};
-use crate::sim::{EngineChoice, SimulationBuilder};
+use crate::sim::{EngineKind, SimulationBuilder};
 
 /// File name of the streamed per-cell record artifact.
 pub const JSONL_NAME: &str = "sweep.jsonl";
@@ -349,7 +349,7 @@ pub fn run_cell(cell: &SweepCell, ctx: &RunContext<'_>) -> Result<CellRecord, Sw
         .map_err(CheckpointError::Sim)
         .and_then(|builder| ctx.run(builder, &key));
     match run {
-        Ok((report, _engine)) => {
+        Ok(report) => {
             let mut record = CellRecord::from_report(cell, &report);
             record.key = key;
             Ok(record)
@@ -362,11 +362,11 @@ pub fn run_cell(cell: &SweepCell, ctx: &RunContext<'_>) -> Result<CellRecord, Sw
 /// trace. Kept with this signature for the out-of-tree benchmark.
 pub fn run_cell_on(
     cell: &SweepCell,
-    engine: impl Into<EngineChoice>,
+    engine: EngineKind,
     topology: TopologyConfig,
 ) -> Result<CellRecord, SimError> {
     let ctx = RunContext {
-        engine: engine.into(),
+        engine,
         topology,
         ..RunContext::default()
     };
@@ -598,10 +598,7 @@ pub fn run_sweep(
 
     if !pending.is_empty() {
         // Sized from the process-wide pool budget (the binaries' `--threads`
-        // cap), so cell-level and island-level parallelism share one budget:
-        // island lanes spawned by a cell run on the global pool itself,
-        // whose helping wait() keeps these scoped threads working instead of
-        // oversubscribing the host.
+        // cap).
         let threads = crate::pool::WorkerPool::global()
             .workers()
             .min(pending.len());
@@ -750,14 +747,14 @@ pub fn run_sweep(
 /// trace. Kept with this signature for the out-of-tree benchmark.
 pub fn run_sweep_on(
     grid: &SweepGrid,
-    engine: impl Into<EngineChoice>,
+    engine: EngineKind,
     out_dir: &Path,
     resume: bool,
     objective: SweepObjective,
     topology: TopologyConfig,
 ) -> Result<SweepOutcome, SweepError> {
     let ctx = RunContext {
-        engine: engine.into(),
+        engine,
         topology,
         ..RunContext::default()
     };
@@ -769,7 +766,6 @@ mod tests {
     use super::*;
     use crate::context::{CheckpointSpec, TraceWorkload};
     use crate::sim::GatingMode;
-    use htm_tcc::system::EngineKind;
     use htm_workloads::WorkloadScale;
 
     fn test_dir(name: &str) -> PathBuf {
@@ -1016,7 +1012,7 @@ mod tests {
         let dir_naive = test_dir("eng-naive");
         plain_sweep(&grid, &dir_fast, false).unwrap();
         let naive = RunContext {
-            engine: EngineKind::Naive.into(),
+            engine: EngineKind::Naive,
             ..RunContext::default()
         };
         run_sweep(&grid, &dir_naive, false, SweepObjective::Energy, &naive).unwrap();

@@ -2,22 +2,18 @@
 //!
 //! The fast-forward engine (`EngineKind::FastForward`) must be bit-for-bit
 //! cycle-exact with respect to the naive one-step-per-cycle reference engine
-//! (`EngineKind::Naive`); the shard-parallel engine
-//! (`EngineKind::ShardParallel`) — which decomposes a sharded machine into
-//! conflict-isolated islands and simulates them on parallel host threads —
-//! must be bit-for-bit exact with respect to them: identical `RunOutcome`s —
-//! total cycles, commits, aborts, gatings, per-state cycle breakdowns,
-//! interval decomposition, bus and shard statistics — identical controller
-//! statistics and identical energy analyses, for **every registered
-//! contention policy** (the six legacy modes and the adaptive / hybrid /
-//! throttle / oracle extensions), every registered workload and **both
-//! interconnect topologies** (the paper's shared bus and the banked sharded
-//! fabric). This suite sweeps the full (policy × workload × topology) grid
-//! at `Test` scale, replays the policy grid on a 64-processor sharded
-//! machine where the clustered workload actually decomposes into islands,
-//! and then hammers the same invariants with property-based random traces
-//! designed to provoke conflicts, aborts, gating, renewal, throttled
-//! windows, oracle subscriptions and multi-island decompositions.
+//! (`EngineKind::Naive`): identical `RunOutcome`s — total cycles, commits,
+//! aborts, gatings, per-state cycle breakdowns, interval decomposition, bus
+//! and shard statistics — identical controller statistics and identical
+//! energy analyses, for **every registered contention policy** (the six
+//! legacy modes and the adaptive / hybrid / throttle / oracle extensions),
+//! every registered workload and **both interconnect topologies** (the
+//! paper's shared bus and the banked sharded fabric). This suite sweeps the
+//! full (policy × workload × topology) grid at `Test` scale, replays the
+//! policy grid on a 64-processor sharded machine running the clustered
+//! workload, and then hammers the same invariants with property-based random
+//! traces designed to provoke conflicts, aborts, gating, renewal, throttled
+//! windows and oracle subscriptions, on the bus and on the sharded fabric.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -25,9 +21,7 @@ use std::rc::Rc;
 use clockgate_htm::checkpoint::{atomic_write_bytes, checkpoint_path, CheckpointConfig};
 use clockgate_htm::gating::policy::PolicyHook;
 use clockgate_htm::report::to_json;
-use clockgate_htm::sim::{
-    choose_engine, EngineChoice, EngineKind, GatingMode, SimReport, SimulationBuilder,
-};
+use clockgate_htm::sim::{EngineKind, GatingMode, SimReport, SimulationBuilder};
 use htm_sim::checkpoint::{CkptError, CkptReader, CkptWriter};
 use htm_sim::config::SimConfig;
 use htm_sim::topology::TopologyConfig;
@@ -194,62 +188,31 @@ fn every_mode_and_workload_is_engine_exact() {
 
 #[test]
 fn every_mode_and_workload_is_engine_exact_on_the_sharded_fabric() {
-    // The same (policy × workload) grid on the banked topology, with the
-    // shard-parallel engine as a third party to the agreement. At four
-    // processors most workloads form a single island (the shard-parallel
-    // engine falls back to serial fast-forward); the fallback must be
-    // invisible in the output.
+    // The same (policy × workload) grid on the banked topology.
     for workload in ALL_WORKLOADS {
         for mode in all_modes() {
             let fast = run_named_on(mode, workload, 4, EngineKind::FastForward, sharded());
             let naive = run_named_on(mode, workload, 4, EngineKind::Naive, sharded());
-            let shard = run_named_on(mode, workload, 4, EngineKind::ShardParallel, sharded());
             let context = format!("sharded workload={workload} mode={}", mode.label());
             assert_identical(&fast, &naive, &context);
-            assert_identical(&shard, &fast, &context);
             fast.outcome.check_consistency().unwrap();
         }
     }
 }
 
 #[test]
-fn parallel_engines_are_exact_on_the_bus_topology_too() {
-    // On the bus there is nothing to decompose; the shard-parallel engine
-    // must degrade to plain fast-forward, not diverge or refuse.
-    for mode in [GatingMode::Ungated, GatingMode::ClockGate { w0: 8 }] {
-        let fast = run_named(mode, "intruder", 4, EngineKind::FastForward);
-        let shard = run_named(mode, "intruder", 4, EngineKind::ShardParallel);
-        assert_identical(&shard, &fast, &format!("bus mode={}", mode.label()));
-    }
-}
-
-#[test]
 fn clustered_64p_islands_are_engine_exact_for_every_policy() {
-    // The scale case the tentpole is about: 64 processors, the clustered
-    // workload decomposing into eight conflict-isolated islands on the
-    // sharded fabric. The shard-parallel engine simulates the islands on
-    // parallel host threads and must reproduce the serial engines bit for
-    // bit — for all ten policy families, including the stateful adaptive /
-    // hybrid / oracle extensions whose controller statistics are merged
-    // across lanes.
+    // 64 processors, the clustered workload forming eight conflict-isolated
+    // islands on the sharded fabric: many banks busy at once, with contention
+    // inside every island. The fast engine must match the naive reference bit
+    // for bit for all ten policy families, including the stateful adaptive /
+    // hybrid / oracle extensions.
     for mode in all_modes() {
         let fast = run_named_on(mode, "clustered", 64, EngineKind::FastForward, sharded());
-        let shard = run_named_on(mode, "clustered", 64, EngineKind::ShardParallel, sharded());
-        let context = format!("clustered 64p sharded mode={}", mode.label());
-        assert_identical(&shard, &fast, &context);
-        fast.outcome.check_consistency().unwrap();
-    }
-    // The naive reference engine is too slow to sweep all ten families at
-    // this size; one gated and one ungated point anchor the three-way
-    // agreement.
-    for mode in [GatingMode::Ungated, GatingMode::ClockGate { w0: 8 }] {
-        let fast = run_named_on(mode, "clustered", 64, EngineKind::FastForward, sharded());
         let naive = run_named_on(mode, "clustered", 64, EngineKind::Naive, sharded());
-        assert_identical(
-            &fast,
-            &naive,
-            &format!("clustered 64p sharded naive mode={}", mode.label()),
-        );
+        let context = format!("clustered 64p sharded mode={}", mode.label());
+        assert_identical(&fast, &naive, &context);
+        fast.outcome.check_consistency().unwrap();
     }
 }
 
@@ -258,13 +221,11 @@ fn hotspot_16p_sharded_is_engine_exact() {
     // A contended multi-bank run above four processors: every hotspot
     // thread hammers the same lines across several bank shards, so the
     // sharded fabric's per-bank arbitration and the gating timers interact
-    // on every cycle. All three engines must agree byte for byte.
+    // on every cycle. Both engines must agree byte for byte.
     let mode = GatingMode::ClockGate { w0: 8 };
     let fast = run_named_on(mode, "hotspot", 16, EngineKind::FastForward, sharded());
     let naive = run_named_on(mode, "hotspot", 16, EngineKind::Naive, sharded());
-    let shard = run_named_on(mode, "hotspot", 16, EngineKind::ShardParallel, sharded());
     assert_identical(&fast, &naive, "hotspot 16p fast-forward vs naive");
-    assert_identical(&fast, &shard, "hotspot 16p fast-forward vs shard-parallel");
     fast.outcome.check_consistency().unwrap();
 }
 
@@ -600,11 +561,7 @@ fn recorded_traces_replay_engine_exact_on_every_engine() {
         );
         let mode = GatingMode::ClockGate { w0: 8 };
         let baseline = run_trace(mode, original, EngineKind::FastForward);
-        for engine in [
-            EngineKind::FastForward,
-            EngineKind::Naive,
-            EngineKind::ShardParallel,
-        ] {
+        for engine in [EngineKind::FastForward, EngineKind::Naive] {
             let replay = run_trace(mode, loaded.workload.clone(), engine);
             assert_identical(
                 &replay,
@@ -670,9 +627,9 @@ fn cycles_of(tx_idx: usize) -> u64 {
 
 /// Like [`trace_from_raw`], but pairs of threads are confined to their own
 /// 4 KiB directory segment: threads `2k` and `2k+1` draw every address from
-/// segment `k`. On a sharded machine with one directory per processor the
-/// pairs are conflict-isolated islands, so the shard-parallel engine
-/// actually fans out — with conflicts, aborts and gating *inside* each pair.
+/// segment `k`. On a sharded machine with one directory per processor each
+/// pair talks to its own bank, so several banks arbitrate at once — with
+/// conflicts, aborts and gating *inside* each pair.
 fn clustered_trace_from_raw(threads: &RawThreads) -> WorkloadTrace {
     const POOL: [u64; 8] = [0, 64, 128, 192, 1024, 2048, 3072, 3968];
     let threads = threads
@@ -743,14 +700,13 @@ proptest! {
         }
     }
 
-    /// Random conflict traces on the sharded fabric: the shard-parallel
-    /// engine's island decomposition and deterministic merge must be
-    /// bit-exact against serial fast-forward for arbitrary op mixes. Eight
-    /// threads form four two-thread islands (see
-    /// [`clustered_trace_from_raw`]), so the fan-out path — not just the
-    /// single-island fallback — is what gets hammered.
+    /// Random conflict traces on the sharded fabric: both engines must agree
+    /// on the complete outcome for arbitrary op mixes. Eight threads form
+    /// four two-thread groups on their own banks (see
+    /// [`clustered_trace_from_raw`]), so per-bank arbitration runs on
+    /// several banks at once.
     #[test]
-    fn random_clustered_traces_are_shard_parallel_exact(
+    fn random_clustered_traces_are_engine_exact_on_the_sharded_fabric(
         threads in prop::collection::vec(
             prop::collection::vec(
                 prop::collection::vec((0u8..3, 0usize..8, 1u64..60), 1..6),
@@ -763,66 +719,27 @@ proptest! {
         let mode = all_modes()[mode_idx];
         let fast = run_trace_on(
             mode, clustered_trace_from_raw(&threads), EngineKind::FastForward, sharded());
-        let shard = run_trace_on(
-            mode, clustered_trace_from_raw(&threads), EngineKind::ShardParallel, sharded());
-        prop_assert_eq!(&shard.outcome, &fast.outcome);
-        prop_assert_eq!(&shard.gating, &fast.gating);
-        prop_assert_eq!(to_json(&shard), to_json(&fast));
+        let naive = run_trace_on(
+            mode, clustered_trace_from_raw(&threads), EngineKind::Naive, sharded());
+        prop_assert_eq!(&fast.outcome, &naive.outcome);
+        prop_assert_eq!(&fast.gating, &naive.gating);
+        prop_assert_eq!(to_json(&fast), to_json(&naive));
         fast.outcome.check_consistency().unwrap();
     }
 }
 
 #[test]
-fn auto_engine_heuristic_picks_by_topology_and_islands() {
-    let workload = |name: &str, procs: usize| {
-        htm_workloads::by_name(name, procs, WorkloadScale::Test, 11).unwrap()
-    };
-    // Bus: nothing to shard, always fast-forward.
-    let bus = htm_sim::config::SimConfig::table2(4);
-    assert_eq!(
-        choose_engine(&bus, &workload("intruder", 4)),
-        EngineKind::FastForward
-    );
-    // Sharded, clustered at 64p: decomposes into islands → shard-parallel.
-    let sharded64 = htm_sim::config::SimConfig::table2_with_topology(64, sharded());
-    assert_eq!(
-        choose_engine(&sharded64, &workload("clustered", 64)),
-        EngineKind::ShardParallel
-    );
-    // Sharded, hotspot at 64p: one conflict-connected island → fast-forward,
-    // whatever the worker pool's size.
-    assert_eq!(
-        choose_engine(&sharded64, &workload("hotspot", 64)),
-        EngineKind::FastForward
-    );
-    // EngineChoice::Auto resolves through the same function and the run is
-    // byte-identical to a fixed-engine run.
-    let auto = SimulationBuilder::new()
-        .processors(64)
-        .topology(sharded())
-        .workload_by_name("hotspot", WorkloadScale::Test, 11)
-        .unwrap()
-        .gating(GatingMode::ClockGate { w0: 8 })
-        .cycle_limit(50_000_000)
-        .engine(EngineChoice::Auto)
-        .run_with_stats()
-        .unwrap();
-    assert_eq!(auto.1, EngineKind::FastForward);
-    let fixed = run_named_on(
-        GatingMode::ClockGate { w0: 8 },
-        "hotspot",
-        64,
-        EngineKind::FastForward,
-        sharded(),
-    );
-    assert_identical(&auto.0, &fixed, "auto vs fixed fast-forward at 64p");
-    // Round-trip of the CLI values; a removed engine name is rejected.
+fn engine_cli_values_round_trip() {
     for (value, expect) in [
-        ("fast", Some(EngineChoice::Fixed(EngineKind::FastForward))),
-        ("auto", Some(EngineChoice::Auto)),
-        ("windowed", None),
+        ("fast", EngineKind::FastForward),
+        ("fast-forward", EngineKind::FastForward),
+        ("naive", EngineKind::Naive),
     ] {
-        assert_eq!(EngineChoice::parse(value), expect);
+        assert_eq!(EngineKind::parse(value), Some(expect), "{value}");
+        assert_eq!(EngineKind::parse(expect.label()), Some(expect));
     }
-    assert_eq!(EngineChoice::parse("warp"), None);
+    // Removed and unknown engine names are rejected.
+    for value in ["shard", "shard-parallel", "auto", "windowed", "warp"] {
+        assert_eq!(EngineKind::parse(value), None, "{value}");
+    }
 }

@@ -74,9 +74,8 @@ impl BusStats {
     }
 
     /// Add another channel's tallies into this one (used to aggregate the
-    /// banks of a sharded fabric, and to merge the per-island outcomes of a
-    /// shard-parallel run). Every field is a plain sum, so aggregation is
-    /// order-independent.
+    /// banks of a sharded fabric). Every field is a plain sum, so
+    /// aggregation is order-independent.
     pub fn absorb(&mut self, other: &BusStats) {
         self.control_transfers += other.control_transfers;
         self.data_transfers += other.data_transfers;

@@ -26,8 +26,10 @@ use crate::Cycle;
 /// File magic of every checkpoint blob.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"HTMCKPT\0";
 
-/// Current checkpoint format version (the "CheckpointV1" layout in DESIGN.md).
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Current checkpoint format version (see DESIGN.md, "Checkpoint format").
+/// Version 2 dropped the interval-log block that version 1 carried after
+/// the memory banks.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Size of the [`seal`] header preceding the payload.
 pub const HEADER_BYTES: usize = 8 + 4 + 8 + 8;
@@ -614,18 +616,20 @@ mod tests {
 
     #[test]
     fn old_version_is_a_dedicated_error() {
-        let blob = seal_with_version(0, b"legacy");
-        // Frame-valid (unseal succeeds) …
-        assert_eq!(unseal(&blob).unwrap().0, 0);
-        assert_eq!(peek_version(&blob).unwrap(), 0);
-        // … but the current-version gate refuses it loudly.
-        assert_eq!(
-            unseal_current(&blob),
-            Err(CkptError::UnsupportedVersion {
-                found: 0,
-                expected: CHECKPOINT_VERSION
-            })
-        );
+        for old in [0, 1] {
+            let blob = seal_with_version(old, b"legacy");
+            // Frame-valid (unseal succeeds) …
+            assert_eq!(unseal(&blob).unwrap().0, old);
+            assert_eq!(peek_version(&blob).unwrap(), old);
+            // … but the current-version gate refuses it loudly.
+            assert_eq!(
+                unseal_current(&blob),
+                Err(CkptError::UnsupportedVersion {
+                    found: old,
+                    expected: CHECKPOINT_VERSION
+                })
+            );
+        }
     }
 
     #[test]

@@ -23,99 +23,6 @@ use serde::{Deserialize, Serialize};
 use crate::checkpoint::{CkptError, CkptReader, CkptWriter};
 use crate::Cycle;
 
-/// One run-length-encoded segment of the per-cycle population counts fed to
-/// an [`IntervalTracker`]: for `cycles` consecutive cycles, exactly `gated` /
-/// `missing` / `committing` / `throttled` processors were in the respective
-/// state.
-///
-/// The tracker's accumulated state is a pure function of the per-cycle count
-/// sequence (segmentation does not matter), so a run can log its records as
-/// segments, combine them with another run's log cycle-by-cycle and replay
-/// the sum into a fresh tracker — this is how the island-parallel engine
-/// merges per-lane interval data into the exact tracker a serial run of the
-/// whole machine would have produced (see `docs/SCALING.md`).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IntervalSeg {
-    /// Number of consecutive cycles with these counts.
-    pub cycles: u64,
-    /// Processors clock-gated.
-    pub gated: usize,
-    /// Processors stalled on a cache miss.
-    pub missing: usize,
-    /// Processors flushing a commit.
-    pub committing: usize,
-    /// Processors in the DVFS-style throttled state.
-    pub throttled: usize,
-}
-
-impl IntervalSeg {
-    /// Whether two segments carry identical counts (and can be coalesced).
-    #[must_use]
-    pub fn same_counts(&self, other: &IntervalSeg) -> bool {
-        self.gated == other.gated
-            && self.missing == other.missing
-            && self.committing == other.committing
-            && self.throttled == other.throttled
-    }
-}
-
-/// Cycle-wise sum of several run-length-encoded segment logs, emitted as
-/// maximal coalesced segments.
-///
-/// Every log must cover exactly `total` cycles. For each simulated cycle the
-/// counts of all logs are added; runs of identical summed counts are
-/// coalesced before being handed to `emit`. The island runner zip-sums its
-/// per-lane logs over the whole run this way, and replaying the emitted
-/// segments into an [`IntervalTracker`] reproduces, bit for bit, the records
-/// a serial run would have accumulated over the same cycles.
-///
-/// # Panics
-/// Panics if any log covers fewer than `total` cycles (extra tail cycles
-/// beyond `total` are ignored, which lets callers pad lazily).
-pub fn zip_sum_segments(logs: &[Vec<IntervalSeg>], total: u64, mut emit: impl FnMut(IntervalSeg)) {
-    if total == 0 {
-        return;
-    }
-    // One cursor per log: (segment index, cycles consumed in that segment).
-    let mut cursors = vec![(0usize, 0u64); logs.len()];
-    let mut remaining = total;
-    let mut pending: Option<IntervalSeg> = None;
-    while remaining > 0 {
-        let mut span = remaining;
-        let mut sum = IntervalSeg::default();
-        for (log, cursor) in logs.iter().zip(cursors.iter()) {
-            let seg = log
-                .get(cursor.0)
-                .unwrap_or_else(|| panic!("segment log shorter than {total} cycles"));
-            span = span.min(seg.cycles - cursor.1);
-            sum.gated += seg.gated;
-            sum.missing += seg.missing;
-            sum.committing += seg.committing;
-            sum.throttled += seg.throttled;
-        }
-        sum.cycles = span;
-        for (log, cursor) in logs.iter().zip(cursors.iter_mut()) {
-            cursor.1 += span;
-            if cursor.1 == log[cursor.0].cycles {
-                cursor.0 += 1;
-                cursor.1 = 0;
-            }
-        }
-        remaining -= span;
-        match &mut pending {
-            Some(p) if p.same_counts(&sum) => p.cycles += span,
-            Some(p) => {
-                emit(*p);
-                *p = sum;
-            }
-            None => pending = Some(sum),
-        }
-    }
-    if let Some(p) = pending {
-        emit(p);
-    }
-}
-
 /// Accumulated interval data for one simulation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IntervalTracker {
@@ -229,36 +136,6 @@ impl IntervalTracker {
             )));
         }
         Ok(tracker)
-    }
-
-    /// Build a tracker by replaying a segment log, e.g. the cycle-by-cycle
-    /// sum of several per-lane logs produced by the island-parallel engine.
-    ///
-    /// ```
-    /// use htm_sim::interval::{IntervalSeg, IntervalTracker};
-    ///
-    /// let mut direct = IntervalTracker::new(4);
-    /// direct.record_with_throttle(10, 1, 1, 0, 0);
-    /// direct.record_with_throttle(5, 0, 0, 2, 0);
-    /// let log = [
-    ///     IntervalSeg { cycles: 10, gated: 1, missing: 1, committing: 0, throttled: 0 },
-    ///     IntervalSeg { cycles: 5, gated: 0, missing: 0, committing: 2, throttled: 0 },
-    /// ];
-    /// assert_eq!(IntervalTracker::from_segments(4, &log), direct);
-    /// ```
-    #[must_use]
-    pub fn from_segments(num_procs: usize, segments: &[IntervalSeg]) -> Self {
-        let mut tracker = Self::new(num_procs);
-        for seg in segments {
-            tracker.record_with_throttle(
-                seg.cycles,
-                seg.gated,
-                seg.missing,
-                seg.committing,
-                seg.throttled,
-            );
-        }
-        tracker
     }
 
     /// Number of processors `p`.
@@ -442,36 +319,6 @@ mod tests {
     fn rejects_overcount() {
         let mut t = IntervalTracker::new(2);
         t.record(1, 1, 1, 1);
-    }
-
-    #[test]
-    fn zip_sum_matches_cycle_by_cycle_addition() {
-        let seg = |cycles, gated, missing, committing, throttled| IntervalSeg {
-            cycles,
-            gated,
-            missing,
-            committing,
-            throttled,
-        };
-        // Two logs with different segmentations of the same 10 cycles.
-        let a = vec![seg(4, 1, 0, 0, 0), seg(6, 0, 1, 0, 0)];
-        let b = vec![seg(7, 0, 0, 1, 0), seg(3, 0, 0, 0, 2)];
-        let mut merged = Vec::new();
-        zip_sum_segments(&[a, b], 10, |s| merged.push(s));
-        assert_eq!(
-            merged,
-            vec![seg(4, 1, 0, 1, 0), seg(3, 0, 1, 1, 0), seg(3, 0, 1, 0, 2),]
-        );
-        assert_eq!(merged.iter().map(|s| s.cycles).sum::<u64>(), 10);
-        // Adjacent equal-count spans coalesce across input boundaries.
-        let c = vec![seg(5, 1, 0, 0, 0), seg(5, 1, 0, 0, 0)];
-        let mut out = Vec::new();
-        zip_sum_segments(&[c], 10, |s| out.push(s));
-        assert_eq!(out, vec![seg(10, 1, 0, 0, 0)]);
-        // No logs: one all-zero segment spans the whole run.
-        let mut empty = Vec::new();
-        zip_sum_segments(&[], 7, |s| empty.push(s));
-        assert_eq!(empty, vec![seg(7, 0, 0, 0, 0)]);
     }
 
     #[test]

@@ -28,11 +28,8 @@
 //! components with an event-driven fast-forward engine that leaps over
 //! quiescent windows instead of ticking them cycle by cycle (the
 //! one-step-per-cycle reference engine is retained for differential
-//! testing), on sharded topologies a single large run is additionally split
-//! into independent interconnect islands advanced on parallel host threads
-//! and merged deterministically (see `DESIGN.md` and `docs/SCALING.md`),
-//! and the experiment/sweep harnesses parallelise across independent
-//! simulations.
+//! testing; see `DESIGN.md`), and the experiment/sweep harnesses
+//! parallelise across independent simulations.
 //!
 //! ```
 //! use htm_sim::{cycles_after, config::SimConfig, ProcSet};

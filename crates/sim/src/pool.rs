@@ -1,16 +1,14 @@
 //! A persistent, process-wide worker pool with a scoped-spawn API.
 //!
-//! The parallel runners — the island fan-out, the evaluation-matrix driver
-//! and the sweep executor — all follow the same shape: fan a batch of
-//! independent, deterministic jobs out over host threads and wait for every
-//! one before merging. Spawning an OS thread per job (the original
-//! `std::thread::scope` pattern) is correct but pays thread start-up and
-//! teardown on every run, which dominates at matrix scale where a single
-//! sweep issues thousands of short cells. [`WorkerPool::global`] amortises
-//! that cost into one process-lifetime set of workers, sized to the host's
-//! available parallelism (or to an explicit [`WorkerPool::configure_global`]
-//! cap, which is what the binaries' `--threads` flag sets — one budget
-//! shared by matrix-level and island-level parallelism).
+//! The evaluation-matrix driver fans a batch of independent, deterministic
+//! jobs out over host threads and waits for every one before merging.
+//! Spawning an OS thread per job (the original `std::thread::scope`
+//! pattern) is correct but pays thread start-up and teardown on every run.
+//! [`WorkerPool::global`] amortises that cost into one process-lifetime set
+//! of workers, sized to the host's available parallelism (or to an explicit
+//! [`WorkerPool::configure_global`] cap, which is what the binaries'
+//! `--threads` flag sets; the sweep executor sizes its own scoped threads
+//! from the same budget).
 //!
 //! [`WorkerPool::scope`] mirrors `std::thread::scope`: jobs may borrow from
 //! the caller's stack, every job is finished (or was never started) before
@@ -20,11 +18,12 @@
 //! reaches zero, which the `WaitGuard` enforces in its `Drop`.
 //!
 //! Waiting scopes *help*: while a scope owner blocks on its pending count it
-//! pops queued jobs — anyone's — and runs them inline. This makes nesting
-//! deadlock-free by construction (a matrix cell running on a pool worker can
-//! itself open an island scope: the worker drains jobs instead of
-//! parking) and means the pool degrades to plain serial execution, never a
-//! hang, on a single-core host.
+//! pops queued jobs — anyone's — and runs them inline. So the calling thread
+//! works alongside the pool instead of parking, the pool degrades to plain
+//! serial execution, never a hang, on a single-core host, and a job that
+//! opens a scope of its own cannot deadlock. No runner nests scopes: a job
+//! that waited on a nested scope could run other jobs inline meanwhile,
+//! which would inflate its own measured wall time.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -83,8 +82,8 @@ impl WorkerPool {
     /// already exists (or was already configured), in which case the call
     /// has no effect. The binaries call this once, with the last `--threads N`
     /// given, right after parsing their arguments and before anything
-    /// touches the pool, so matrix cells, sweep cells and shard-parallel
-    /// islands draw from one shared budget instead of oversubscribing.
+    /// touches the pool, so matrix and sweep cells draw from one budget
+    /// instead of oversubscribing.
     pub fn configure_global(workers: usize) -> bool {
         GLOBAL_WORKERS.set(workers.max(1)).is_ok() && GLOBAL_POOL.get().is_none()
     }

@@ -19,11 +19,6 @@
 //! implementations) so the simulation hot path stays free of virtual
 //! dispatch; the trait exists so alternative fabrics can be plugged in and
 //! tested against the same contract.
-//!
-//! Sharding is also what makes *intra-run* parallelism possible: processors
-//! that only ever touch disjoint banks never interact, so a large run can be
-//! split into independent islands advanced on parallel host threads and
-//! merged deterministically (see `docs/SCALING.md`).
 
 use serde::{Deserialize, Serialize};
 

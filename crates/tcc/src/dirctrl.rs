@@ -55,18 +55,6 @@ impl DirCtrlStats {
         self.miss_lookups + self.marks + self.grants
     }
 
-    /// Fold another directory's tallies into this one (fieldwise sums, so
-    /// the operation is order-independent). The island-parallel runner uses
-    /// this to merge per-lane directory statistics — each directory is only
-    /// ever touched by one island, so the merge is exact.
-    pub fn absorb(&mut self, other: &DirCtrlStats) {
-        self.marks += other.marks;
-        self.grants += other.grants;
-        self.commit_busy_cycles += other.commit_busy_cycles;
-        self.miss_lookups += other.miss_lookups;
-        self.txinfo_roundtrips += other.txinfo_roundtrips;
-    }
-
     /// Serialize into a checkpoint payload.
     pub fn save_ckpt(&self, w: &mut CkptWriter) {
         w.put_u64(self.marks);

@@ -151,7 +151,7 @@ impl SystemView {
 ///
 /// A hook is owned by exactly one [`crate::system::TccSystem`] and only
 /// ever called from the thread driving that system, so the trait asks for
-/// no thread-safety bounds: parallel runners (sweep cells, island lanes)
+/// no thread-safety bounds: parallel runners (matrix and sweep cells)
 /// build their own hook on the worker thread that runs it.
 pub trait GatingHook {
     /// A committing processor (`aborter`, executing static transaction

@@ -6,19 +6,17 @@
 //! machines) and main memory together and reports every abort to the
 //! configured [`GatingHook`]. It is the replacement for the paper's
 //! "substantially modified M5 full-system simulator with added support for a
-//! Scalable-TCC system". Three stepping engines drive it ([`EngineKind`]):
+//! Scalable-TCC system". Two stepping engines drive it ([`EngineKind`]):
 //! the default event-driven fast-forward engine, which leaps over cycles in
-//! which no component can act, the one-step-per-cycle naive reference it is
-//! differentially tested against, and the island-parallel shard engine whose
-//! per-system semantics are identical to fast-forward (its fan-out across
-//! host threads lives one layer up, in the `clockgate-htm` runner). All
-//! engines are bit-for-bit cycle-exact with respect to each other.
+//! which no component can act, and the one-step-per-cycle naive reference it
+//! is differentially tested against. The two are bit-for-bit cycle-exact
+//! with respect to each other.
 
 use htm_mem::{AddressMap, LineAddr, MainMemory, SpecCache};
 use htm_sim::bus::BusTraffic;
 use htm_sim::checkpoint::{CkptError, CkptReader, CkptWriter};
 use htm_sim::config::SimConfig;
-use htm_sim::interval::{IntervalSeg, IntervalTracker};
+use htm_sim::interval::IntervalTracker;
 use htm_sim::topology::{Interconnect, Node, Route, Topology, TopologyConfig};
 use htm_sim::{proc_set_words, Cycle, DirId, ProcBits, ProcId};
 
@@ -83,16 +81,6 @@ pub enum EngineKind {
     /// processor every cycle. Kept as the ground truth for differential
     /// testing and as the `--engine naive` option of the `reproduce` binary.
     Naive,
-    /// Island-parallel stepping for sharded topologies: the runner splits
-    /// the machine into independent interconnect islands (connected
-    /// components of processors over shared directory banks) and advances
-    /// each island's fast-forward engine on its own host thread, merging the
-    /// outcomes deterministically. Within a single [`TccSystem`] this engine
-    /// is *identical* to [`EngineKind::FastForward`] — the fan-out lives in
-    /// the `clockgate-htm` runner — which is exactly what makes the merge
-    /// bit-reproducible. Falls back to plain fast-forward when the workload
-    /// forms a single island or the topology is the shared bus.
-    ShardParallel,
 }
 
 impl EngineKind {
@@ -102,7 +90,16 @@ impl EngineKind {
         match self {
             EngineKind::FastForward => "fast-forward",
             EngineKind::Naive => "naive",
-            EngineKind::ShardParallel => "shard-parallel",
+        }
+    }
+
+    /// Parse an `--engine` CLI value: `fast` / `fast-forward` or `naive`.
+    #[must_use]
+    pub fn parse(value: &str) -> Option<Self> {
+        match value {
+            "fast" | "fast-forward" => Some(EngineKind::FastForward),
+            "naive" => Some(EngineKind::Naive),
+            _ => None,
         }
     }
 }
@@ -200,12 +197,6 @@ struct Machine<H: GatingHook, const W: usize> {
     /// fast-forward engine is affected — a deliberately planted
     /// engine-equivalence bug the fuzz harness must be able to catch.
     perturb_accounting: bool,
-    /// When enabled ([`Self::enable_interval_log`]), a run-length-encoded
-    /// copy of every interval record, coalescing adjacent segments with
-    /// identical counts. The island-parallel runner sums per-lane logs
-    /// cycle-by-cycle and replays them to reconstruct the exact
-    /// [`IntervalTracker`] a serial run would have produced.
-    interval_log: Option<Vec<IntervalSeg>>,
 }
 
 /// The complete simulated machine.
@@ -312,15 +303,6 @@ impl<H: GatingHook> TccSystem<H> {
         on_machine!(self.0, m => m.run_bounded(limit, engine))
     }
 
-    /// Start mirroring every interval record into a run-length-encoded log
-    /// (retrieved by [`Self::into_parts_with_log`]). The island-parallel
-    /// runner enables this on each lane so the per-lane interval data can be
-    /// summed cycle-by-cycle and replayed into the exact tracker a serial
-    /// run of the whole machine would have produced.
-    pub fn enable_interval_log(&mut self) {
-        on_machine!(&mut self.0, m => m.enable_interval_log());
-    }
-
     /// Plant the deliberate fast-engine accounting bug (see the
     /// `perturb_accounting` field). Exists solely so the divergence fuzz
     /// harness can prove, end to end, that it detects a real
@@ -352,19 +334,16 @@ impl<H: GatingHook> TccSystem<H> {
     /// Splitting a quiescent jump of `n` cycles into `n1 + n2` is bit-exact
     /// (the interval record is the only observable effect and it is a pure
     /// count accumulation), so driving a machine through an arbitrary
-    /// sequence of windows yields the same outcome as one uninterrupted run.
-    /// This is the conservative-lookahead primitive of the island-parallel
-    /// engine: each lane can be advanced window by window and inspected at
-    /// the window boundaries without perturbing the simulation.
+    /// sequence of windows yields the same outcome as one uninterrupted run,
+    /// and the machine can be inspected at the window boundaries without
+    /// perturbing the simulation.
     pub fn advance_until(&mut self, target: Cycle) {
         on_machine!(&mut self.0, m => m.advance_until(target));
     }
 
     /// Engine-aware variant of [`Self::advance_until`]: the naive reference
-    /// engine grinds one exact cycle at a time, the fast-forward and
-    /// shard-parallel engines jump (within one system the shard engine *is*
-    /// the fast-forward engine; the island fan-out happens in the runner).
-    /// All three stop at exactly `target` unless the run completes first, so
+    /// engine grinds one exact cycle at a time, the fast-forward engine
+    /// jumps. Both stop at exactly `target` unless the run completes first, so
     /// a checkpoint taken at the boundary observes the same state whichever
     /// engine drove the machine there.
     pub fn advance_until_engine(&mut self, target: Cycle, engine: EngineKind) {
@@ -408,13 +387,6 @@ impl<H: GatingHook> TccSystem<H> {
     #[must_use]
     pub fn into_parts(self) -> (RunOutcome, H) {
         on_machine!(self.0, m => m.into_parts())
-    }
-
-    /// [`Self::into_parts`] plus the RLE interval log (empty unless
-    /// [`Self::enable_interval_log`] was called before the run).
-    #[must_use]
-    pub fn into_parts_with_log(self) -> (RunOutcome, H, Vec<IntervalSeg>) {
-        on_machine!(self.0, m => m.into_parts_with_log())
     }
 }
 
@@ -498,7 +470,6 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
             // The first fast plan populates the event queue and counters.
             fast_state_stale: true,
             perturb_accounting: false,
-            interval_log: None,
         };
         // Populate the hook-visible snapshot once; from here on the engines
         // keep it current (the naive engine by full refresh, the fast engine
@@ -524,12 +495,6 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
             return Err(SimError::CycleLimitExceeded { limit });
         }
         Ok(self.into_parts())
-    }
-
-    fn enable_interval_log(&mut self) {
-        if self.interval_log.is_none() {
-            self.interval_log = Some(Vec::new());
-        }
     }
 
     // ----- checkpointing ---------------------------------------------------------
@@ -562,20 +527,6 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
         w.put_usize(self.memory_banks.len());
         for m in &self.memory_banks {
             m.save_ckpt(&mut w);
-        }
-        match &self.interval_log {
-            Some(log) => {
-                w.put_bool(true);
-                w.put_usize(log.len());
-                for seg in log {
-                    w.put_u64(seg.cycles);
-                    w.put_usize(seg.gated);
-                    w.put_usize(seg.missing);
-                    w.put_usize(seg.committing);
-                    w.put_usize(seg.throttled);
-                }
-            }
-            None => w.put_bool(false),
         }
         self.hook.snapshot(&mut w);
         w.into_payload()
@@ -650,22 +601,6 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
         for bank in &mut sys.memory_banks {
             *bank = MainMemory::load_ckpt(&mut r).map_err(ck)?;
         }
-        sys.interval_log = if r.get_bool().map_err(ck)? {
-            let n = r.get_usize().map_err(ck)?;
-            let mut log = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                log.push(IntervalSeg {
-                    cycles: r.get_u64().map_err(ck)?,
-                    gated: r.get_usize().map_err(ck)?,
-                    missing: r.get_usize().map_err(ck)?,
-                    committing: r.get_usize().map_err(ck)?,
-                    throttled: r.get_usize().map_err(ck)?,
-                });
-            }
-            Some(log)
-        } else {
-            None
-        };
         sys.hook.restore(&mut r).map_err(ck)?;
         r.expect_end().map_err(ck)?;
 
@@ -707,7 +642,7 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
 
     fn advance_until_engine(&mut self, target: Cycle, engine: EngineKind) {
         match engine {
-            EngineKind::FastForward | EngineKind::ShardParallel => self.advance_until(target),
+            EngineKind::FastForward => self.advance_until(target),
             EngineKind::Naive => {
                 while self.done_count < self.procs.len() && self.now < target {
                     self.step_naive();
@@ -1009,38 +944,11 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
     // ----- per-cycle bookkeeping -------------------------------------------------
 
     /// Record `cycles` cycles of the current population counts into the
-    /// interval tracker, mirroring them into the RLE log when one is
-    /// enabled (coalescing runs with identical counts, so the log stays
-    /// proportional to the number of count *changes*, not cycles).
+    /// interval tracker.
     fn record_intervals(&mut self, cycles: u64) {
         let (gated, missing, committing, throttled) = self.state_counts;
         self.intervals
             .record_with_throttle(cycles, gated, missing, committing, throttled);
-        self.mirror_log(cycles, gated, missing, committing, throttled);
-    }
-
-    /// Append one record to the RLE interval log, if enabled.
-    fn mirror_log(
-        &mut self,
-        cycles: u64,
-        gated: usize,
-        missing: usize,
-        committing: usize,
-        throttled: usize,
-    ) {
-        if let Some(log) = &mut self.interval_log {
-            let seg = IntervalSeg {
-                cycles,
-                gated,
-                missing,
-                committing,
-                throttled,
-            };
-            match log.last_mut() {
-                Some(last) if last.same_counts(&seg) => last.cycles += cycles,
-                _ => log.push(seg),
-            }
-        }
     }
 
     /// Settle processor `i`'s lazily skipped cycles up to (excluding)
@@ -1113,7 +1021,6 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
         }
         self.intervals
             .record_with_throttle(cycles, gated, missing, committing, throttled);
-        self.mirror_log(cycles, gated, missing, committing, throttled);
     }
 
     /// Rebuild the whole hook-visible view from the machine state (the
@@ -1749,12 +1656,6 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
             total_gatings,
         };
         (outcome, self.hook)
-    }
-
-    fn into_parts_with_log(mut self) -> (RunOutcome, H, Vec<IntervalSeg>) {
-        let log = self.interval_log.take().unwrap_or_default();
-        let (outcome, hook) = self.into_parts();
-        (outcome, hook, log)
     }
 }
 

@@ -14,9 +14,9 @@
 //!   cycle and stamps each with a Lamport-style TID derived from its arrival
 //!   cycle and the requesting processor id. Age order is preserved (earlier
 //!   arrival ⇒ lower TID; ties broken by processor id), replies take the
-//!   same fixed latency, and — crucially for shard-parallel simulation —
-//!   the TID handed to a processor depends only on *that processor's own*
-//!   request, never on traffic from unrelated processors.
+//!   same fixed latency, and the TID handed to a processor depends only on
+//!   *that processor's own* request, never on traffic from unrelated
+//!   processors.
 
 use serde::{Deserialize, Serialize};
 
@@ -185,8 +185,7 @@ mod tests {
     #[test]
     fn pipelined_tids_depend_only_on_own_request() {
         // The TID proc 5 receives at cycle 40 is identical whether or not
-        // other processors requested earlier — the island-parallel engine
-        // relies on this.
+        // other processors requested earlier.
         let mut busy = TokenVendor::pipelined(5);
         busy.request(0, 0);
         busy.request(10, 1);

@@ -13,10 +13,9 @@
 //! to a dedicated [`CLUSTER_STRIDE_BYTES`]-aligned address window. With the
 //! default 4 KiB directory segments a cluster covers eight consecutive
 //! segments, so on a machine with one directory per processor each cluster's
-//! data is homed at directories no other cluster touches — the clusters are
-//! *conflict-isolated islands*, which is what the shard-parallel engine
-//! (`clockgate-htm`'s `islands` module) exploits to simulate them on
-//! parallel host threads.
+//! data is homed at directories no other cluster touches: the clusters are
+//! conflict-isolated, and on the sharded fabric their traffic arbitrates
+//! for disjoint banks.
 
 use htm_mem::Addr;
 use htm_tcc::txn::{Op, WorkloadTrace};

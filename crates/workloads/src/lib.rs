@@ -19,8 +19,8 @@
 //! plans to explore; they follow the same construction. The `clustered`
 //! workload targets the 64–1024-processor sharded machines: threads form
 //! conflict-isolated eight-thread clusters, each confined to its own 32 KiB
-//! address window, so the shard-parallel engine can simulate the clusters on
-//! parallel host threads (see [`clustered`] and `docs/SCALING.md`). The
+//! address window, so on the sharded fabric their traffic arbitrates for
+//! disjoint banks (see [`clustered`] and `docs/SCALING.md`). The
 //! [`adversarial`] module adds four worst-case microbenchmarks (hotspot,
 //! zipfian, ring, longshort) that stress contention management directly.
 //!

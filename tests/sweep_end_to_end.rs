@@ -20,7 +20,7 @@ fn sweep_on(
     resume: bool,
 ) -> Result<SweepOutcome, SweepError> {
     let ctx = RunContext {
-        engine: engine.into(),
+        engine,
         ..RunContext::default()
     };
     run_sweep(grid, dir, resume, SweepObjective::Energy, &ctx)
