@@ -57,28 +57,23 @@ fn parse_number(flag: &str, value: Option<String>) -> u64 {
     }
 }
 
-fn print_divergences(divergences: &[Divergence]) {
-    for d in divergences {
-        eprintln!(
-            "  {} vs naive reference: {} field(s) differ",
-            d.engine,
-            d.fields.len()
-        );
-        for f in d.fields.iter().take(12) {
-            eprintln!("    {}: {} vs {}", f.path, f.reference, f.diverging);
-        }
-        if d.fields.len() > 12 {
-            eprintln!("    ... and {} more", d.fields.len() - 12);
-        }
+fn print_divergence(d: &Divergence) {
+    eprintln!(
+        "  fast-forward vs naive reference: {} field(s) differ",
+        d.fields.len()
+    );
+    for f in d.fields.iter().take(12) {
+        eprintln!("    {}: {} vs {}", f.path, f.reference, f.diverging);
+    }
+    if d.fields.len() > 12 {
+        eprintln!("    ... and {} more", d.fields.len() - 12);
     }
 }
 
 /// Does the case still diverge? Errors count as "no" so shrinking can never
 /// wander into an unrunnable case.
 fn still_diverges(case: &CaseSpec, inject_bug: bool) -> bool {
-    run_case(case, inject_bug)
-        .map(|d| !d.is_empty())
-        .unwrap_or(false)
+    matches!(run_case(case, inject_bug), Ok(Some(_)))
 }
 
 fn main() {
@@ -119,16 +114,16 @@ fn main() {
             Ok(case) => case,
             Err(err) => cli::fail(&format!("{}: {err}", path.display())),
         };
-        let divergences = match run_case(&case, inject_bug) {
-            Ok(d) => d,
+        let divergence = match run_case(&case, inject_bug) {
+            Ok(Some(d)) => d,
+            Ok(None) => {
+                eprintln!("{}: engine-exact on both engines", path.display());
+                return;
+            }
             Err(err) => cli::fail(&format!("{}: simulation failed: {err}", path.display())),
         };
-        if divergences.is_empty() {
-            eprintln!("{}: engine-exact on both engines", path.display());
-            return;
-        }
         eprintln!("{}: DIVERGENCE", path.display());
-        print_divergences(&divergences);
+        print_divergence(&divergence);
         std::process::exit(1);
     }
 
@@ -142,29 +137,31 @@ fn main() {
             Some(prev) if rng.gen_bool(0.5) => mutate_case(&mut rng, prev),
             _ => random_case(&mut rng),
         };
-        let divergences = match run_case(&case, inject_bug) {
-            Ok(d) => d,
+        let divergence = match run_case(&case, inject_bug) {
+            Ok(Some(d)) => d,
+            Ok(None) => {
+                last = Some(case);
+                continue;
+            }
             Err(err) => {
                 eprintln!("case {i}: skipped (simulation error: {err})");
                 skipped += 1;
                 continue;
             }
         };
-        if divergences.is_empty() {
-            last = Some(case);
-            continue;
-        }
         eprintln!("case {i}: DIVERGENCE found, shrinking...");
-        print_divergences(&divergences);
+        print_divergence(&divergence);
         let shrunk = shrink_case(&case, |c| still_diverges(c, inject_bug));
-        let shrunk_divs = run_case(&shrunk, inject_bug).expect("the shrunk case still runs");
+        let shrunk_div = run_case(&shrunk, inject_bug)
+            .expect("the shrunk case still runs")
+            .expect("the shrunk case still diverges");
         eprintln!(
             "shrunk from {} to {} ops across {} thread(s):",
             case.total_ops(),
             shrunk.total_ops(),
             shrunk.procs()
         );
-        print_divergences(&shrunk_divs);
+        print_divergence(&shrunk_div);
         if let Err(err) = std::fs::create_dir_all(&out_dir) {
             cli::fail(&format!("cannot create {}: {err}", out_dir.display()));
         }

@@ -459,12 +459,10 @@ pub struct FieldDiff {
     pub diverging: String,
 }
 
-/// A detected engine divergence on one case: which engine disagreed with
-/// the naive reference, and exactly which report fields differ.
+/// A detected engine divergence on one case: exactly which fields of the
+/// fast-forward report differ from the naive reference's.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
-    /// Label of the diverging engine (`fast-forward`).
-    pub engine: String,
     /// The differing fields, in path order.
     pub fields: Vec<FieldDiff>,
 }
@@ -494,24 +492,15 @@ fn run_engine(
 }
 
 /// Run a case on both engines and field-wise diff the fast-forward report
-/// against the naive reference. An empty vector means the exactness
-/// invariant held.
+/// against the naive reference. `None` means the exactness invariant held.
 ///
 /// # Errors
 /// Propagates simulation errors (bad configuration, cycle-limit overrun).
-pub fn run_case(case: &CaseSpec, inject_bug: bool) -> Result<Vec<Divergence>, SimError> {
+pub fn run_case(case: &CaseSpec, inject_bug: bool) -> Result<Option<Divergence>, SimError> {
     let reference = to_json(&run_engine(case, EngineKind::Naive, inject_bug)?);
-    let engine = EngineKind::FastForward;
-    let candidate = to_json(&run_engine(case, engine, inject_bug)?);
+    let candidate = to_json(&run_engine(case, EngineKind::FastForward, inject_bug)?);
     let fields = diff_reports(&reference, &candidate);
-    Ok(if fields.is_empty() {
-        Vec::new()
-    } else {
-        vec![Divergence {
-            engine: engine.label().to_string(),
-            fields,
-        }]
-    })
+    Ok((!fields.is_empty()).then_some(Divergence { fields }))
 }
 
 /// Field-wise diff of two serialized reports: both JSON documents are
@@ -802,10 +791,10 @@ mod tests {
         let mut rng = DeterministicRng::new(7);
         for i in 0..6 {
             let case = random_case(&mut rng);
-            let divergences = run_case(&case, false).expect("palette cases always run");
+            let divergence = run_case(&case, false).expect("palette cases always run");
             assert!(
-                divergences.is_empty(),
-                "case {i} diverged without an injected bug:\n{}\n{divergences:?}",
+                divergence.is_none(),
+                "case {i} diverged without an injected bug:\n{}\n{divergence:?}",
                 render_case(&case)
             );
         }
@@ -814,15 +803,9 @@ mod tests {
     #[test]
     fn injected_bug_is_caught_named_and_shrunk() {
         let case = bug_trigger_case();
-        let divergences = run_case(&case, true).expect("the trigger case runs");
-        assert!(
-            !divergences.is_empty(),
-            "the planted fast-accounting bug must be detected"
-        );
-        let fast = divergences
-            .iter()
-            .find(|d| d.engine == "fast-forward")
-            .expect("the planted bug lives in the fast engine");
+        let fast = run_case(&case, true)
+            .expect("the trigger case runs")
+            .expect("the planted fast-accounting bug must be detected");
         assert!(
             fast.fields.iter().any(|f| f.path.contains("attempt_cycles")
                 || f.path.contains("energy")
@@ -831,17 +814,13 @@ mod tests {
             fast.fields
         );
         // Shrinking keeps the divergence and never grows the case.
-        let shrunk = shrink_case(&case, |c| {
-            run_case(c, true).map(|d| !d.is_empty()).unwrap_or(false)
-        });
+        let shrunk = shrink_case(&case, |c| matches!(run_case(c, true), Ok(Some(_))));
         assert!(shrunk.total_ops() <= case.total_ops());
-        assert!(!run_case(&shrunk, true).unwrap().is_empty());
+        assert!(run_case(&shrunk, true).unwrap().is_some());
         // 1-minimality: no single further reduction still diverges.
         for candidate in super::reductions(&shrunk) {
             assert!(
-                run_case(&candidate, true)
-                    .map(|d| d.is_empty())
-                    .unwrap_or(true),
+                !matches!(run_case(&candidate, true), Ok(Some(_))),
                 "shrunk case is not minimal"
             );
         }
@@ -863,10 +842,10 @@ mod tests {
                 "{name}: scenario cases keep >= 2 threads"
             );
             parse_case(&render_case(&case)).expect("scenario cases stay well-formed");
-            let divergences = run_case(&case, false).expect("scenario cases always run");
+            let divergence = run_case(&case, false).expect("scenario cases always run");
             assert!(
-                divergences.is_empty(),
-                "scenario `{name}` diverged without an injected bug:\n{}\n{divergences:?}",
+                divergence.is_none(),
+                "scenario `{name}` diverged without an injected bug:\n{}\n{divergence:?}",
                 render_case(&case)
             );
         }

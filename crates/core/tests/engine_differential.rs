@@ -358,7 +358,11 @@ fn incremental_view_equals_a_full_refresh_after_every_fast_step() {
     while !sys.is_complete() {
         sys.step();
         steps += 1;
-        if let Err(e) = sys.debug_check_view().and(sys.debug_check_queue()) {
+        if let Err(e) = sys
+            .debug_check_view()
+            .and(sys.debug_check_queue())
+            .and(sys.debug_check_waiters())
+        {
             panic!("after fast step {steps}: {e}");
         }
         assert!(sys.now() < 50_000_000, "run must finish");
@@ -384,7 +388,11 @@ fn incremental_view_survives_interleaved_naive_steps() {
             sys.step_naive();
         } else {
             sys.step();
-            if let Err(e) = sys.debug_check_view().and(sys.debug_check_queue()) {
+            if let Err(e) = sys
+                .debug_check_view()
+                .and(sys.debug_check_queue())
+                .and(sys.debug_check_waiters())
+            {
                 panic!("after step {steps}: {e}");
             }
         }
@@ -400,6 +408,122 @@ fn incremental_view_survives_interleaved_naive_steps() {
         mixed, reference,
         "interleaving engines must not change the run"
     );
+}
+
+#[test]
+fn bus_runs_with_many_parked_commit_spinners_are_engine_exact() {
+    // Every commit on the bus serializes on the directories' oldest-TID
+    // grant, so most of a 128p genome machine spins at its commit at once.
+    // The fast engine parks every spinner its directory cannot grant; the
+    // run must still match the naive reference byte for byte.
+    for mode in [GatingMode::Ungated, GatingMode::ClockGate { w0: 8 }] {
+        let context = format!("genome 128p bus mode={}", mode.label());
+        let fast = run_named(mode, "genome", 128, EngineKind::FastForward);
+        let naive = run_named(mode, "genome", 128, EngineKind::Naive);
+        assert_identical(&fast, &naive, &context);
+
+        let cfg = SimConfig::table2(128);
+        let trace = htm_workloads::by_name("genome", 128, WorkloadScale::Test, 11).unwrap();
+        let mut sys = TccSystem::new(cfg.clone(), trace, mode.build(&cfg)).unwrap();
+        let mut most = 0;
+        while !sys.is_complete() {
+            sys.step();
+            let spinners = sys
+                .debug_check_waiters()
+                .unwrap_or_else(|e| panic!("{context}: {e}"));
+            most = most.max(spinners);
+        }
+        assert!(most > 50, "{context}: at most {most} spinners at once");
+    }
+}
+
+#[test]
+fn mesh_runs_whose_head_waiters_wait_on_an_occupancy_are_engine_exact() {
+    // On the mesh, TID replies travel different distances, so a processor
+    // can mark a directory with an older TID while a younger one holds it.
+    // That head waiter is blocked only by the occupancy and must be woken
+    // at its release by a queued directory wake, not by the occupant's
+    // unmark, which the naive engine may step after it.
+    let mesh = TopologyConfig::parse("sharded:0:mesh").unwrap();
+    for (workload, mode) in [
+        ("genome", GatingMode::Ungated),
+        ("hotspot", GatingMode::ClockGate { w0: 8 }),
+    ] {
+        let context = format!("{workload} 64p mesh mode={}", mode.label());
+        let fast = run_named_on(mode, workload, 64, EngineKind::FastForward, mesh);
+        let naive = run_named_on(mode, workload, 64, EngineKind::Naive, mesh);
+        assert_identical(&fast, &naive, &context);
+
+        let cfg = SimConfig::table2_with_topology(64, mesh);
+        let trace = htm_workloads::by_name(workload, 64, WorkloadScale::Test, 11).unwrap();
+        let mut sys = TccSystem::new(cfg.clone(), trace, mode.build(&cfg)).unwrap();
+        while !sys.is_complete() {
+            sys.step();
+            if let Err(e) = sys.debug_check_waiters() {
+                panic!("{context}: {e}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_512p_bus_run_steps_few_processors_per_executed_cycle() {
+    // Cost pin: most of this machine spins at its commit. Stepping every
+    // spinner in every executed cycle cost 211.5 processor steps per
+    // executed cycle; parking the blocked ones brings it to 1.82. Counts
+    // are exact functions of the run, so the bound cannot flake.
+    let cfg = SimConfig::table2(512);
+    let trace = htm_workloads::by_name("genome", 512, WorkloadScale::Test, 42).unwrap();
+    let mut sys = TccSystem::new(cfg.clone(), trace, GatingMode::Ungated.build(&cfg)).unwrap();
+    sys.advance_until(Cycle::MAX);
+    assert!(sys.is_complete());
+    let counters = sys.engine_counters();
+    let per_cycle = counters.processor_steps as f64 / counters.executed_cycles as f64;
+    assert!(
+        per_cycle <= 2.0,
+        "{per_cycle:.2} processors stepped per executed cycle ({counters:?})"
+    );
+}
+
+/// Drive a fast and a naive genome machine on the bus side by side and
+/// compare their checkpoint payloads every 13 cycles, up to cycle `until`
+/// or the end of the run. The replay state digest is a hash of that
+/// payload, so the payload itself must not depend on the engine. Commits
+/// queue behind busy directories here, which is where the engines' paths
+/// differ most.
+fn assert_checkpoints_engine_independent(procs: usize, until: Cycle) {
+    const STRIDE: Cycle = 13;
+    let cfg = SimConfig::table2(procs);
+    let build = || {
+        let trace = htm_workloads::by_name("genome", procs, WorkloadScale::Test, 42).unwrap();
+        TccSystem::new(cfg.clone(), trace, GatingMode::Ungated.build(&cfg)).unwrap()
+    };
+    let (mut fast, mut naive) = (build(), build());
+    while !fast.is_complete() && fast.now() < until {
+        let target = fast.now() + STRIDE;
+        fast.advance_until_engine(target, EngineKind::FastForward);
+        naive.advance_until_engine(target, EngineKind::Naive);
+        assert_eq!(fast.now(), naive.now(), "genome-{procs}p");
+        assert!(
+            fast.save_checkpoint() == naive.save_checkpoint(),
+            "genome-{procs}p: checkpoints differ at cycle {}",
+            fast.now()
+        );
+    }
+    assert_eq!(fast.is_complete(), naive.is_complete(), "genome-{procs}p");
+}
+
+#[test]
+fn checkpoint_bytes_are_engine_independent_on_16p_and_32p() {
+    assert_checkpoints_engine_independent(16, Cycle::MAX);
+    assert_checkpoints_engine_independent(32, Cycle::MAX);
+}
+
+#[test]
+fn checkpoint_bytes_are_engine_independent_on_64p() {
+    // The first 13 000 of 46 000 cycles: a full 64p run samples 1.3 MB
+    // payloads 3 500 times, most of this suite's time in a debug build.
+    assert_checkpoints_engine_independent(64, 13_000);
 }
 
 /// What [`GateProbe`] has seen of the run so far.

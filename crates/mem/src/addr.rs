@@ -98,14 +98,23 @@ impl AddressMap {
     /// Line containing the byte address `addr`.
     #[must_use]
     pub fn line_of(&self, addr: Addr) -> LineAddr {
-        LineAddr(addr / self.line_bytes as u64)
+        // Both sizes are powers of two (checked in `new`), so the divisions
+        // on this per-operation path are shifts.
+        LineAddr(addr >> self.line_bytes.trailing_zeros())
     }
 
     /// Home directory of a line (segment-interleaved).
     #[must_use]
     pub fn home_of(&self, line: LineAddr) -> DirId {
-        let lines_per_segment = (self.segment_bytes / self.line_bytes) as u64;
-        ((line.0 / lines_per_segment) % self.num_dirs as u64) as DirId
+        let shift = self.segment_bytes.trailing_zeros() - self.line_bytes.trailing_zeros();
+        let segment = line.0 >> shift;
+        let dirs = self.num_dirs as u64;
+        let home = if dirs.is_power_of_two() {
+            segment & (dirs - 1)
+        } else {
+            segment % dirs
+        };
+        home as DirId
     }
 
     /// Home directory of the line containing `addr`.
@@ -147,6 +156,25 @@ mod tests {
         let m = AddressMap::new(64, 4096, 4);
         let homes: Vec<_> = (0..8).map(|s| m.home_of(LineAddr(s * 64))).collect();
         assert_eq!(homes, vec![0, 1, 2, 3, 0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn shifts_agree_with_division_for_any_directory_count() {
+        for (line, segment) in [(64usize, 4096usize), (32, 32), (128, 8192)] {
+            for dirs in [1usize, 3, 4, 6, 16, 100, 1024] {
+                let m = AddressMap::new(line, segment, dirs);
+                for addr in (0..300_000u64).step_by(97) {
+                    let l = addr / line as u64;
+                    let home = (l / (segment / line) as u64) % dirs as u64;
+                    assert_eq!(m.line_of(addr), LineAddr(l));
+                    assert_eq!(
+                        m.home_of_addr(addr),
+                        home as DirId,
+                        "{line}/{segment}/{dirs}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -114,7 +114,7 @@ pub fn cycles_after(now: Cycle, latency: u64) -> Cycle {
 ///
 /// Used on the simulator's hot path wherever the directory protocol needs to
 /// hand a group of processors around (sharer vectors, invalidation victims,
-/// the engine's active/spinner masks): iterating the bitmask directly avoids
+/// the engine's active and waiter sets): iterating the bitmask directly avoids
 /// the per-event `Vec<ProcId>` allocations the naive implementation paid
 /// every committed line. Single-bit operations index one word, so they stay
 /// O(1) regardless of the machine size. The engine picks `W` per machine
@@ -240,6 +240,16 @@ impl<const W: usize> ProcBits<W> {
     #[must_use]
     pub fn is_empty(self) -> bool {
         self.0.iter().all(|&w| w == 0)
+    }
+
+    /// Remove and return the lowest member. Unlike [`Self::iter`], a loop
+    /// over `pop_first` sees members inserted above the last one it popped,
+    /// so a worklist can grow while it is drained in ascending order.
+    pub fn pop_first(&mut self) -> Option<ProcId> {
+        let (w, word) = self.0.iter_mut().enumerate().find(|(_, w)| **w != 0)?;
+        let p = w * 64 + word.trailing_zeros() as usize;
+        *word &= *word - 1;
+        Some(p)
     }
 
     /// Iterate the members in ascending processor-id order, allocation-free.
@@ -423,6 +433,27 @@ mod tests {
     #[test]
     fn proc_set_insert_remove_and_without() {
         at_every_width!(insert_remove_and_without);
+    }
+
+    fn pop_first_drains_a_growing_worklist<const W: usize>() {
+        let high = ProcBits::<W>::CAPACITY - 1;
+        let mut s: ProcBits<W> = [5usize, 40, high].into_iter().collect();
+        let mut seen = Vec::new();
+        while let Some(p) = s.pop_first() {
+            seen.push(p);
+            if p == 5 {
+                // Joins above the cursor are seen in this drain.
+                s.insert(9);
+            }
+        }
+        assert_eq!(seen, vec![5, 9, 40, high]);
+        assert!(s.is_empty());
+        assert_eq!(s.pop_first(), None);
+    }
+
+    #[test]
+    fn proc_set_pop_first_drains_a_growing_worklist() {
+        at_every_width!(pop_first_drains_a_growing_worklist);
     }
 
     fn all_builds_prefix_sets<const W: usize>() {

@@ -16,14 +16,18 @@
 //! pool with a free list, so a run allocates nothing per slot and a
 //! [`DeadlineQueue::clear`] is O(1) in the slot count.
 //!
+//! An entry's key is a plain `usize`: the engine queues processor `i` as
+//! key `i` and a wake of directory `d` as key `procs + d`.
+//!
 //! The queue hands out due entries in no particular order within a cycle.
 //! The engine cannot observe that order: it collects the due processors
-//! into a processor set and steps them in ascending id order.
+//! (and the head waiters of the woken directories) into a processor set
+//! and steps them in ascending id order.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use htm_sim::{Cycle, ProcId};
+use htm_sim::Cycle;
 
 /// Wheel size in one-cycle slots. A power of two, sized from the push
 /// distances of the 256-processor sharded benchmark (98.1 % within 4096
@@ -39,11 +43,11 @@ const _: () = assert!(SLOTS.is_power_of_two() && WORDS == 64);
 
 #[derive(Clone, Copy)]
 struct Node {
-    proc: u32,
+    key: u32,
     next: u32,
 }
 
-/// `(deadline, processor)` entries, earliest due first.
+/// `(deadline, key)` entries, earliest due first.
 ///
 /// Every wheel entry lies in `[now, now + SLOTS)`, where `now` is the
 /// queue's cursor: the cycle of the last [`Self::pop_due`] or
@@ -51,6 +55,11 @@ struct Node {
 /// slot, so it is due at once, exactly as a past deadline would be.
 pub(crate) struct DeadlineQueue {
     now: Cycle,
+    /// The earliest deadline on the wheel, `Cycle::MAX` when it is empty.
+    /// Kept exact on every push and recomputed only when a pop empties
+    /// its slot, so the usual "nothing due yet" answer and `peek` cost a
+    /// comparison rather than a bitmap scan.
+    min: Cycle,
     /// Head node of each slot's list; meaningful only while the slot's
     /// `occupied` bit is set, so empty slots are never written.
     heads: Box<[u32]>,
@@ -61,13 +70,14 @@ pub(crate) struct DeadlineQueue {
     nodes: Vec<Node>,
     free: u32,
     /// Entries `SLOTS` or more cycles ahead of the cursor at push time.
-    overflow: BinaryHeap<Reverse<(Cycle, ProcId)>>,
+    overflow: BinaryHeap<Reverse<(Cycle, usize)>>,
 }
 
 impl DeadlineQueue {
     pub(crate) fn new() -> Self {
         Self {
             now: 0,
+            min: Cycle::MAX,
             heads: vec![0; SLOTS].into_boxed_slice(),
             occupied: [0; WORDS],
             summary: 0,
@@ -80,6 +90,7 @@ impl DeadlineQueue {
     /// Empty the queue and set its cursor to `now`.
     pub(crate) fn clear(&mut self, now: Cycle) {
         self.now = now;
+        self.min = Cycle::MAX;
         self.occupied = [0; WORDS];
         self.summary = 0;
         self.nodes.clear();
@@ -87,11 +98,11 @@ impl DeadlineQueue {
         self.overflow.clear();
     }
 
-    /// Queue `proc` to be looked at in cycle `deadline`.
-    pub(crate) fn push(&mut self, deadline: Cycle, proc: ProcId) {
+    /// Queue `key` to be looked at in cycle `deadline`.
+    pub(crate) fn push(&mut self, deadline: Cycle, key: usize) {
         let deadline = deadline.max(self.now);
         if deadline - self.now >= SLOTS as u64 {
-            self.overflow.push(Reverse((deadline, proc)));
+            self.overflow.push(Reverse((deadline, key)));
             return;
         }
         let slot = (deadline & MASK) as usize;
@@ -102,7 +113,7 @@ impl DeadlineQueue {
             NIL
         };
         let node = Node {
-            proc: proc as u32,
+            key: key as u32,
             next,
         };
         let idx = if self.free == NIL {
@@ -117,20 +128,25 @@ impl DeadlineQueue {
         self.heads[slot] = idx;
         self.occupied[w] |= bit;
         self.summary |= 1 << w;
+        self.min = self.min.min(deadline);
     }
 
     /// Remove and return one entry due at or before `now`, or `None` when
     /// nothing is due (the cursor then moves to `now`). `now` must not go
     /// backwards between calls.
-    pub(crate) fn pop_due(&mut self, now: Cycle) -> Option<ProcId> {
+    pub(crate) fn pop_due(&mut self, now: Cycle) -> Option<usize> {
         debug_assert!(now >= self.now, "the queue's clock went backwards");
-        if let Some(deadline) = self.wheel_min() {
-            if deadline <= now {
-                // Every slot before `deadline` is empty, so the cursor may
-                // move there; it must not pass a non-empty slot.
-                self.now = deadline;
-                return Some(self.unlink((deadline & MASK) as usize));
+        debug_assert_eq!(self.min, self.wheel_min().unwrap_or(Cycle::MAX));
+        if self.min <= now {
+            // Every slot before `min` is empty, so the cursor may move
+            // there; it must not pass a non-empty slot.
+            self.now = self.min;
+            let slot = (self.min & MASK) as usize;
+            let key = self.unlink(slot);
+            if self.occupied[slot / 64] & (1 << (slot % 64)) == 0 {
+                self.min = self.wheel_min().unwrap_or(Cycle::MAX);
             }
+            return Some(key);
         }
         if self.overflow.peek().is_some_and(|e| e.0 .0 <= now) {
             return self.overflow.pop().map(|e| e.0 .1);
@@ -142,15 +158,16 @@ impl DeadlineQueue {
     /// The earliest queued deadline.
     pub(crate) fn peek(&self) -> Option<Cycle> {
         let far = self.overflow.peek().map(|e| e.0 .0);
-        match (self.wheel_min(), far) {
+        let near = (self.min != Cycle::MAX).then_some(self.min);
+        match (near, far) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (d, None) | (None, d) => d,
         }
     }
 
-    /// Call `f(deadline, proc)` for every queued entry, in no particular
+    /// Call `f(deadline, key)` for every queued entry, in no particular
     /// order (for invariant checks).
-    pub(crate) fn for_each(&self, mut f: impl FnMut(Cycle, ProcId)) {
+    pub(crate) fn for_each(&self, mut f: impl FnMut(Cycle, usize)) {
         for slot in 0..SLOTS {
             if self.occupied[slot / 64] & (1 << (slot % 64)) == 0 {
                 continue;
@@ -159,7 +176,7 @@ impl DeadlineQueue {
             let mut idx = self.heads[slot];
             while idx != NIL {
                 let node = self.nodes[idx as usize];
-                f(deadline, node.proc as ProcId);
+                f(deadline, node.key as usize);
                 idx = node.next;
             }
         }
@@ -215,7 +232,7 @@ impl DeadlineQueue {
     }
 
     /// Pop the head of non-empty slot `slot`.
-    fn unlink(&mut self, slot: usize) -> ProcId {
+    fn unlink(&mut self, slot: usize) -> usize {
         let idx = self.heads[slot];
         let node = self.nodes[idx as usize];
         if node.next == NIL {
@@ -229,7 +246,7 @@ impl DeadlineQueue {
         }
         self.nodes[idx as usize].next = self.free;
         self.free = idx;
-        node.proc as ProcId
+        node.key as usize
     }
 }
 
@@ -241,7 +258,7 @@ mod tests {
     /// Distances from `now` that straddle the wheel's horizon.
     const EDGES: [u64; 6] = [0, 1, 4095, 4096, 4097, 50_000];
 
-    fn drain(q: &mut DeadlineQueue, now: Cycle) -> Vec<ProcId> {
+    fn drain(q: &mut DeadlineQueue, now: Cycle) -> Vec<usize> {
         let mut out = Vec::new();
         while let Some(p) = q.pop_due(now) {
             out.push(p);
@@ -282,7 +299,7 @@ mod tests {
         q.push(5 + lap, 3);
         assert_eq!(q.overflow_len(), 1);
         assert_eq!(q.peek(), Some(5 + lap));
-        assert_eq!(drain(&mut q, 4 + lap), Vec::<ProcId>::new());
+        assert_eq!(drain(&mut q, 4 + lap), Vec::<usize>::new());
         assert_eq!(drain(&mut q, 5 + lap), vec![2, 3]);
         assert_eq!(q.peek(), None);
     }
@@ -296,7 +313,7 @@ mod tests {
         for seed in 0..64 {
             let mut rng = DeterministicRng::new(seed);
             let mut q = DeadlineQueue::new();
-            let mut model: Vec<(Cycle, ProcId)> = Vec::new();
+            let mut model: Vec<(Cycle, usize)> = Vec::new();
             let mut now: Cycle = rng.gen_range(10_000);
             q.clear(now);
             for _ in 0..2_000 {
@@ -327,7 +344,7 @@ mod tests {
                         // Advance like the engine: drain, then jump to the
                         // earliest deadline, or anywhere past it.
                         let mut popped = drain(&mut q, now);
-                        let mut due: Vec<ProcId> = model
+                        let mut due: Vec<usize> = model
                             .iter()
                             .filter(|&&(d, _)| d <= now)
                             .map(|&(_, p)| p)

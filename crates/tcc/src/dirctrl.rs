@@ -12,6 +12,7 @@
 //! * the **service port** used to model the 10-cycle directory occupancy of
 //!   miss requests.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
@@ -145,12 +146,22 @@ impl<const W: usize> DirCtrl<W> {
     }
 
     /// Remove `proc`'s mark (after it finished committing here or aborted
-    /// before committing).
-    pub fn unmark(&mut self, proc: ProcId) {
+    /// before committing). `tid` is the processor's current TID, the key its
+    /// mark was entered under, so the removal is one O(log marked) lookup.
+    /// A processor that is not marked here is a no-op.
+    pub fn unmark(&mut self, tid: Tid, proc: ProcId) {
         if !self.marked_bits.contains(proc) {
             return;
         }
-        self.marked.retain(|_, &mut p| p != proc);
+        match self.marked.entry(tid) {
+            Entry::Occupied(e) if *e.get() == proc => {
+                e.remove();
+            }
+            // A mark under another TID only comes from a hand-made
+            // checkpoint; fall back to the scan rather than leave the
+            // cached bits disagreeing with the table.
+            _ => self.marked.retain(|_, &mut p| p != proc),
+        }
         self.marked_bits.remove(proc);
     }
 
@@ -172,30 +183,11 @@ impl<const W: usize> DirCtrl<W> {
         self.marked.iter().next().map(|(&tid, &proc)| (tid, proc))
     }
 
-    /// Whether the directory is currently occupied by a committing processor
-    /// at cycle `now`. Frees the directory automatically once the occupant's
-    /// release cycle has passed.
-    pub fn is_busy(&mut self, now: Cycle) -> bool {
-        if let Some((_, until)) = self.busy {
-            if now >= until {
-                self.busy = None;
-            }
-        }
-        self.busy.is_some()
-    }
-
     /// Whether `proc` (holding `tid`) would be granted the directory at `now`:
     /// the directory must be idle and `proc` must be the oldest-TID processor
-    /// currently marked here. Does not reserve anything.
-    pub fn can_grant(&mut self, proc: ProcId, tid: Tid, now: Cycle) -> bool {
-        // Lazily free an expired occupancy, then answer like `would_grant`.
-        let _ = self.is_busy(now);
-        self.would_grant(proc, tid, now)
-    }
-
-    /// Side-effect-free version of [`Self::can_grant`]: same answer, but the
-    /// expired-occupancy cleanup is deferred. Used by the fast-forward
-    /// engine's horizon computation, which must not mutate state.
+    /// currently marked here. Does not reserve anything, and leaves an
+    /// expired occupancy in place (it reads as idle; see
+    /// [`Self::release_expired`]), so both engines see the same state.
     #[must_use]
     pub fn would_grant(&self, proc: ProcId, tid: Tid, now: Cycle) -> bool {
         if matches!(self.busy, Some((_, until)) if until > now) {
@@ -215,8 +207,17 @@ impl<const W: usize> DirCtrl<W> {
             .and_then(|(_, until)| (until > now).then_some(until))
     }
 
+    /// Forget an occupancy that has expired by `now`. It already reads as
+    /// idle, so this changes no answer; the checkpoint writer calls it so
+    /// that a payload does not depend on when the expiry was last looked at.
+    pub fn release_expired(&mut self, now: Cycle) {
+        if matches!(self.busy, Some((_, until)) if until <= now) {
+            self.busy = None;
+        }
+    }
+
     /// Reserve the directory for `proc` until `release_at` (the caller has
-    /// already checked [`Self::can_grant`] and computed the flush time).
+    /// already checked [`Self::would_grant`] and computed the flush time).
     pub fn occupy(&mut self, proc: ProcId, now: Cycle, release_at: Cycle) {
         self.busy = Some((proc, release_at));
         self.stats.grants += 1;
@@ -229,7 +230,7 @@ impl<const W: usize> DirCtrl<W> {
     /// oldest-TID processor currently marked here. On success the directory
     /// is reserved until `release_at`.
     pub fn try_grant(&mut self, proc: ProcId, tid: Tid, now: Cycle, release_at: Cycle) -> bool {
-        if self.can_grant(proc, tid, now) {
+        if self.would_grant(proc, tid, now) {
             self.occupy(proc, now, release_at);
             true
         } else {
@@ -237,8 +238,9 @@ impl<const W: usize> DirCtrl<W> {
         }
     }
 
-    /// The processor currently granted the directory, if any (ignores expiry;
-    /// callers use [`Self::is_busy`] for timing decisions).
+    /// The processor last granted the directory, if its occupancy has not
+    /// been dropped (ignores expiry; callers use [`Self::busy_release`] for
+    /// timing decisions).
     #[must_use]
     pub fn current_committer(&self) -> Option<ProcId> {
         self.busy.map(|(p, _)| p)
@@ -327,7 +329,7 @@ mod tests {
         d.mark(1, 0);
         d.mark(2, 1);
         assert!(d.try_grant(0, 1, 0, 50));
-        d.unmark(0);
+        d.unmark(1, 0);
         assert!(!d.try_grant(1, 2, 10, 60), "still busy");
         assert!(d.try_grant(1, 2, 50, 90), "released at cycle 50");
     }
@@ -337,7 +339,7 @@ mod tests {
         let mut d = DirCtrl::<1>::new(0, 4, 10);
         d.mark(7, 3);
         assert!(d.is_marked(3));
-        d.unmark(3);
+        d.unmark(7, 3);
         assert!(!d.is_marked(3));
         assert_eq!(d.oldest_marked(), None);
     }
@@ -378,7 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn would_grant_matches_can_grant_without_mutation() {
+    fn would_grant_reads_an_expired_occupancy_as_idle_without_mutation() {
         let mut d = DirCtrl::<1>::new(0, 4, 10);
         d.mark(3, 1);
         d.mark(5, 2);
@@ -386,12 +388,52 @@ mod tests {
         assert!(!d.would_grant(2, 5, 0), "younger TID must wait");
         assert!(d.try_grant(1, 3, 0, 50));
         assert!(!d.would_grant(2, 5, 10), "directory busy until 50");
-        d.unmark(1);
+        d.unmark(3, 1);
         assert!(
             d.would_grant(2, 5, 50),
             "occupancy expired exactly at its release cycle"
         );
-        assert!(d.can_grant(2, 5, 50), "can_grant agrees after cleanup");
+        assert_eq!(
+            d.current_committer(),
+            Some(1),
+            "the answer left it in place"
+        );
+        d.release_expired(49);
+        assert_eq!(d.current_committer(), Some(1), "not expired before 50");
+        d.release_expired(50);
+        assert_eq!(d.current_committer(), None);
+        assert!(d.would_grant(2, 5, 50), "dropping it changes no answer");
+    }
+
+    #[test]
+    fn out_of_order_unmarks_keep_the_table_and_bits_in_step() {
+        let mut d = DirCtrl::<4>::new(0, 256, 10);
+        // Processor p marks under TID 1000 - 3p, so ids and TIDs run in
+        // opposite orders.
+        let procs = [0usize, 7, 63, 64, 130, 200, 255];
+        for &p in &procs {
+            d.mark(1000 - 3 * p as u64, p);
+        }
+        let tid = |p: usize| 1000 - 3 * p as u64;
+        assert_eq!(d.oldest_marked(), Some((tid(255), 255)));
+        // Unmarking a processor that is not marked here is a no-op.
+        d.unmark(tid(5), 5);
+        assert_eq!(d.marked_bits(), procs.into_iter().collect());
+        let mut left: Vec<usize> = procs.to_vec();
+        for p in [63usize, 255, 0, 200, 7, 130, 64] {
+            d.unmark(tid(p), p);
+            left.retain(|&q| q != p);
+            assert_eq!(d.marked_bits(), left.iter().copied().collect());
+            let oldest = left.iter().max().map(|&q| (tid(q), q));
+            assert_eq!(d.oldest_marked(), oldest, "after unmarking {p}");
+            assert!(!d.is_marked(p));
+        }
+        assert_eq!(d.oldest_marked(), None);
+        // A mark under a TID the caller no longer holds is still removed.
+        d.mark(42, 9);
+        d.unmark(43, 9);
+        assert!(!d.is_marked(9));
+        assert_eq!(d.oldest_marked(), None);
     }
 
     #[test]

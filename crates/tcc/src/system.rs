@@ -112,8 +112,9 @@ enum StepPlan<const W: usize> {
     Jump(u64),
     /// Execute one exact cycle. Member `i` of `active` is set iff processor
     /// `i` needs its per-cycle processing (event delivery and/or a phase
-    /// transition, or a commit-spin probe); the cleared ones are proven
-    /// inert and only receive their countdown bookkeeping. `hook_due` says
+    /// transition, or a commit spin that can be granted); the cleared ones
+    /// are proven inert and only receive their countdown bookkeeping. The
+    /// cycle may add spinners above the one it is stepping. `hook_due` says
     /// whether the hook's `on_tick` may act this cycle.
     Cycle {
         /// Set of processors that must be stepped individually.
@@ -124,6 +125,18 @@ enum StepPlan<const W: usize> {
     /// No component will ever act again (a protocol deadlock): the run can
     /// only end by hitting its cycle bound.
     Quiescent,
+}
+
+/// Work counters of the fast-forward engine, for cost tests and scaling
+/// measurements. They count host work, not simulated behaviour: no output
+/// depends on them, a checkpoint does not carry them, and naive steps do
+/// not add to them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineCounters {
+    /// Cycles the fast engine executed one at a time (not jumped).
+    pub executed_cycles: u64,
+    /// Processors stepped individually in those cycles.
+    pub processor_steps: u64,
 }
 
 /// The machine itself, with processor sets `W` words wide. [`TccSystem`]
@@ -151,15 +164,17 @@ struct Machine<H: GatingHook, const W: usize> {
     /// Scratch buffer for the directories touched by an aborting/committing
     /// processor (avoids a `Vec` allocation per abort/commit).
     dir_scratch: Vec<DirId>,
-    /// Set of processors whose view entries are stale because they acted in
-    /// the most recent executed cycle; `step_cycle` refreshes exactly these
-    /// instead of sweeping every processor each cycle.
+    /// Set of processors whose view entries are stale because their
+    /// transaction or gated state changed in the most recent executed cycle;
+    /// `step_cycle` refreshes exactly these instead of sweeping every
+    /// processor each cycle.
     view_dirty: ProcBits<W>,
-    /// Directories whose marked set may have changed since the view was last
-    /// refreshed, pushed at every `mark`/`unmark` call site (duplicates are
-    /// harmless); `step_cycle` refreshes exactly these view entries.
-    /// `rebuild_fast_state` lists every directory and `refresh_view` empties
-    /// the list, so naive stepping never grows it.
+    /// Directories whose marked set or waiter set may have changed since
+    /// the last plan, pushed at every `mark`/`unmark` call site and when a
+    /// spinner starts waiting on a directory (duplicates are harmless).
+    /// `plan_step` refreshes exactly these view entries and probes their
+    /// head waiters. `rebuild_fast_state` lists every directory and
+    /// `refresh_view` empties the list, so naive stepping never grows it.
     dirs_dirty: Vec<DirId>,
     /// Per-processor accounting watermark: all cycles in `[0, acct_until[i])`
     /// are fully reflected in processor `i`'s `state_cycles`,
@@ -169,20 +184,40 @@ struct Machine<H: GatingHook, const W: usize> {
     /// settles the balance whenever the processor is processed or the run
     /// ends.
     acct_until: Vec<Cycle>,
-    /// Event queue of the fast engine: `(deadline, proc)` pairs on a timing
+    /// Event queue of the fast engine: `(deadline, key)` pairs on a timing
     /// wheel of one-cycle slots, with an overflow heap for deadlines past
-    /// its horizon ([`DeadlineQueue`]). Deletion is lazy: entries are
-    /// validated against the processor's actual state when popped and
-    /// re-pushed if stale. Commit spinners are deliberately *not* tracked
-    /// here — their readiness depends on shared grant state, so
-    /// `plan_step` probes them directly.
+    /// its horizon ([`DeadlineQueue`]). Key `i < procs.len()` is processor
+    /// `i`; key `procs.len() + d` is a wake of directory `d` at the release
+    /// of an occupancy that blocks its head waiter. Deletion is lazy:
+    /// entries are validated against the actual state when popped. A
+    /// commit spinner's grant is tracked through its directory, never here;
+    /// only its inbox deliveries are.
     deadlines: DeadlineQueue,
-    /// Set of processors currently in `Phase::SpinCommit`.
-    spin_mask: ProcBits<W>,
+    /// Processors due in the cycle after the last executed one, which is
+    /// always the cycle the next plan looks at. A processor issuing an
+    /// operation every cycle lands here instead of taking a round trip
+    /// through the event queue, and its deadline needs no validation: it
+    /// was computed at the end of its own step, and nothing before the next
+    /// cycle can move it later.
+    due_next: ProcBits<W>,
+    /// Waiter set of each directory: the commit spinners whose current
+    /// step targets it. Derived state, rebuilt by `rebuild_fast_state` and
+    /// never serialized. Only a directory's oldest marked processor can be
+    /// granted it, so a plan looks at one waiter per changed directory and
+    /// the other spinners stay parked.
+    waiters: Vec<ProcBits<W>>,
+    /// Work done by the fast engine's executed cycles (see
+    /// [`EngineCounters`]); derived, never serialized.
+    counters: EngineCounters,
     /// Start-of-cycle population counts `(gated, missing, committing,
     /// throttled)`, maintained incrementally on every phase transition so
     /// each executed cycle records its interval data in O(1).
     state_counts: (usize, usize, usize, usize),
+    /// Cycles the fast engine has spent at population counts `.1` since it
+    /// last wrote to `intervals`. The tracker only sums, so consecutive
+    /// cycles with the same counts go in as one record when the counts
+    /// change or the tracker is read.
+    interval_run: (u64, (usize, usize, usize, usize)),
     /// Number of processors in `Phase::Done` (replaces the O(procs)
     /// `all_done` sweep in the run loop).
     done_count: usize,
@@ -201,7 +236,7 @@ struct Machine<H: GatingHook, const W: usize> {
 
 /// The complete simulated machine.
 ///
-/// The machine's processor sets (the engine's active and spinner masks, the
+/// The machine's processor sets (the engine's active set and waiter sets, the
 /// directories' sharer and marked sets) are `W` 64-bit words wide, with `W`
 /// fixed per machine by [`htm_sim::proc_set_words`]: 1 word up to 64
 /// processors, 4 up to 256, 16 above. Each width is its own monomorphized
@@ -322,7 +357,10 @@ impl<H: GatingHook> TccSystem<H> {
     /// the window's start) splits additively — so flushing now and flushing
     /// the remainder later yields exactly what one deferred flush would have.
     /// A checkpoint therefore observes — and a resumed run continues from —
-    /// the same state the uninterrupted run passes through.
+    /// the same state the uninterrupted run passes through. A directory
+    /// occupancy that has expired by now is dropped before it is written
+    /// (it already reads as idle), so the payload is the same whichever
+    /// engine reached the cycle.
     pub fn save_checkpoint(&mut self) -> Vec<u8> {
         on_machine!(&mut self.0, m => m.save_checkpoint())
     }
@@ -376,10 +414,27 @@ impl<H: GatingHook> TccSystem<H> {
     /// Check the fast engine's event queue: every processor that will act
     /// on its own (a phase deadline or a pending inbox delivery; for a
     /// commit spinner only the latter) has a queued entry at or before that
-    /// cycle. Returns the first processor without one. Does not change the
+    /// cycle, or is in the set of processors due in the next cycle. Returns the first processor without one. Does not change the
     /// system. Exists for the engine tests.
     pub fn debug_check_queue(&self) -> Result<(), String> {
         on_machine!(&self.0, m => m.debug_check_queue())
+    }
+
+    /// Check the fast engine's waiter sets: each must equal a rebuild from
+    /// the processors' phases, and every directory whose oldest marked
+    /// processor is one of its waiters must be due a probe (listed as
+    /// changed, or a directory wake queued by the occupancy release that
+    /// blocks it). Returns the number of commit spinners, or the first
+    /// violation. Does not change the system. Exists for the engine tests.
+    pub fn debug_check_waiters(&self) -> Result<usize, String> {
+        on_machine!(&self.0, m => m.debug_check_waiters())
+    }
+
+    /// The fast engine's work counters since this system was built or
+    /// restored.
+    #[must_use]
+    pub fn engine_counters(&self) -> EngineCounters {
+        on_machine!(&self.0, m => m.counters)
     }
 
     /// Consume the system and return the outcome accumulated so far together
@@ -443,6 +498,7 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
             TokenVendor::new(cfg.token_vendor_latency)
         };
         let num_procs = procs.len();
+        let num_dirs = dirs.len();
         let done_count = procs.iter().filter(|p| p.is_done()).count();
         let mut system = Self {
             cfg,
@@ -464,8 +520,11 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
             dirs_dirty: Vec::new(),
             acct_until: vec![0; num_procs],
             deadlines: DeadlineQueue::new(),
-            spin_mask: ProcBits::empty(),
+            due_next: ProcBits::empty(),
+            waiters: vec![ProcBits::empty(); num_dirs],
+            counters: EngineCounters::default(),
             state_counts: (0, 0, 0, 0),
+            interval_run: (0, (0, 0, 0, 0)),
             done_count,
             // The first fast plan populates the event queue and counters.
             fast_state_stale: true,
@@ -504,6 +563,11 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
             self.flush_accounting(i, self.now);
             self.acct_until[i] = self.now;
         }
+        // An expired occupancy reads as idle; drop it so the payload does
+        // not depend on whether anything looked at the directory since.
+        for d in &mut self.dirs {
+            d.release_expired(self.now);
+        }
         let mut w = CkptWriter::new();
         self.cfg.save_ckpt(&mut w);
         w.put_str(&self.workload_name);
@@ -513,6 +577,7 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
         ));
         w.put_u64(self.now);
         w.put_u64(self.last_commit_end);
+        self.flush_intervals();
         self.intervals.save_ckpt(&mut w);
         w.put_usize(self.procs.len());
         for p in &self.procs {
@@ -608,7 +673,7 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
         sys.last_commit_end = last_commit_end;
         sys.intervals = intervals;
         // Derived engine state: accounting was settled to `now` at save time,
-        // the event queue / spin mask / population counters are rebuilt by
+        // the event queue / waiter sets / population counters are rebuilt by
         // the next fast plan, and the hook-visible view is refreshed here so
         // naive stepping (which reads it before the first rebuild) sees a
         // current snapshot. Extra or missing *stale* queue entries never
@@ -684,9 +749,9 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
     /// active processors, a multi-cycle jump, or the deadlock shortcut.
     ///
     /// The horizon has exactly three sources: the processors' own deadlines
-    /// (the event queue), the hook's next timer, and the occupancy release
-    /// of each commit spinner's current step directory. The cost is
-    /// O(due processors + commit spinners), independent of the number of
+    /// and the directory wakes (both in the event queue), and the hook's
+    /// next timer. The cost is O(due entries + changed directories),
+    /// independent of the number of processors, commit spinners,
     /// directories and interconnect banks.
     ///
     /// Exactness argument (see `DESIGN.md`, "event-horizon computation"):
@@ -695,60 +760,55 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
     /// inbox message becoming deliverable, (c) the hook issuing commands
     /// from `on_tick`, or (d) a commit spin being granted a directory.
     /// (a)–(c) are reported by the processors ([`Processor::next_deadline`])
-    /// and the hook ([`GatingHook::next_deadline`]). For (d), a spin can
-    /// only become grantable when its step directory's occupancy releases
-    /// ([`DirCtrl::busy_release`], merged per spinner) or when another
-    /// processor changes the marked set — which is itself an (a)
-    /// transition that makes that processor active. Because a lower-id
-    /// active processor can change the marked set *within* the cycle (and
-    /// naive stepping lets a later spinner observe that), every commit
-    /// spinner is processed per-cycle whenever any processor is active.
-    /// The bus, token-vendor and miss ports are demand-driven: a release
-    /// changes nothing until the next request, and every request is made
-    /// in an executed cycle (by an active processor or a hook command),
-    /// which computes its timing from the port's stored release cycle. Their deadlines are therefore
-    /// not merged.
+    /// and the hook ([`GatingHook::next_deadline`]). For (d), only a
+    /// directory's oldest marked processor can be granted it, and only
+    /// while it waits there and the directory is idle. That can start to
+    /// hold only when the directory's marked or waiter set changes (it is
+    /// then in `dirs_dirty`, probed here) or when an occupancy that blocks
+    /// the head waiter releases (a directory wake, queued by the probe that
+    /// found it blocked). Changes made *within* a cycle by a lower-id
+    /// processor are picked up by `step_cycle` itself. The bus,
+    /// token-vendor and miss ports are demand-driven: a release changes
+    /// nothing until the next request, and every request is made in an
+    /// executed cycle (by an active processor or a hook command), which
+    /// computes its timing from the port's stored release cycle. Their
+    /// deadlines are therefore not merged.
     fn plan_step(&mut self) -> StepPlan<W> {
         if self.fast_state_stale {
             self.rebuild_fast_state();
         }
         let now = self.now;
-        let mut active = ProcBits::empty();
-        let mut horizon: Option<Cycle> = None;
-        fn merge(horizon: &mut Option<Cycle>, d: Option<Cycle>) {
-            if let Some(d) = d {
-                *horizon = Some(horizon.map_or(d, |h| h.min(d)));
+        let mut active = std::mem::take(&mut self.due_next);
+        // Directories changed since the last plan: refresh their view
+        // entries (jumps change nothing, so this is the start-of-cycle
+        // snapshot the naive engine refreshes) and probe their heads.
+        let mut dirs = std::mem::take(&mut self.dirs_dirty);
+        for &d in &dirs {
+            self.view.dir_marked[d] = self.dirs[d].marked_bits().widen();
+            if let Some(head) = self.probe_dir(d, now) {
+                active.insert(head);
             }
         }
-        // Probe every commit spinner directly: its readiness lives in
-        // shared grant state the event queue cannot track. Spinner counts
-        // are small (they exist only while a commit is being arbitrated).
-        // A spinner that cannot be granted now waits for its step
-        // directory to release (merged here) or for the marked set to
-        // change (a transition of some other, then active, processor).
-        for i in self.spin_mask {
-            let proc = &self.procs[i];
-            let Phase::SpinCommit { step_idx } = proc.phase else {
-                unreachable!("spin_mask tracks SpinCommit membership");
-            };
-            let step_dir = &self.dirs[proc.commit_plan[step_idx].dir];
-            let tid = proc.tid.expect("commit spin requires a TID");
-            if step_dir.would_grant(i, tid, now) {
-                active.insert(i);
-            } else {
-                merge(&mut horizon, step_dir.busy_release(now));
-            }
-        }
+        dirs.clear();
+        self.dirs_dirty = dirs;
         // Drain the event queue up to `now`, validating lazily: an entry is
         // stale if the processor's deadline moved (it was processed since,
         // or the entry predates a newer, earlier event).
-        while let Some(i) = self.deadlines.pop_due(now) {
+        let n = self.procs.len();
+        while let Some(key) = self.deadlines.pop_due(now) {
+            if key >= n {
+                if let Some(head) = self.probe_dir(key - n, now) {
+                    active.insert(head);
+                }
+                continue;
+            }
+            let i = key;
             if active.contains(i) {
                 continue;
             }
             let effective = if matches!(self.procs[i].phase, Phase::SpinCommit { .. }) {
-                // Grant-state readiness was probed above; only a deliverable
-                // inbox message makes a spinner active through the queue.
+                // Grant readiness is tracked through the directories; only a
+                // deliverable inbox message makes a spinner active here.
                 self.procs[i].inbox.next_delivery()
             } else {
                 self.procs[i].next_deadline(self.acct_until[i])
@@ -761,40 +821,77 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
         }
         let hook_deadline = self.hook.next_deadline(now);
         let hook_due = hook_deadline.is_some_and(|d| d <= now);
-        if !active.is_empty() {
-            // Some processor acts this cycle, so every commit spinner must
-            // be processed too: naive stepping lets a spinner observe marks
-            // changed earlier in the same cycle.
-            return StepPlan::Cycle {
-                active: active | self.spin_mask,
-                hook_due,
-            };
+        if !active.is_empty() || hook_due {
+            // A cycle in which only the hook acts steps no processor: hook
+            // commands travel through inboxes and arrive strictly later.
+            return StepPlan::Cycle { active, hook_due };
         }
-        if hook_due {
-            // Only the hook acts. It cannot change grant state mid-cycle
-            // (commands travel through inboxes and arrive strictly later),
-            // so the spinners stay skippable this cycle.
-            return StepPlan::Cycle {
-                active: ProcBits::empty(),
-                hook_due: true,
-            };
+        let mut horizon = self.deadlines.peek();
+        if let Some(d) = hook_deadline {
+            horizon = Some(horizon.map_or(d, |h| h.min(d)));
         }
-        merge(&mut horizon, self.deadlines.peek());
-        merge(&mut horizon, hook_deadline);
         match horizon {
             Some(h) => {
                 debug_assert!(h > now, "all now-or-earlier deadlines were handled above");
                 StepPlan::Jump(h - now)
             }
-            // Defensive: a spinner with no computable deadline (it cannot
-            // happen — the oldest-TID spinner is always grantable or blocked
-            // by a directory with a release deadline — but a per-cycle probe
-            // is always exact).
-            None if !self.spin_mask.is_empty() => StepPlan::Cycle {
-                active: self.spin_mask,
-                hook_due: false,
-            },
-            None => StepPlan::Quiescent,
+            // The oldest marked processor of the machine is always
+            // committing, grantable or blocked by an occupancy with a queued
+            // release, so no spinner can be waiting here.
+            None => {
+                debug_assert!(
+                    self.waiters.iter().all(|w| w.is_empty()),
+                    "a commit spinner with no wake source"
+                );
+                StepPlan::Quiescent
+            }
+        }
+    }
+
+    /// The head waiter of directory `d` if the directory can be granted to
+    /// it at `now`: its oldest marked processor, provided that processor is
+    /// spinning on `d` and `d` is idle. When only the occupancy blocks the
+    /// head waiter, queue a wake of `d` at its release instead. O(log
+    /// marked), and O(1) for a directory nobody waits on.
+    fn probe_dir(&mut self, d: DirId, now: Cycle) -> Option<ProcId> {
+        let head = self.head_waiter(d)?;
+        if let Some(release) = self.dirs[d].busy_release(now) {
+            self.deadlines.push(release, self.procs.len() + d);
+            return None;
+        }
+        self.grantable(head, d, now).then_some(head)
+    }
+
+    /// The oldest marked processor of directory `d`, if it is one of `d`'s
+    /// waiters: the only spinner on `d` that can be granted it.
+    fn head_waiter(&self, d: DirId) -> Option<ProcId> {
+        if self.waiters[d].is_empty() {
+            return None;
+        }
+        let (_, head) = self.dirs[d].oldest_marked()?;
+        self.waiters[d].contains(head).then_some(head)
+    }
+
+    /// Whether spinner `i` would be granted directory `d` at `now`: the
+    /// check its own step makes in `try_start_flush`.
+    fn grantable(&self, i: ProcId, d: DirId, now: Cycle) -> bool {
+        let tid = self.procs[i].tid.expect("commit spin requires a TID");
+        self.dirs[d].would_grant(i, tid, now)
+    }
+
+    /// What processor `i`'s view entries are computed from: its transaction
+    /// index, whether it is done and whether it is stopped.
+    fn view_key(&self, i: ProcId) -> (usize, bool, bool) {
+        let proc = &self.procs[i];
+        (proc.tx_idx, proc.is_done(), proc.phase.is_gated_like())
+    }
+
+    /// The directory processor `i` spins on, if it is a commit spinner.
+    fn waiting_on(&self, i: ProcId) -> Option<DirId> {
+        let proc = &self.procs[i];
+        match proc.phase {
+            Phase::SpinCommit { step_idx } => Some(proc.commit_plan[step_idx].dir),
+            _ => None,
         }
     }
 
@@ -803,7 +900,8 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
     /// calls, which mutate processors without maintaining them).
     fn rebuild_fast_state(&mut self) {
         self.deadlines.clear(self.now);
-        self.spin_mask = ProcBits::empty();
+        self.due_next = ProcBits::empty();
+        self.waiters.fill(ProcBits::empty());
         let mut gated = 0usize;
         let mut missing = 0usize;
         let mut committing = 0usize;
@@ -816,10 +914,10 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
                 PowerState::Throttled => throttled += 1,
                 PowerState::Run => {}
             }
-            if matches!(proc.phase, Phase::SpinCommit { .. }) {
-                self.spin_mask.insert(i);
+            if let Phase::SpinCommit { step_idx } = proc.phase {
+                self.waiters[proc.commit_plan[step_idx].dir].insert(i);
                 // A spinner's only queue-tracked wake source is its inbox
-                // (grant state is probed directly by `plan_step`).
+                // (its grant is probed through its directory).
                 if let Some(d) = proc.inbox.next_delivery() {
                     self.deadlines.push(d, i);
                 }
@@ -831,6 +929,8 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
         self.state_counts = (gated, missing, committing, throttled);
         self.done_count = self.procs.iter().filter(|p| p.is_done()).count();
         self.view_dirty = ProcBits::all(self.procs.len());
+        // Every directory is probed by the next plan, which also re-queues
+        // the wakes of blocked head waiters.
         self.dirs_dirty.clear();
         self.dirs_dirty.extend(0..self.dirs.len());
         self.fast_state_stale = false;
@@ -842,36 +942,33 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
     /// per-cycle bookkeeping (state-cycle accounting, `attempt_cycles`
     /// increments, countdown decrements) is settled lazily by
     /// [`Self::flush_accounting`] the next time something happens to it.
-    /// The hook-visible view is refreshed in O(changed entries): only the
-    /// processors that acted and the directories whose marked set was
-    /// touched since the last executed cycle.
-    fn step_cycle(&mut self, active: ProcBits<W>, hook_due: bool) {
+    ///
+    /// Processors are stepped in ascending id order, as the naive engine
+    /// steps them. When processor `i` changes a directory, the directory's
+    /// head waiter joins this cycle if its id is above `i` and it can be
+    /// granted now: the naive engine would step it later in this cycle and
+    /// see the change. A head waiter below `i` has had its turn; the
+    /// directory stays in `dirs_dirty`, so the next plan probes it.
+    fn step_cycle(&mut self, mut active: ProcBits<W>, hook_due: bool) {
         let now = self.now;
         // Interval accounting from the incrementally maintained population
         // counts: O(1) instead of a sweep over every processor.
         self.record_intervals(1);
 
-        // Refresh the view snapshot in O(changed entries): processor
-        // entries for the processors that acted since the last executed
-        // cycle, directory marked-bits for the directories whose marked set
-        // was touched since then. Jumps change neither, so the result is
+        // Refresh the view entries of the processors whose entries changed
+        // in the last executed cycle (the plan refreshed the changed
+        // directories' entries). Jumps change neither, so the result is
         // byte-identical to the naive full refresh, and hooks keep seeing a
         // start-of-cycle snapshot.
-        refresh_dirty_entries(
-            &mut self.view,
-            &self.procs,
-            &self.dirs,
-            self.view_dirty,
-            &self.dirs_dirty,
-        );
+        refresh_proc_entries(&mut self.view, &self.procs, self.view_dirty);
         self.view_dirty = ProcBits::empty();
-        self.dirs_dirty.clear();
 
         if hook_due {
             self.apply_hook_commands();
         }
 
-        for i in active {
+        let mut pending = active;
+        while let Some(i) = pending.pop_first() {
             // Settle the lazily skipped cycles, then account the current
             // cycle eagerly (state as of the start of the cycle, exactly
             // like the naive engine's accounting pass).
@@ -880,11 +977,36 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
             self.procs[i].state_cycles.add(pre_state, 1);
             self.acct_until[i] = now + 1;
             let pre_done = self.procs[i].is_done();
+            let pre_view = self.view_key(i);
+            let pre_wait = self.waiting_on(i);
+            let changed_from = self.dirs_dirty.len();
 
             self.handle_events(i);
             self.advance_processor(i);
 
             // Maintain the incremental structures across the transition.
+            if self.view_key(i) != pre_view {
+                self.view_dirty.insert(i);
+            }
+            let post_wait = self.waiting_on(i);
+            if post_wait != pre_wait {
+                if let Some(d) = pre_wait {
+                    self.waiters[d].remove(i);
+                }
+                if let Some(d) = post_wait {
+                    self.waiters[d].insert(i);
+                    self.dirs_dirty.push(d);
+                }
+            }
+            for k in changed_from..self.dirs_dirty.len() {
+                let d = self.dirs_dirty[k];
+                if let Some(head) = self.head_waiter(d) {
+                    if head > i && self.grantable(head, d, now) {
+                        pending.insert(head);
+                        active.insert(head);
+                    }
+                }
+            }
             let proc = &self.procs[i];
             let post_state = proc.phase.power_state();
             if post_state != pre_state {
@@ -907,26 +1029,25 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
             if proc.is_done() && !pre_done {
                 self.done_count += 1;
             }
-            if matches!(proc.phase, Phase::SpinCommit { .. }) {
-                self.spin_mask.insert(i);
-                // A spinner's only queue-tracked wake source is its inbox
-                // (grant state is probed directly by `plan_step`). Without
-                // this entry a pending delivery is unreachable whenever the
-                // rest of the machine is quiescent at its arrival cycle:
-                // the emission-time entry may have been collapsed into a
-                // phase deadline by a queue rebuild (after naive steps or a
-                // checkpoint restore).
-                if let Some(d) = proc.inbox.next_delivery() {
-                    self.deadlines.push(d, i);
-                }
+            let next = if post_wait.is_some() {
+                // A spinner's only queue-tracked wake source is its inbox.
+                // Without this entry a pending delivery is unreachable
+                // whenever the rest of the machine is quiescent at its
+                // arrival cycle: the emission-time entry may have been
+                // collapsed into a phase deadline by a queue rebuild (after
+                // naive steps or a checkpoint restore).
+                proc.inbox.next_delivery()
             } else {
-                self.spin_mask.remove(i);
-                if let Some(d) = proc.next_deadline(now + 1) {
-                    self.deadlines.push(d, i);
-                }
+                proc.next_deadline(now + 1)
+            };
+            match next {
+                Some(d) if d == now + 1 => self.due_next.insert(i),
+                Some(d) => self.deadlines.push(d, i),
+                None => {}
             }
         }
-        self.view_dirty = active;
+        self.counters.executed_cycles += 1;
+        self.counters.processor_steps += active.len() as u64;
         self.now += 1;
     }
 
@@ -944,11 +1065,23 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
     // ----- per-cycle bookkeeping -------------------------------------------------
 
     /// Record `cycles` cycles of the current population counts into the
-    /// interval tracker.
+    /// interval tracker (through the pending run, see `interval_run`).
     fn record_intervals(&mut self, cycles: u64) {
-        let (gated, missing, committing, throttled) = self.state_counts;
-        self.intervals
-            .record_with_throttle(cycles, gated, missing, committing, throttled);
+        if self.interval_run.1 != self.state_counts {
+            self.flush_intervals();
+            self.interval_run.1 = self.state_counts;
+        }
+        self.interval_run.0 += cycles;
+    }
+
+    /// Write the pending run of [`Self::record_intervals`] to the tracker.
+    fn flush_intervals(&mut self) {
+        let (cycles, (gated, missing, committing, throttled)) = self.interval_run;
+        if cycles > 0 {
+            self.intervals
+                .record_with_throttle(cycles, gated, missing, committing, throttled);
+            self.interval_run.0 = 0;
+        }
     }
 
     /// Settle processor `i`'s lazily skipped cycles up to (excluding)
@@ -1038,13 +1171,10 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
             return Ok(());
         }
         let mut incremental = self.view.clone();
-        refresh_dirty_entries(
-            &mut incremental,
-            &self.procs,
-            &self.dirs,
-            self.view_dirty,
-            &self.dirs_dirty,
-        );
+        refresh_proc_entries(&mut incremental, &self.procs, self.view_dirty);
+        for &d in &self.dirs_dirty {
+            incremental.dir_marked[d] = self.dirs[d].marked_bits().widen();
+        }
         let mut full = SystemView::new(self.procs.len(), self.dirs.len());
         fill_view(&mut full, &self.procs, &self.dirs);
         for i in 0..self.procs.len() {
@@ -1070,9 +1200,16 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
             // The next plan rebuilds the queue from every processor.
             return Ok(());
         }
-        let mut earliest = vec![Cycle::MAX; self.procs.len()];
-        self.deadlines
-            .for_each(|d, i| earliest[i] = earliest[i].min(d));
+        let n = self.procs.len();
+        let mut earliest = vec![Cycle::MAX; n];
+        self.deadlines.for_each(|d, key| {
+            if key < n {
+                earliest[key] = earliest[key].min(d);
+            }
+        });
+        for i in self.due_next {
+            earliest[i] = self.now;
+        }
         for (i, proc) in self.procs.iter().enumerate() {
             let due = if matches!(proc.phase, Phase::SpinCommit { .. }) {
                 proc.inbox.next_delivery()
@@ -1092,6 +1229,50 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
             }
         }
         Ok(())
+    }
+
+    fn debug_check_waiters(&self) -> Result<usize, String> {
+        let mut rebuilt = vec![ProcBits::<W>::empty(); self.dirs.len()];
+        let mut spinners = 0;
+        for i in 0..self.procs.len() {
+            if let Some(d) = self.waiting_on(i) {
+                rebuilt[d].insert(i);
+                spinners += 1;
+            }
+        }
+        if self.fast_state_stale {
+            // The next plan rebuilds the waiter sets and probes everything.
+            return Ok(spinners);
+        }
+        let n = self.procs.len();
+        let mut wake = vec![Cycle::MAX; self.dirs.len()];
+        self.deadlines.for_each(|c, key| {
+            if key >= n {
+                wake[key - n] = wake[key - n].min(c);
+            }
+        });
+        for (d, dir) in self.dirs.iter().enumerate() {
+            if rebuilt[d] != self.waiters[d] {
+                return Err(format!(
+                    "cycle {}: waiter set of directory {d} is {:?}, a rebuild gives {:?}",
+                    self.now,
+                    self.waiters[d].iter().collect::<Vec<_>>(),
+                    rebuilt[d].iter().collect::<Vec<_>>()
+                ));
+            }
+            let Some(head) = self.head_waiter(d) else {
+                continue;
+            };
+            let ready = dir.busy_release(self.now).unwrap_or(self.now);
+            if !self.dirs_dirty.contains(&d) && wake[d] > ready {
+                return Err(format!(
+                    "cycle {}: head waiter {head} of directory {d} can be granted at {ready} \
+                     but nothing will probe the directory by then",
+                    self.now
+                ));
+            }
+        }
+        Ok(spinners)
     }
 
     /// Queue `proc` for the fast engine at `deadline`, unless the queue is
@@ -1202,8 +1383,11 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
         let mut touched = std::mem::take(&mut self.dir_scratch);
         touched.clear();
         touched.extend(self.procs[i].dirs_touched.iter().copied());
+        let tid = self.procs[i].tid;
         for &d in &touched {
-            self.dirs[d].unmark(i);
+            if let Some(tid) = tid {
+                self.dirs[d].unmark(tid, i);
+            }
             if clear_sharers {
                 self.dirs[d].directory.clear_proc(i);
             }
@@ -1239,8 +1423,10 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
         let mut touched = std::mem::take(&mut self.dir_scratch);
         touched.clear();
         touched.extend(self.procs[i].dirs_touched.iter().copied());
-        for &d in &touched {
-            self.dirs[d].unmark(i);
+        if let Some(tid) = self.procs[i].tid {
+            for &d in &touched {
+                self.dirs[d].unmark(tid, i);
+            }
         }
         self.dirs_dirty.extend_from_slice(&touched);
         self.dir_scratch = touched;
@@ -1379,8 +1565,13 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
             Op::Read(addr) => {
                 let line = self.map.line_of(addr);
                 let home = self.map.home_of(line);
-                self.procs[i].dirs_touched.insert(home);
+                // The read and write sets are cleared together with
+                // `dirs_touched`, so a line already in either set has its
+                // home there: only a new line needs the insert.
                 let newly_read = self.procs[i].read_set.insert(line);
+                if newly_read {
+                    self.procs[i].dirs_touched.insert(home);
+                }
                 let hit = matches!(
                     self.procs[i].cache.load(line, true),
                     htm_mem::AccessOutcome::Hit
@@ -1417,8 +1608,9 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
             Op::Write(addr) => {
                 let line = self.map.line_of(addr);
                 let home = self.map.home_of(line);
-                self.procs[i].dirs_touched.insert(home);
-                self.procs[i].write_set.insert(line);
+                if self.procs[i].write_set.insert(line) {
+                    self.procs[i].dirs_touched.insert(home);
+                }
                 let hit = matches!(
                     self.procs[i].cache.store(line, true),
                     htm_mem::AccessOutcome::Hit
@@ -1533,7 +1725,7 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
     fn try_start_flush(&mut self, i: ProcId, step_idx: usize) {
         let tid = self.procs[i].tid.expect("commit spin requires a TID");
         let dir = self.procs[i].commit_plan[step_idx].dir;
-        if !self.dirs[dir].can_grant(i, tid, self.now) {
+        if !self.dirs[dir].would_grant(i, tid, self.now) {
             return;
         }
         // Granted: the flush occupies the directory for its lookup latency
@@ -1584,7 +1776,10 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
 
     fn finish_flush_step(&mut self, i: ProcId, step_idx: usize) {
         let dir = self.procs[i].commit_plan[step_idx].dir;
-        self.dirs[dir].unmark(i);
+        let tid = self.procs[i]
+            .tid
+            .expect("a committing processor holds a TID");
+        self.dirs[dir].unmark(tid, i);
         self.dirs_dirty.push(dir);
         if step_idx + 1 < self.procs[i].commit_plan.len() {
             self.procs[i].phase = Phase::SpinCommit {
@@ -1613,6 +1808,7 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
     // ----- outcome ---------------------------------------------------------------
 
     fn into_parts(mut self) -> (RunOutcome, H) {
+        self.flush_intervals();
         // Settle every processor's lazy accounting backlog so the outcome
         // covers all `total_cycles` cycles (a no-op after naive runs).
         for i in 0..self.procs.len() {
@@ -1670,21 +1866,15 @@ fn fill_view<const W: usize>(view: &mut SystemView, procs: &[Processor], dirs: &
     }
 }
 
-/// Rewrite only the view entries of processors `stale_procs` and
-/// directories `stale_dirs` from the machine state.
-fn refresh_dirty_entries<const W: usize>(
+/// Rewrite the view entries of processors `stale` from the machine state.
+fn refresh_proc_entries<const W: usize>(
     view: &mut SystemView,
     procs: &[Processor],
-    dirs: &[DirCtrl<W>],
-    stale_procs: ProcBits<W>,
-    stale_dirs: &[DirId],
+    stale: ProcBits<W>,
 ) {
-    for i in stale_procs {
+    for i in stale {
         view.proc_tx[i] = procs[i].current_tx_id();
         view.proc_gated[i] = procs[i].phase.is_gated_like();
-    }
-    for &d in stale_dirs {
-        view.dir_marked[d] = dirs[d].marked_bits().widen();
     }
 }
 
@@ -2521,6 +2711,61 @@ mod tests {
         let (outcome, _) = sys.into_parts();
         assert!(outcome.total_aborts > 0, "the run must invalidate");
         assert!(outcome.total_gatings > 0, "the run must gate and wake");
+    }
+
+    /// Processor 0 writes 48 lines homed at directory 0 and commits first;
+    /// then `spinners` processors, which wrote one line there each, ask for
+    /// younger TIDs and spin at their commits while processor 0's flush
+    /// occupies the directory. The last processor issues a one-cycle
+    /// compute op every cycle, so every cycle of that window is executed.
+    /// The sharded fabric keeps the flush off the spinners' token path.
+    fn parked_spinner_system(spinners: usize) -> TccSystem<NoGating> {
+        let mut threads = vec![ThreadTrace::new(vec![Transaction::new(
+            1,
+            (0..48).map(|j| Op::Write(64 * j)).collect(),
+        )])];
+        for p in 1..=spinners as u64 {
+            threads.push(ThreadTrace::new(vec![Transaction::new(
+                1 + p,
+                vec![Op::Write(64 * (48 + p)), Op::Compute(5_800)],
+            )]));
+        }
+        let mut ops = vec![Op::Read(4096 * (spinners as u64 + 1))];
+        ops.extend((0..8_000).map(|_| Op::Compute(1)));
+        threads.push(ThreadTrace::new(vec![Transaction::new(100, ops)]));
+        let sharded = TopologyConfig::parse("sharded").unwrap();
+        let cfg = SimConfig::table2_with_topology(spinners + 2, sharded);
+        TccSystem::new(cfg, WorkloadTrace::new("parked", threads), NoGating).unwrap()
+    }
+
+    #[test]
+    fn blocked_spinners_are_not_stepped_while_nothing_changes() {
+        // Cost pin: in a cycle in which no directory changed and no
+        // occupancy released, no blocked commit spinner is stepped. Here
+        // only the executing processor is, however many spin.
+        const SPINNERS: usize = 8;
+        let mut sys = parked_spinner_system(SPINNERS);
+        let (mut cycles, mut steps) = (0, 0);
+        while !sys.is_complete() {
+            let parked = on_machine!(&sys.0, m => {
+                let spinning = (1..=SPINNERS)
+                    .all(|i| matches!(m.procs[i].phase, Phase::SpinCommit { .. }));
+                let occupied = matches!(
+                    m.procs[0].phase,
+                    Phase::Committing { until, .. } if until > m.now
+                );
+                spinning && occupied
+            });
+            let before = sys.engine_counters();
+            sys.step();
+            if parked {
+                let after = sys.engine_counters();
+                cycles += after.executed_cycles - before.executed_cycles;
+                steps += after.processor_steps - before.processor_steps;
+            }
+        }
+        assert!(cycles > 100, "the window must be long: {cycles} cycles");
+        assert_eq!(steps, cycles, "one processor stepped per executed cycle");
     }
 
     #[test]
