@@ -1420,16 +1420,7 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
         // self-abort on wake-up, but it must stop participating in commit
         // arbitration: a gated processor can never be granted a directory
         // (this is what makes the protocol deadlock-free).
-        let mut touched = std::mem::take(&mut self.dir_scratch);
-        touched.clear();
-        touched.extend(self.procs[i].dirs_touched.iter().copied());
-        if let Some(tid) = self.procs[i].tid {
-            for &d in &touched {
-                self.dirs[d].unmark(tid, i);
-            }
-        }
-        self.dirs_dirty.extend_from_slice(&touched);
-        self.dir_scratch = touched;
+        self.release_directory_state(i, false);
         let until = self.now + self.cfg.stop_clock_drain_latency;
         self.procs[i].phase = Phase::GateDraining { until };
     }
