@@ -410,6 +410,35 @@ fn incremental_view_survives_interleaved_naive_steps() {
     );
 }
 
+/// Run `workload` (Test scale, seed 11) on both engines and require
+/// identical reports, then step the fast engine once more and check its
+/// waiter sets after every step. Returns the most commit spinners seen at
+/// once.
+fn assert_exact_with_waiter_checks(
+    workload: &str,
+    procs: usize,
+    mode: GatingMode,
+    topology: TopologyConfig,
+) -> usize {
+    let context = format!("{workload} {procs}p {topology:?} mode={}", mode.label());
+    let fast = run_named_on(mode, workload, procs, EngineKind::FastForward, topology);
+    let naive = run_named_on(mode, workload, procs, EngineKind::Naive, topology);
+    assert_identical(&fast, &naive, &context);
+
+    let cfg = SimConfig::table2_with_topology(procs, topology);
+    let trace = htm_workloads::by_name(workload, procs, WorkloadScale::Test, 11).unwrap();
+    let mut sys = TccSystem::new(cfg.clone(), trace, mode.build(&cfg)).unwrap();
+    let mut most = 0;
+    while !sys.is_complete() {
+        sys.step();
+        let spinners = sys
+            .debug_check_waiters()
+            .unwrap_or_else(|e| panic!("{context}: {e}"));
+        most = most.max(spinners);
+    }
+    most
+}
+
 #[test]
 fn bus_runs_with_many_parked_commit_spinners_are_engine_exact() {
     // Every commit on the bus serializes on the directories' oldest-TID
@@ -417,23 +446,12 @@ fn bus_runs_with_many_parked_commit_spinners_are_engine_exact() {
     // The fast engine parks every spinner its directory cannot grant; the
     // run must still match the naive reference byte for byte.
     for mode in [GatingMode::Ungated, GatingMode::ClockGate { w0: 8 }] {
-        let context = format!("genome 128p bus mode={}", mode.label());
-        let fast = run_named(mode, "genome", 128, EngineKind::FastForward);
-        let naive = run_named(mode, "genome", 128, EngineKind::Naive);
-        assert_identical(&fast, &naive, &context);
-
-        let cfg = SimConfig::table2(128);
-        let trace = htm_workloads::by_name("genome", 128, WorkloadScale::Test, 11).unwrap();
-        let mut sys = TccSystem::new(cfg.clone(), trace, mode.build(&cfg)).unwrap();
-        let mut most = 0;
-        while !sys.is_complete() {
-            sys.step();
-            let spinners = sys
-                .debug_check_waiters()
-                .unwrap_or_else(|e| panic!("{context}: {e}"));
-            most = most.max(spinners);
-        }
-        assert!(most > 50, "{context}: at most {most} spinners at once");
+        let most = assert_exact_with_waiter_checks("genome", 128, mode, TopologyConfig::Bus);
+        assert!(
+            most > 50,
+            "{}: at most {most} spinners at once",
+            mode.label()
+        );
     }
 }
 
@@ -445,25 +463,8 @@ fn mesh_runs_whose_head_waiters_wait_on_an_occupancy_are_engine_exact() {
     // at its release by a queued directory wake, not by the occupant's
     // unmark, which the naive engine may step after it.
     let mesh = TopologyConfig::parse("sharded:0:mesh").unwrap();
-    for (workload, mode) in [
-        ("genome", GatingMode::Ungated),
-        ("hotspot", GatingMode::ClockGate { w0: 8 }),
-    ] {
-        let context = format!("{workload} 64p mesh mode={}", mode.label());
-        let fast = run_named_on(mode, workload, 64, EngineKind::FastForward, mesh);
-        let naive = run_named_on(mode, workload, 64, EngineKind::Naive, mesh);
-        assert_identical(&fast, &naive, &context);
-
-        let cfg = SimConfig::table2_with_topology(64, mesh);
-        let trace = htm_workloads::by_name(workload, 64, WorkloadScale::Test, 11).unwrap();
-        let mut sys = TccSystem::new(cfg.clone(), trace, mode.build(&cfg)).unwrap();
-        while !sys.is_complete() {
-            sys.step();
-            if let Err(e) = sys.debug_check_waiters() {
-                panic!("{context}: {e}");
-            }
-        }
-    }
+    assert_exact_with_waiter_checks("genome", 64, GatingMode::Ungated, mesh);
+    assert_exact_with_waiter_checks("hotspot", 64, GatingMode::ClockGate { w0: 8 }, mesh);
 }
 
 #[test]
