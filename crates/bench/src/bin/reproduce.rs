@@ -22,9 +22,9 @@
 //!   runs the smoke matrices on both and fails on any divergence.
 //! * `--topology bus|sharded[:BANKS[:mesh|xbar]]` swaps the interconnect
 //!   (default `bus`, the paper's machine; see `docs/SCALING.md`).
-//! * `--threads N` caps the process-wide worker pool the matrix cells run
-//!   on. Purely a wall-clock knob — output bytes are identical for every
-//!   `N`.
+//! * `--threads N` caps the process-wide worker pool: at most `N` matrix
+//!   cells or Fig. 7 runs execute at once. Purely a wall-clock knob —
+//!   output bytes are identical for every `N`.
 //! * `--scale-smoke` is the large-machine CI gate: tiny workloads
 //!   (including the cluster-isolated `clustered` one) on 64-, 512- and
 //!   1024-processor machines — the last being the simulator's

@@ -15,6 +15,8 @@
 //! three applications × {4, 8, 16} processors × {ungated, gated}); the matrix
 //! is computed once by [`run_matrix`] and each figure renders its slice.
 
+use std::ops::ControlFlow;
+use std::panic::resume_unwind;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -24,6 +26,7 @@ use htm_power::energy::ComparisonReport;
 use htm_power::ledger::EnergyLedgerReport;
 use htm_power::model::PowerModel;
 use htm_sim::config::SimConfig;
+use htm_sim::pool::WorkerPool;
 use htm_sim::Cycle;
 use htm_tcc::system::SimError;
 use htm_workloads::registry::PAPER_WORKLOADS;
@@ -349,18 +352,44 @@ fn run_cell(
     ))
 }
 
+/// Run `n` jobs on the process-wide thread budget
+/// ([`WorkerPool::run_in_order`]) and collect their results in index order.
+/// The first `Err` in index order stops the batch and is returned,
+/// whichever job failed first in time; a job's panic is re-raised here.
+fn run_batch<T: Send>(
+    n: usize,
+    job: impl Fn(usize) -> Result<T, SimError> + Sync,
+) -> Result<Vec<T>, SimError> {
+    let mut out = Vec::with_capacity(n);
+    let mut failure = None;
+    WorkerPool::global().run_in_order(n, job, |_, result| {
+        match result.unwrap_or_else(|payload| resume_unwind(payload)) {
+            Ok(value) => {
+                out.push(value);
+                ControlFlow::Continue(())
+            }
+            Err(error) => {
+                failure = Some(error);
+                ControlFlow::Break(())
+            }
+        }
+    });
+    failure.map_or(Ok(out), Err)
+}
+
 /// Run the full evaluation matrix (every workload × processor count, with
 /// and without clock gating) in the given [`RunContext`], spreading the
-/// independent (workload × processor-count) cells over the persistent worker
-/// pool ([`crate::pool::WorkerPool::global`]) and collecting per-cell
-/// wall-clock timings plus the per-component energy breakdown of every cell.
+/// independent (workload × processor-count) cells over the process-wide
+/// thread budget ([`WorkerPool::global`], `--threads`) and collecting
+/// per-cell wall-clock timings plus the per-component energy breakdown of
+/// every cell.
 ///
 /// Every cell is a self-contained deterministic simulation pair, so the
-/// schedule cannot influence the results; cells are written back into their
-/// pre-assigned slot, which keeps the output ordering (workload-major, then
-/// processor count — the paper's figure order) byte-identical to a serial
-/// loop. On error, the first failing cell *in that deterministic order* is
-/// reported, regardless of which worker hit an error first.
+/// schedule cannot influence the results; cells are collected in index
+/// order, which keeps the output ordering (workload-major, then processor
+/// count — the paper's figure order) byte-identical to a serial loop. On
+/// error, the first failing cell *in that deterministic order* is reported,
+/// regardless of which thread hit an error first, and no later cell starts.
 ///
 /// Under checkpointing the checkpoint directory is pre-flighted before any
 /// cell runs, so a future-format checkpoint file is a dedicated error up
@@ -377,31 +406,19 @@ pub fn run_matrix(
         .iter()
         .flat_map(|w| cfg.processor_counts.iter().map(move |&p| (w.as_str(), p)))
         .collect();
-    let pool = crate::pool::WorkerPool::global();
-    let threads = pool.workers().min(params.len().max(1));
+    let threads = WorkerPool::global().workers().min(params.len().max(1));
     let started = Instant::now();
-
-    // One pre-assigned slot per cell; each pool job writes only its own
-    // slot, so cell order never depends on the schedule.
-    type CellResult = Result<(MatrixCell, CellEnergyBreakdown), SimError>;
-    let mut slots: Vec<Option<(CellResult, f64)>> = Vec::new();
-    slots.resize_with(params.len(), || None);
-    pool.scope(|scope| {
-        for (slot, &(workload, procs)) in slots.iter_mut().zip(&params) {
-            scope.spawn(move || {
-                let cell_started = Instant::now();
-                let result = run_cell(workload, procs, cfg, ctx);
-                *slot = Some((result, cell_started.elapsed().as_secs_f64() * 1e3));
-            });
-        }
-    });
+    let results = run_batch(params.len(), |i| {
+        let (workload, procs) = params[i];
+        let cell_started = Instant::now();
+        let (cell, breakdown) = run_cell(workload, procs, cfg, ctx)?;
+        Ok((cell, breakdown, cell_started.elapsed().as_secs_f64() * 1e3))
+    })?;
 
     let mut cells = Vec::with_capacity(params.len());
     let mut breakdowns = Vec::with_capacity(params.len());
     let mut timings = Vec::with_capacity(params.len());
-    for slot in slots {
-        let (result, wall_ms) = slot.expect("every cell job ran to completion");
-        let (cell, breakdown) = result?;
+    for (cell, breakdown, wall_ms) in results {
         timings.push(CellTiming {
             workload: cell.workload.clone(),
             procs: cell.procs,
@@ -665,37 +682,48 @@ pub struct Fig7Result {
 
 /// Sweep `W0` and the processor count in the given [`RunContext`]; the
 /// ungated baseline per (workload, procs) is computed once and reused
-/// across `W0` values. Checkpoint keys carry a `fig7-` tag so the sweep can
-/// share a checkpoint directory with the evaluation matrix.
+/// across `W0` values. The runs go through the process-wide thread budget
+/// in the order of a serial loop (per processor count: the baselines, then
+/// each `W0` × workload), so an error names the first failing run in that
+/// order. Checkpoint keys carry a `fig7-` tag so the sweep can share a
+/// checkpoint directory with the evaluation matrix.
 pub fn fig7(
     cfg: &ExperimentConfig,
     w0_values: &[Cycle],
     ctx: &RunContext<'_>,
 ) -> Result<Fig7Result, SimError> {
     ctx.preflight()?;
+    let mut modes = vec![(GatingMode::Ungated, "fig7-ungated".to_string())];
+    modes.extend(
+        w0_values
+            .iter()
+            .map(|&w0| (GatingMode::ClockGate { w0 }, format!("fig7-w{w0}"))),
+    );
+    let mut runs = Vec::new();
+    for &procs in &cfg.processor_counts {
+        for (mode, kind) in &modes {
+            runs.extend(
+                cfg.workloads
+                    .iter()
+                    .map(|workload| (workload.as_str(), procs, *mode, kind.as_str())),
+            );
+        }
+    }
+    let mut reports = run_batch(runs.len(), |i| {
+        let (workload, procs, mode, kind) = runs[i];
+        run_one(workload, procs, cfg, mode, kind, ctx)
+    })?
+    .into_iter();
+
     let mut rows = Vec::new();
     for &procs in &cfg.processor_counts {
-        // Baselines per workload.
-        let mut baselines = Vec::new();
-        for workload in &cfg.workloads {
-            let ungated = run_one(
-                workload,
-                procs,
-                cfg,
-                GatingMode::Ungated,
-                "fig7-ungated",
-                ctx,
-            )?;
-            baselines.push(ungated);
-        }
+        let baselines: Vec<SimReport> = reports.by_ref().take(cfg.workloads.len()).collect();
         for &w0 in w0_values {
-            let mut speedups = Vec::new();
-            let kind = format!("fig7-w{w0}");
-            for (workload, ungated) in cfg.workloads.iter().zip(&baselines) {
-                let mode = GatingMode::ClockGate { w0 };
-                let gated = run_one(workload, procs, cfg, mode, &kind, ctx)?;
-                speedups.push(compare_runs(ungated, &gated).speedup);
-            }
+            let speedups: Vec<f64> = baselines
+                .iter()
+                .zip(reports.by_ref().take(baselines.len()))
+                .map(|(ungated, gated)| compare_runs(ungated, &gated).speedup)
+                .collect();
             let avg = speedups.iter().sum::<f64>() / speedups.len().max(1) as f64;
             rows.push(Fig7Row {
                 w0,
@@ -913,6 +941,35 @@ mod tests {
         assert!(s.avg_energy_savings_percent.is_finite());
         assert!(s.avg_speedup_percent.is_finite());
         assert!(s.slowdown_configurations <= s.configurations);
+    }
+
+    /// A quick config whose second and fourth workloads do not exist, so
+    /// only some cells fail, and the later bad cell fails as fast as the
+    /// earlier one.
+    fn config_with_two_unknown_workloads() -> ExperimentConfig {
+        ExperimentConfig {
+            workloads: ["genome", "no-such-a", "intruder", "no-such-b"]
+                .map(String::from)
+                .to_vec(),
+            ..ExperimentConfig::quick()
+        }
+    }
+
+    #[test]
+    fn matrix_errors_name_the_first_failing_cell_in_matrix_order() {
+        let err = run_matrix(&config_with_two_unknown_workloads(), &RunContext::default())
+            .unwrap_err()
+            .to_string();
+        assert_eq!(err, "invalid workload: unknown workload 'no-such-a'");
+    }
+
+    #[test]
+    fn fig7_errors_name_the_first_failing_run_in_loop_order() {
+        let cfg = config_with_two_unknown_workloads();
+        let err = fig7(&cfg, &[2, 8], &RunContext::default())
+            .unwrap_err()
+            .to_string();
+        assert_eq!(err, "invalid workload: unknown workload 'no-such-a'");
     }
 
     #[test]

@@ -75,7 +75,6 @@ pub mod checkpoint;
 pub mod context;
 pub mod experiments;
 pub mod gating;
-pub mod pool;
 pub mod report;
 pub mod sim;
 pub mod sweep;

@@ -10,8 +10,8 @@
 //!   scale, seed, L1 cache geometry and the power model's leakage-share
 //!   (technology-node) axis, and expands it into a deterministic list of
 //!   [`grid::SweepCell`]s, each with a stable string key,
-//! * [`runner`] — [`runner::run_sweep`] executes the cells on scoped
-//!   threads sized to the process-wide worker-pool budget, streams
+//! * [`runner`] — [`runner::run_sweep`] executes the cells on the
+//!   process-wide thread budget (`htm_sim::pool::WorkerPool`), streams
 //!   one compact JSON record per cell to a `sweep.jsonl` artifact in
 //!   deterministic cell order, and skips already-recorded cells when resumed
 //!   (old-schema files are rejected with

@@ -1,9 +1,9 @@
 //! Parallel, resumable execution of a [`SweepGrid`].
 //!
-//! [`run_sweep`] expands the grid, runs every not-yet-recorded cell on
-//! scoped threads sized to the process-wide worker-pool budget (the
+//! [`run_sweep`] expands the grid, runs every not-yet-recorded cell through
+//! [`WorkerPool::run_in_order`] on the process-wide thread budget (the
 //! `--threads` cap), and *streams* one compact JSON record per cell to
-//! `<out>/sweep.jsonl` in deterministic cell order — workers may finish out
+//! `<out>/sweep.jsonl` in deterministic cell order — cells may finish out
 //! of order, but the writer only appends the next cell in grid order, so an
 //! interrupted sweep always leaves an in-order prefix on disk. Re-running
 //! with `resume = true` parses that prefix back and skips the recorded
@@ -16,13 +16,13 @@
 
 use std::fs;
 use std::io::{BufWriter, Write};
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 
 use serde::Serialize;
 
 use htm_power::ledger::{ComponentEnergy, ALL_COMPONENTS};
+use htm_sim::pool::WorkerPool;
 use htm_sim::topology::TopologyConfig;
 use htm_sim::Cycle;
 use htm_tcc::system::SimError;
@@ -519,10 +519,15 @@ fn check_resume_prefix(completed: &[CellRecord], keys: &[String]) -> Result<(), 
 /// behind; they are skipped and the remaining cells appended, converging to
 /// the byte-identical artifacts of an uninterrupted run. Resuming with a
 /// different (reordered or regrown) grid or an old-schema file is rejected.
-/// Without `resume`, the file is rewritten from scratch. On a cell failure,
-/// the error names the first failing cell in grid order and the records
-/// streamed so far remain on disk, so a subsequent `resume` run picks up
-/// where the failure occurred.
+/// Without `resume`, the file is rewritten from scratch.
+///
+/// The pending cells run through [`WorkerPool::run_in_order`] on the
+/// process-wide thread budget, and the calling thread appends (and fsyncs)
+/// each record as its turn in grid order comes. On a cell failure, a cell
+/// panic ([`SweepError::CellPanic`]) or an append error, no further cell
+/// starts; the error names the first failing cell in grid order and the
+/// records streamed so far remain on disk, so a subsequent `resume` run
+/// picks up where the failure occurred.
 ///
 /// The objective only affects the Pareto post-processing: `sweep.jsonl`,
 /// `grid.json` and `energy_breakdown.json` are objective-independent, so an
@@ -596,86 +601,45 @@ pub fn run_sweep(
     let mut new_records: Vec<CellRecord> = Vec::with_capacity(pending.len());
     let mut failure: Option<SweepError> = None;
 
-    if !pending.is_empty() {
-        // Sized from the process-wide pool budget (the binaries' `--threads`
-        // cap).
-        let threads = crate::pool::WorkerPool::global()
-            .workers()
-            .min(pending.len());
-        type Slot = Option<Result<CellRecord, SweepError>>;
-        let slots: Mutex<Vec<Slot>> = Mutex::new((0..pending.len()).map(|_| None).collect());
-        let ready = Condvar::new();
-        let next = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = pending.get(idx) else {
-                        break;
-                    };
-                    // A panicking cell must still fill its slot — otherwise
-                    // the in-order writer would wait on it forever and the
-                    // sweep would deadlock instead of failing.
-                    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_cell(cell, ctx)
-                    }));
-                    let result = match caught {
-                        Ok(result) => result,
-                        Err(payload) => Err(SweepError::CellPanic {
-                            key: ctx.key(&cell.key()),
-                            message: panic_message(payload.as_ref()),
-                        }),
-                    };
-                    slots.lock().expect("sweep worker poisoned the slots")[idx] = Some(result);
-                    ready.notify_all();
+    // The calling thread is the writer: the executor hands it the records
+    // strictly in grid order, even while later cells are already done, and
+    // the first failure stops the cells that have not started.
+    WorkerPool::global().run_in_order(
+        pending.len(),
+        |idx| run_cell(pending[idx], ctx),
+        |idx, result| {
+            // A panicking cell reaches the writer as an error, so the sweep
+            // fails instead of waiting on it.
+            let appended = result
+                .unwrap_or_else(|payload| {
+                    Err(SweepError::CellPanic {
+                        key: ctx.key(&pending[idx].key()),
+                        message: panic_message(payload.as_ref()),
+                    })
+                })
+                .and_then(|record| {
+                    // Flush + fsync per record: a cell is simulated work
+                    // worth keeping, and a crash immediately after the
+                    // append must not lose it. A kill *during* the append
+                    // leaves a torn final line, which `read_completed`
+                    // drops on resume.
+                    writeln!(writer, "{}", to_json_compact(&record))
+                        .and_then(|()| writer.flush())
+                        .and_then(|()| writer.get_ref().sync_data())?;
+                    Ok(record)
                 });
-            }
-
-            // The scope's owning thread is the writer: it appends records
-            // strictly in grid order, waiting for the next-in-order cell
-            // even while later cells are already done.
-            for written in 0..pending.len() {
-                let result = {
-                    let mut guard = slots.lock().expect("sweep worker poisoned the slots");
-                    loop {
-                        if let Some(result) = guard[written].take() {
-                            break result;
-                        }
-                        guard = ready.wait(guard).expect("sweep worker poisoned the slots");
-                    }
-                };
-                match result {
-                    Ok(record) => {
-                        let line = to_json_compact(&record);
-                        // Flush + fsync per record: a cell is simulated work
-                        // worth keeping, and a crash immediately after the
-                        // append must not lose it. A kill *during* the append
-                        // leaves a torn final line, which `read_completed`
-                        // drops on resume.
-                        if let Err(e) = writeln!(writer, "{line}")
-                            .and_then(|()| writer.flush())
-                            .and_then(|()| writer.get_ref().sync_data())
-                        {
-                            abort.store(true, Ordering::Relaxed);
-                            failure = Some(SweepError::Io(e));
-                            break;
-                        }
-                        new_records.push(record);
-                    }
-                    Err(error) => {
-                        abort.store(true, Ordering::Relaxed);
-                        failure = Some(error);
-                        break;
-                    }
+            match appended {
+                Ok(record) => {
+                    new_records.push(record);
+                    ControlFlow::Continue(())
+                }
+                Err(error) => {
+                    failure = Some(error);
+                    ControlFlow::Break(())
                 }
             }
-        });
-    }
+        },
+    );
     if let Some(error) = failure {
         return Err(error);
     }
