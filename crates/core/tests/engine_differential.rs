@@ -27,7 +27,7 @@ use htm_sim::config::SimConfig;
 use htm_sim::topology::TopologyConfig;
 use htm_sim::{Cycle, DirId, ProcId, ProcSet};
 use htm_tcc::hooks::{AbortAction, GateCommand, GatingHook, SystemView};
-use htm_tcc::system::TccSystem;
+use htm_tcc::system::{EngineCounters, TccSystem};
 use htm_tcc::txn::{Op, ThreadTrace, Transaction, TxId, WorkloadTrace};
 use htm_workloads::registry::ALL_WORKLOADS;
 use htm_workloads::WorkloadScale;
@@ -484,6 +484,41 @@ fn a_512p_bus_run_steps_few_processors_per_executed_cycle() {
         per_cycle <= 2.0,
         "{per_cycle:.2} processors stepped per executed cycle ({counters:?})"
     );
+}
+
+#[test]
+fn paper_16p_bus_runs_pin_their_engine_work() {
+    // Cost pin: executed cycles, processor steps and the private ops
+    // settled lazily are exact functions of the run, so a lost coalescing
+    // of private ops (or any other change in engine work) fails here
+    // instead of hiding in wall-clock noise. Each private op saves one
+    // processor step: stepping every op, intruder-16p took 16 538 steps in
+    // 11 007 executed cycles and yada-16p 30 451 in 20 057.
+    for (workload, expect) in [
+        (
+            "intruder",
+            EngineCounters {
+                executed_cycles: 6924,
+                processor_steps: 10496,
+                private_ops: 6042,
+            },
+        ),
+        (
+            "yada",
+            EngineCounters {
+                executed_cycles: 12797,
+                processor_steps: 16876,
+                private_ops: 13575,
+            },
+        ),
+    ] {
+        let cfg = SimConfig::table2(16);
+        let trace = htm_workloads::by_name(workload, 16, WorkloadScale::Test, 42).unwrap();
+        let mut sys = TccSystem::new(cfg.clone(), trace, GatingMode::Ungated.build(&cfg)).unwrap();
+        sys.advance_until(Cycle::MAX);
+        assert!(sys.is_complete());
+        assert_eq!(sys.engine_counters(), expect, "{workload}-16p");
+    }
 }
 
 /// Drive a fast and a naive genome machine on the bus side by side and

@@ -161,15 +161,18 @@ impl SpecCache {
         self.stats
     }
 
+    #[inline]
     fn set_index(&self, line: LineAddr) -> usize {
         (line.0 as usize) & (self.sets - 1)
     }
 
+    #[inline]
     fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
         let s = self.set_index(line);
         s * self.assoc..(s + 1) * self.assoc
     }
 
+    #[inline]
     fn find(&self, line: LineAddr) -> Option<usize> {
         self.set_range(line)
             .find(|&i| self.ways[i].valid && self.ways[i].line == line)
@@ -182,6 +185,7 @@ impl SpecCache {
 
     /// Whether the line is currently present (no state change, no stats).
     #[must_use]
+    #[inline]
     pub fn contains(&self, line: LineAddr) -> bool {
         self.find(line).is_some()
     }
@@ -194,6 +198,7 @@ impl SpecCache {
 
     /// Whether the line is present and speculatively read.
     #[must_use]
+    #[inline]
     pub fn is_spec_read(&self, line: LineAddr) -> bool {
         self.find(line).is_some_and(|i| self.ways[i].spec_read)
     }

@@ -22,14 +22,14 @@
 
 use serde::{Deserialize, Serialize};
 
-use htm_mem::{LineAddr, SpecCache};
+use htm_mem::{AccessOutcome, AddressMap, LineAddr, SpecCache};
 use htm_sim::checkpoint::{CkptError, CkptReader, CkptWriter};
 use htm_sim::fxhash::FxHashSet;
 use htm_sim::queue::TimedQueue;
 use htm_sim::{Cycle, DirId, ProcId};
 
 use crate::stats::{PowerState, ProcStats, StateCycles};
-use crate::txn::{ThreadTrace, Transaction, TxId};
+use crate::txn::{Op, ThreadTrace, Transaction, TxId};
 
 /// An event delivered to a processor through the interconnect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,8 +166,32 @@ impl RetryAfter {
     }
 }
 
+/// What the processor-local half of an issued operation leaves for the
+/// machine to do ([`Processor::issue_local`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Issued {
+    /// Only the processor's own cache, speculative sets and phase changed:
+    /// a compute op, a re-read of a line already in the read set, or a
+    /// write hit. No other component can observe it.
+    Private,
+    /// A memory access other components see: the first read of a line in
+    /// this attempt (a hit registers a sharer and makes a bus request), or
+    /// any miss. On a hit the next phase is already set; on a miss the
+    /// machine times the fill and sets `Phase::WaitMiss`.
+    Visible {
+        /// The accessed line.
+        line: LineAddr,
+        /// Its home directory.
+        home: DirId,
+        /// Whether the access was a store.
+        is_store: bool,
+        /// Whether the cache held the line.
+        hit: bool,
+    },
+}
+
 /// Execution phase of a processor.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Executing the non-transactional prologue of the next transaction.
     PreCompute {
@@ -440,6 +464,11 @@ pub struct Processor {
     pub state_cycles: StateCycles,
     /// Cycle at which this processor started its first transaction.
     pub first_tx_start: Option<Cycle>,
+    /// While `Executing`: the cycle at which the next visible operation
+    /// issues, as last computed by [`Self::find_run_end`] (the fast engine
+    /// refreshes it after every step of the processor). Derived state, never
+    /// serialized; the naive engine does not read it.
+    pub(crate) run_end: Cycle,
 }
 
 impl Processor {
@@ -464,6 +493,7 @@ impl Processor {
             stats: ProcStats::new(),
             state_cycles: StateCycles::default(),
             first_tx_start: None,
+            run_end: 0,
         }
     }
 
@@ -531,28 +561,175 @@ impl Processor {
         !self.is_done()
     }
 
+    /// Apply the processor-local half of issuing operation `op_idx` of the
+    /// current transaction: the cache access (LRU, SR/SM bits, statistics),
+    /// the read/write-set and `dirs_touched` inserts, and the next phase on
+    /// a compute op or a hit. What other components must see is returned
+    /// for the machine to apply. `op_idx` must index an operation (not the
+    /// commit point).
+    #[inline]
+    pub(crate) fn issue_local(
+        &mut self,
+        op_idx: usize,
+        map: &AddressMap,
+        hit_latency: u64,
+    ) -> Issued {
+        let (line, is_store, newly_inserted, outcome) =
+            match self.thread.transactions[self.tx_idx].ops[op_idx] {
+                Op::Compute(c) => {
+                    self.phase = Phase::Executing {
+                        op_idx: op_idx + 1,
+                        remaining: c.saturating_sub(1),
+                    };
+                    return Issued::Private;
+                }
+                Op::Read(addr) => {
+                    let line = map.line_of(addr);
+                    let newly_read = self.read_set.insert(line);
+                    (line, false, newly_read, self.cache.load(line, true))
+                }
+                Op::Write(addr) => {
+                    let line = map.line_of(addr);
+                    let newly_written = self.write_set.insert(line);
+                    (line, true, newly_written, self.cache.store(line, true))
+                }
+            };
+        // The sets are cleared together with `dirs_touched`, so a line
+        // already in its set has its home there: only a new line needs it.
+        let home = map.home_of(line);
+        if newly_inserted {
+            self.dirs_touched.insert(home);
+        }
+        let hit = outcome == AccessOutcome::Hit;
+        if hit {
+            self.phase = Phase::Executing {
+                op_idx: op_idx + 1,
+                remaining: hit_latency.saturating_sub(1),
+            };
+            // A write hit stays in the L1 until commit; a re-read of a line
+            // already in the read set was registered by its first read.
+            if is_store || !newly_inserted {
+                return Issued::Private;
+            }
+        }
+        Issued::Visible {
+            line,
+            home,
+            is_store,
+            hit,
+        }
+    }
+
+    /// The cycles `op` occupies from its issue to the next issue, if
+    /// [`Self::issue_local`] would find it private in the current state:
+    /// any compute op, a read of a line whose SR bit is set, a write to a
+    /// line the cache holds.
+    ///
+    /// A set SR bit implies the line is present and in the read set (the bit
+    /// is only set by a read, and commit, abort and invalidation clear it
+    /// with the set). The converse can fail after a speculative eviction
+    /// refilled by a write miss; such a re-read is then treated as visible,
+    /// which costs an executed cycle and nothing else.
+    #[inline]
+    fn private_cycles(&self, op: Op, map: &AddressMap, hit_latency: u64) -> Option<u64> {
+        let private = match op {
+            Op::Compute(c) => return Some(c.max(1)),
+            Op::Read(addr) => {
+                let line = map.line_of(addr);
+                let spec_read = self.cache.is_spec_read(line);
+                debug_assert!(
+                    !spec_read || self.read_set.contains(&line),
+                    "SR bit set on line {line:?} outside the read set"
+                );
+                spec_read
+            }
+            Op::Write(addr) => self.cache.contains(map.line_of(addr)),
+        };
+        private.then_some(hit_latency.max(1))
+    }
+
+    /// The cycle at which this processor, `Executing` from cycle `from`
+    /// on, issues its next visible operation: the first read of a line, a
+    /// miss, the commit point or the end of its thread. Every operation
+    /// issued before it is private, and stays private until an inbox
+    /// delivery changes the cache (see `DESIGN.md`, "Coalesced private
+    /// operations"). Returns `from` in any other phase.
+    #[must_use]
+    #[inline]
+    pub(crate) fn find_run_end(&self, from: Cycle, map: &AddressMap, hit_latency: u64) -> Cycle {
+        let Phase::Executing { op_idx, remaining } = self.phase else {
+            return from;
+        };
+        let mut end = from + remaining;
+        if let Some(tx) = self.current_tx() {
+            for &op in tx.ops.get(op_idx..).unwrap_or_default() {
+                match self.private_cycles(op, map, hit_latency) {
+                    Some(cycles) => end += cycles,
+                    None => break,
+                }
+            }
+        }
+        end
+    }
+
+    /// Replay `span` cycles of `Executing`: issue, in order, every private
+    /// operation the per-cycle engine would have issued in them, and leave
+    /// the countdown where that engine would. Returns the number of
+    /// operations issued. The span must end at or before the run end.
+    #[inline]
+    pub(crate) fn replay_private(
+        &mut self,
+        mut span: u64,
+        map: &AddressMap,
+        hit_latency: u64,
+    ) -> u64 {
+        let mut issued = 0;
+        while let Phase::Executing { op_idx, remaining } = self.phase {
+            if remaining >= span {
+                self.phase = Phase::Executing {
+                    op_idx,
+                    remaining: remaining - span,
+                };
+                break;
+            }
+            span -= remaining + 1;
+            let effect = self.issue_local(op_idx, map, hit_latency);
+            debug_assert_eq!(effect, Issued::Private, "replayed a visible op {op_idx}");
+            issued += 1;
+        }
+        issued
+    }
+
     /// Earliest future cycle at which this processor does anything beyond a
     /// pure countdown: the completion of the phase it is waiting in, or the
     /// arrival of the earliest inbox message, whichever comes first.
     ///
     /// `Some(now)` means the *current* cycle needs full per-cycle processing
-    /// (an operation issues, a wait expires, a message is ready, or the phase
-    /// — like the commit spin — polls shared state every cycle and must be
-    /// refined by the system, which owns the directories). `None` means the
-    /// processor is fully passive (`Done`, or `Gated` with an empty inbox)
-    /// and only an external event can make it act again.
+    /// (a visible operation issues, a wait expires, a message is ready, or
+    /// the phase — like the commit spin — polls shared state every cycle and
+    /// must be refined by the system, which owns the directories). `None`
+    /// means the processor is fully passive (`Done`, or `Gated` with an
+    /// empty inbox) and only an external event can make it act again.
+    ///
+    /// In `Executing`, the private operations before the next visible one
+    /// count as countdown: the deadline is the cached run end, the issue
+    /// cycle of the next visible operation, which the fast engine
+    /// recomputes after every step of the processor and whose private
+    /// operations it replays lazily (see `DESIGN.md`, "Coalesced private
+    /// operations").
     ///
     /// This is the processor's contribution to the fast-forward engine's
     /// event horizon; see `DESIGN.md` ("event-horizon computation") for the
     /// exactness argument.
     #[must_use]
+    #[inline]
     pub fn next_deadline(&self, now: Cycle) -> Option<Cycle> {
         let phase_deadline = match self.phase {
             Phase::Done | Phase::Gated => None,
             // Transitions to `Executing` on the cycle where `remaining <= 1`.
             Phase::PreCompute { remaining } => Some(now + remaining.saturating_sub(1)),
-            // Issues the next operation on the cycle where `remaining == 0`.
-            Phase::Executing { remaining, .. } => Some(now + remaining),
+            // Issues the next visible operation at the run end.
+            Phase::Executing { .. } => Some(self.run_end.max(now)),
             // The commit spin polls the target directory every cycle; the
             // system refines this with the directory's grant state.
             Phase::SpinCommit { .. } => Some(now),
@@ -662,6 +839,10 @@ mod tests {
 
     fn cache() -> SpecCache {
         SpecCache::new(16, 2)
+    }
+
+    fn map() -> AddressMap {
+        AddressMap::new(64, 4096, 1)
     }
 
     fn thread() -> ThreadTrace {
@@ -791,11 +972,14 @@ mod tests {
         // PreCompute with 5 cycles remaining transitions at now + 4.
         assert_eq!(p.phase, Phase::PreCompute { remaining: 5 });
         assert_eq!(p.next_deadline(100), Some(104));
+        // Op 1 (`Compute(3)`) issues at 107 and is private; the commit
+        // point, the next visible op, issues three cycles later.
         p.phase = Phase::Executing {
             op_idx: 1,
             remaining: 7,
         };
-        assert_eq!(p.next_deadline(100), Some(107));
+        p.run_end = p.find_run_end(100, &map(), 1);
+        assert_eq!(p.next_deadline(100), Some(110));
         p.phase = Phase::WaitMiss {
             op_idx: 1,
             until: 230,
@@ -828,6 +1012,83 @@ mod tests {
         assert_eq!(p.next_deadline(100), Some(120));
         p.phase = Phase::Backoff { until: 200 };
         assert_eq!(p.next_deadline(100), Some(140));
+    }
+
+    #[test]
+    fn reads_are_private_once_their_sr_bit_is_set_and_writes_once_the_line_is_held() {
+        let ops = vec![
+            Op::Read(0),
+            Op::Read(8),
+            Op::Write(0),
+            Op::Write(64),
+            Op::Compute(4),
+        ];
+        let mut p = Processor::new(0, ThreadTrace::new(vec![Transaction::new(1, ops)]), cache());
+        let miss = |line, is_store| Issued::Visible {
+            line: LineAddr(line),
+            home: 0,
+            is_store,
+            hit: false,
+        };
+        assert_eq!(
+            p.find_run_end(10, &map(), 1),
+            10,
+            "the first read is visible"
+        );
+        assert_eq!(p.issue_local(0, &map(), 1), miss(0, false));
+        p.cache.fill(LineAddr(0), true, false);
+        p.phase = Phase::Executing {
+            op_idx: 1,
+            remaining: 0,
+        };
+        // The re-read of line 0 and the write hit on it are private; the
+        // write miss on line 1 is the next visible op.
+        assert_eq!(p.find_run_end(20, &map(), 1), 22);
+        assert_eq!(p.replay_private(2, &map(), 1), 2);
+        assert_eq!(
+            p.phase,
+            Phase::Executing {
+                op_idx: 3,
+                remaining: 0
+            }
+        );
+        assert!(p.write_set.contains(&LineAddr(0)));
+        assert_eq!(p.cache.stats().load_hits, 1);
+        assert_eq!(p.cache.stats().store_hits, 1);
+        assert_eq!(p.issue_local(3, &map(), 1), miss(1, true));
+        // After the fill only the compute op and the commit point are left.
+        p.cache.fill(LineAddr(1), false, true);
+        p.phase = Phase::Executing {
+            op_idx: 4,
+            remaining: 0,
+        };
+        assert_eq!(p.find_run_end(30, &map(), 1), 34);
+        assert_eq!(p.replay_private(4, &map(), 1), 1);
+        assert_eq!(
+            p.phase,
+            Phase::Executing {
+                op_idx: 5,
+                remaining: 0
+            }
+        );
+    }
+
+    #[test]
+    fn a_first_read_hit_is_visible() {
+        let ops = vec![Op::Read(0)];
+        let mut p = Processor::new(0, ThreadTrace::new(vec![Transaction::new(1, ops)]), cache());
+        p.cache.fill(LineAddr(0), false, false);
+        assert_eq!(p.find_run_end(5, &map(), 1), 5);
+        assert_eq!(
+            p.issue_local(0, &map(), 1),
+            Issued::Visible {
+                line: LineAddr(0),
+                home: 0,
+                is_store: false,
+                hit: true,
+            }
+        );
+        assert!(p.cache.is_spec_read(LineAddr(0)));
     }
 
     #[test]

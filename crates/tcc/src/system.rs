@@ -23,10 +23,10 @@ use htm_sim::{proc_set_words, Cycle, DirId, ProcBits, ProcId};
 use crate::deadlines::DeadlineQueue;
 use crate::dirctrl::DirCtrl;
 use crate::hooks::{AbortAction, GateCommand, GatingHook, SystemView};
-use crate::processor::{CommitStep, Phase, ProcEvent, Processor, RetryAfter};
+use crate::processor::{CommitStep, Issued, Phase, ProcEvent, Processor, RetryAfter};
 use crate::stats::{PowerState, RunOutcome};
 use crate::token::TokenVendor;
-use crate::txn::{fingerprint_parts, Op, WorkloadTrace};
+use crate::txn::{fingerprint_parts, WorkloadTrace};
 
 /// Errors that can occur when constructing or running a simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,6 +137,10 @@ pub struct EngineCounters {
     pub executed_cycles: u64,
     /// Processors stepped individually in those cycles.
     pub processor_steps: u64,
+    /// Private operations (compute ops, re-read hits and write hits)
+    /// issued lazily when a processor's accounting was settled, instead of
+    /// each in an executed cycle of its own.
+    pub private_ops: u64,
 }
 
 /// The machine itself, with processor sets `W` words wide. [`TccSystem`]
@@ -414,8 +418,10 @@ impl<H: GatingHook> TccSystem<H> {
     /// Check the fast engine's event queue: every processor that will act
     /// on its own (a phase deadline or a pending inbox delivery; for a
     /// commit spinner only the latter) has a queued entry at or before that
-    /// cycle, or is in the set of processors due in the next cycle. Returns the first processor without one. Does not change the
-    /// system. Exists for the engine tests.
+    /// cycle, or is in the set of processors due in the next cycle, and
+    /// every executing processor's cached run end equals a recomputation.
+    /// Returns the first violation. Does not change the system. Exists for
+    /// the engine tests.
     pub fn debug_check_queue(&self) -> Result<(), String> {
         on_machine!(&self.0, m => m.debug_check_queue())
     }
@@ -472,10 +478,12 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
         }
 
         let map = AddressMap::new(cfg.line_bytes, cfg.directory_segment_bytes, cfg.num_dirs);
-        let procs: Vec<Processor> = workload
-            .threads
-            .iter()
-            .cloned()
+        let WorkloadTrace {
+            name: workload_name,
+            threads,
+        } = workload;
+        let procs: Vec<Processor> = threads
+            .into_iter()
             .enumerate()
             .map(|(id, thread)| Processor::new(id, thread, SpecCache::from_config(&cfg)))
             .collect();
@@ -512,7 +520,7 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
             view,
             intervals,
             now: 0,
-            workload_name: workload.name,
+            workload_name,
             last_commit_end: 0,
             tick_scratch: Vec::new(),
             dir_scratch: Vec::new(),
@@ -756,8 +764,9 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
     ///
     /// Exactness argument (see `DESIGN.md`, "event-horizon computation"):
     /// every observable state change in a cycle is triggered by one of
-    /// (a) a processor phase completing or issuing an operation, (b) an
-    /// inbox message becoming deliverable, (c) the hook issuing commands
+    /// (a) a processor phase completing or issuing a visible operation
+    /// (private ones are replayed by `flush_accounting`), (b) an inbox
+    /// message becoming deliverable, (c) the hook issuing commands
     /// from `on_tick`, or (d) a commit spin being granted a directory.
     /// (a)–(c) are reported by the processors ([`Processor::next_deadline`])
     /// and the hook ([`GatingHook::next_deadline`]). For (d), only a
@@ -806,14 +815,7 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
             if active.contains(i) {
                 continue;
             }
-            let effective = if matches!(self.procs[i].phase, Phase::SpinCommit { .. }) {
-                // Grant readiness is tracked through the directories; only a
-                // deliverable inbox message makes a spinner active here.
-                self.procs[i].inbox.next_delivery()
-            } else {
-                self.procs[i].next_deadline(self.acct_until[i])
-            };
-            match effective {
+            match self.own_deadline(i) {
                 Some(e) if e <= now => active.insert(i),
                 Some(e) => self.deadlines.push(e, i),
                 None => {}
@@ -895,6 +897,27 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
         }
     }
 
+    /// The cycle at which processor `i` next acts on its own, as the event
+    /// queue tracks it: a commit spinner's next inbox delivery (its grant
+    /// is probed through its directory), and for every other processor
+    /// [`Processor::next_deadline`] from its accounting watermark, which
+    /// folds in the earliest inbox delivery.
+    fn own_deadline(&self, i: ProcId) -> Option<Cycle> {
+        let proc = &self.procs[i];
+        if matches!(proc.phase, Phase::SpinCommit { .. }) {
+            proc.inbox.next_delivery()
+        } else {
+            proc.next_deadline(self.acct_until[i])
+        }
+    }
+
+    /// Cache the end of processor `i`'s current run of private operations,
+    /// seen from its accounting watermark (see `Processor::run_end`).
+    fn plan_run(&mut self, i: ProcId) {
+        let proc = &mut self.procs[i];
+        proc.run_end = proc.find_run_end(self.acct_until[i], &self.map, self.cfg.l1_hit_latency);
+    }
+
     /// Rebuild the fast engine's incremental structures from scratch (after
     /// construction they are only invalidated by interleaved `step_naive`
     /// calls, which mutate processors without maintaining them).
@@ -906,7 +929,9 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
         let mut missing = 0usize;
         let mut committing = 0usize;
         let mut throttled = 0usize;
-        for (i, proc) in self.procs.iter().enumerate() {
+        for i in 0..self.procs.len() {
+            self.plan_run(i);
+            let proc = &self.procs[i];
             match proc.phase.power_state() {
                 PowerState::Gated => gated += 1,
                 PowerState::Miss => missing += 1,
@@ -916,13 +941,8 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
             }
             if let Phase::SpinCommit { step_idx } = proc.phase {
                 self.waiters[proc.commit_plan[step_idx].dir].insert(i);
-                // A spinner's only queue-tracked wake source is its inbox
-                // (its grant is probed through its directory).
-                if let Some(d) = proc.inbox.next_delivery() {
-                    self.deadlines.push(d, i);
-                }
-            } else if let Some(d) = proc.next_deadline(self.acct_until[i]) {
-                // Already folds in the earliest inbox arrival.
+            }
+            if let Some(d) = self.own_deadline(i) {
                 self.deadlines.push(d, i);
             }
         }
@@ -1029,18 +1049,15 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
             if proc.is_done() && !pre_done {
                 self.done_count += 1;
             }
-            let next = if post_wait.is_some() {
-                // A spinner's only queue-tracked wake source is its inbox.
-                // Without this entry a pending delivery is unreachable
-                // whenever the rest of the machine is quiescent at its
-                // arrival cycle: the emission-time entry may have been
-                // collapsed into a phase deadline by a queue rebuild (after
-                // naive steps or a checkpoint restore).
-                proc.inbox.next_delivery()
-            } else {
-                proc.next_deadline(now + 1)
-            };
-            match next {
+            // Re-queue at the processor's own deadline, once per step (the
+            // run end is cached until its next one). A spinner's entry is its
+            // next inbox delivery. Without it a pending delivery is
+            // unreachable whenever the rest of the machine is quiescent at
+            // its arrival cycle: the emission-time entry may have been
+            // collapsed into a phase deadline by a queue rebuild (after
+            // naive steps or a checkpoint restore).
+            self.plan_run(i);
+            match self.own_deadline(i) {
                 Some(d) if d == now + 1 => self.due_next.insert(i),
                 Some(d) => self.deadlines.push(d, i),
                 None => {}
@@ -1086,8 +1103,11 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
 
     /// Settle processor `i`'s lazily skipped cycles up to (excluding)
     /// `target`: the per-cycle work its naive advance would have done in
-    /// `[acct_until[i], target)` — all spent in one unchanged phase — is
-    /// applied in a single batch.
+    /// `[acct_until[i], target)` — all spent in one power state — is
+    /// applied in a single batch. In `Executing` that includes issuing, in
+    /// op order, the private operations of the span (`target` never passes
+    /// the run end, where the next visible operation issues in a stepped
+    /// cycle).
     fn flush_accounting(&mut self, i: ProcId, target: Cycle) {
         let from = self.acct_until[i];
         if target <= from {
@@ -1098,7 +1118,7 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
         proc.state_cycles.add(proc.phase.power_state(), span);
         match &mut proc.phase {
             Phase::PreCompute { remaining } => *remaining -= span,
-            Phase::Executing { remaining, .. } => {
+            Phase::Executing { .. } => {
                 // The first skipped cycle is the one that would have stamped
                 // the start of the first transaction.
                 if proc.first_tx_start.is_none() {
@@ -1109,7 +1129,8 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
                 } else {
                     span
                 };
-                *remaining -= span;
+                self.counters.private_ops +=
+                    proc.replay_private(span, &self.map, self.cfg.l1_hit_latency);
             }
             Phase::WaitMiss { .. }
             | Phase::WaitToken { .. }
@@ -1211,12 +1232,17 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
             earliest[i] = self.now;
         }
         for (i, proc) in self.procs.iter().enumerate() {
-            let due = if matches!(proc.phase, Phase::SpinCommit { .. }) {
-                proc.inbox.next_delivery()
-            } else {
-                proc.next_deadline(self.acct_until[i])
-            };
-            if let Some(d) = due.filter(|&d| earliest[i] > d) {
+            if matches!(proc.phase, Phase::Executing { .. }) {
+                let run_end =
+                    proc.find_run_end(self.acct_until[i], &self.map, self.cfg.l1_hit_latency);
+                if proc.run_end != run_end {
+                    return Err(format!(
+                        "cycle {}: processor {i}'s cached run end is {}, its ops end it at {run_end}",
+                        self.now, proc.run_end
+                    ));
+                }
+            }
+            if let Some(d) = self.own_deadline(i).filter(|&d| earliest[i] > d) {
                 return Err(format!(
                     "cycle {}: processor {i} acts at {d} but its earliest queued entry is {}",
                     self.now,
@@ -1440,7 +1466,7 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
     // ----- processor stepping ----------------------------------------------------
 
     fn advance_processor(&mut self, i: ProcId) {
-        match self.procs[i].phase.clone() {
+        match self.procs[i].phase {
             Phase::Done | Phase::Gated => {}
             Phase::PreCompute { remaining } => {
                 if remaining <= 1 {
@@ -1536,6 +1562,9 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
         }
     }
 
+    /// Issue operation `op_idx` of processor `i`: its local half through
+    /// [`Processor::issue_local`] (the same path the lazy replay of private
+    /// operations takes), then what the rest of the machine sees of it.
     fn issue_op(&mut self, i: ProcId, op_idx: usize) {
         let Some(tx) = self.procs[i].current_tx() else {
             self.procs[i].phase = Phase::Done;
@@ -1545,85 +1574,39 @@ impl<H: GatingHook, const W: usize> Machine<H, W> {
             self.begin_commit(i);
             return;
         }
-        let op = tx.ops[op_idx];
-        match op {
-            Op::Compute(c) => {
-                self.procs[i].phase = Phase::Executing {
-                    op_idx: op_idx + 1,
-                    remaining: c.saturating_sub(1),
-                };
-            }
-            Op::Read(addr) => {
-                let line = self.map.line_of(addr);
-                let home = self.map.home_of(line);
-                // The read and write sets are cleared together with
-                // `dirs_touched`, so a line already in either set has its
-                // home there: only a new line needs the insert.
-                let newly_read = self.procs[i].read_set.insert(line);
-                if newly_read {
-                    self.procs[i].dirs_touched.insert(home);
-                }
-                let hit = matches!(
-                    self.procs[i].cache.load(line, true),
-                    htm_mem::AccessOutcome::Hit
-                );
-                if hit {
-                    if newly_read {
-                        // Register this processor as a speculative sharer with
-                        // the home directory (background control message; the
-                        // hit itself does not stall).
-                        self.dirs[home].directory.add_sharer(line, i);
-                        let route = Route {
-                            src: Node::Proc(i),
-                            dst: Node::Dir(home),
-                        };
-                        self.net.request(self.now, route, BusTraffic::Control);
-                        self.hook.on_proc_activity(i, home, self.now);
-                    }
-                    self.procs[i].phase = Phase::Executing {
-                        op_idx: op_idx + 1,
-                        remaining: self.cfg.l1_hit_latency.saturating_sub(1),
-                    };
-                } else {
-                    self.dirs[home].directory.add_sharer(line, i);
-                    self.hook.on_proc_activity(i, home, self.now);
-                    let until = self.miss_fill_time(i, home, line);
-                    self.procs[i].phase = Phase::WaitMiss {
-                        op_idx: op_idx + 1,
-                        until,
-                        line,
-                        is_store: false,
-                    };
-                }
-            }
-            Op::Write(addr) => {
-                let line = self.map.line_of(addr);
-                let home = self.map.home_of(line);
-                if self.procs[i].write_set.insert(line) {
-                    self.procs[i].dirs_touched.insert(home);
-                }
-                let hit = matches!(
-                    self.procs[i].cache.store(line, true),
-                    htm_mem::AccessOutcome::Hit
-                );
-                if hit {
-                    self.procs[i].phase = Phase::Executing {
-                        op_idx: op_idx + 1,
-                        remaining: self.cfg.l1_hit_latency.saturating_sub(1),
-                    };
-                } else {
-                    // Write-allocate fetch of the line; stores stay private
-                    // until commit so no sharer registration is needed.
-                    self.hook.on_proc_activity(i, home, self.now);
-                    let until = self.miss_fill_time(i, home, line);
-                    self.procs[i].phase = Phase::WaitMiss {
-                        op_idx: op_idx + 1,
-                        until,
-                        line,
-                        is_store: true,
-                    };
-                }
-            }
+        let Issued::Visible {
+            line,
+            home,
+            is_store,
+            hit,
+        } = self.procs[i].issue_local(op_idx, &self.map, self.cfg.l1_hit_latency)
+        else {
+            return;
+        };
+        // A read registers this processor as a speculative sharer with the
+        // home directory; stores stay private until commit.
+        if !is_store {
+            self.dirs[home].directory.add_sharer(line, i);
+        }
+        if hit {
+            // The first read of a line that hits: a background control
+            // message, the hit itself does not stall.
+            let route = Route {
+                src: Node::Proc(i),
+                dst: Node::Dir(home),
+            };
+            self.net.request(self.now, route, BusTraffic::Control);
+            self.hook.on_proc_activity(i, home, self.now);
+        } else {
+            // A read miss, or a write-allocate fetch of the line.
+            self.hook.on_proc_activity(i, home, self.now);
+            let until = self.miss_fill_time(i, home, line);
+            self.procs[i].phase = Phase::WaitMiss {
+                op_idx: op_idx + 1,
+                until,
+                line,
+                is_store,
+            };
         }
     }
 
@@ -2707,8 +2690,10 @@ mod tests {
     /// Processor 0 writes 48 lines homed at directory 0 and commits first;
     /// then `spinners` processors, which wrote one line there each, ask for
     /// younger TIDs and spin at their commits while processor 0's flush
-    /// occupies the directory. The last processor issues a one-cycle
-    /// compute op every cycle, so every cycle of that window is executed.
+    /// occupies the directory. The last processor reads eight lines, then
+    /// re-reads them in read-only transactions: each re-read is the first
+    /// read of its line in its attempt and a hit, a visible op, so it
+    /// issues one every cycle and every cycle of that window is executed.
     /// The sharded fabric keeps the flush off the spinners' token path.
     fn parked_spinner_system(spinners: usize) -> TccSystem<NoGating> {
         let mut threads = vec![ThreadTrace::new(vec![Transaction::new(
@@ -2721,9 +2706,12 @@ mod tests {
                 vec![Op::Write(64 * (48 + p)), Op::Compute(5_800)],
             )]));
         }
-        let mut ops = vec![Op::Read(4096 * (spinners as u64 + 1))];
-        ops.extend((0..8_000).map(|_| Op::Compute(1)));
-        threads.push(ThreadTrace::new(vec![Transaction::new(100, ops)]));
+        let base = 4096 * (spinners as u64 + 1);
+        let reads: Vec<Op> = (0..8).map(|j| Op::Read(base + 64 * j)).collect();
+        let txs = (0..1_000)
+            .map(|t| Transaction::new(100 + t, reads.clone()))
+            .collect();
+        threads.push(ThreadTrace::new(txs));
         let sharded = TopologyConfig::parse("sharded").unwrap();
         let cfg = SimConfig::table2_with_topology(spinners + 2, sharded);
         TccSystem::new(cfg, WorkloadTrace::new("parked", threads), NoGating).unwrap()
@@ -2757,6 +2745,83 @@ mod tests {
         }
         assert!(cycles > 100, "the window must be long: {cycles} cycles");
         assert_eq!(steps, cycles, "one processor stepped per executed cycle");
+    }
+
+    /// Processor 1 reads line 0, then issues 120 private ops of one kind
+    /// (`run`). Processor 0 computes for 60 cycles, then writes line 0 and
+    /// commits, so its invalidation reaches processor 1 in the middle of
+    /// that run.
+    fn coalesced_run_workload(run: Op) -> WorkloadTrace {
+        let mut ops = vec![Op::Read(0)];
+        ops.extend(std::iter::repeat_n(run, 120));
+        WorkloadTrace::new(
+            "coalesced",
+            vec![
+                ThreadTrace::new(vec![Transaction::new(
+                    1,
+                    vec![Op::Compute(60), Op::Write(0)],
+                )]),
+                ThreadTrace::new(vec![Transaction::new(2, ops)]),
+            ],
+        )
+    }
+
+    /// Run [`coalesced_run_workload`] on both engines under `hook()`: the
+    /// invalidation must land inside the run, the fast engine's payload at
+    /// every cycle (advanced there in one go, and cycle by cycle) must equal
+    /// the naive engine's, and so must the outcomes.
+    fn assert_private_run_invalidation_is_exact<H: GatingHook>(run: Op, hook: impl Fn() -> H) {
+        let build = || Machine::<_, 1>::new(cfg(2), coalesced_run_workload(run), hook()).unwrap();
+        let mut naive = build();
+        let mut payloads = Vec::new();
+        let mut invalidated_in = None;
+        while !naive.is_complete() {
+            assert!(naive.now < 100_000, "{run:?}: the run must finish");
+            payloads.push(naive.save_checkpoint());
+            let (before, aborts) = (naive.procs[1].phase, naive.procs[1].stats.aborts);
+            naive.step_naive();
+            if naive.procs[1].stats.aborts > aborts {
+                invalidated_in.get_or_insert(before);
+            }
+        }
+        assert!(
+            matches!(invalidated_in, Some(Phase::Executing { op_idx, .. }) if (2..120).contains(&op_idx)),
+            "{run:?}: the invalidation landed in {invalidated_in:?}"
+        );
+        let mut stepped = build();
+        for (t, payload) in payloads.iter().enumerate() {
+            let t = t as Cycle;
+            stepped.advance_until(t);
+            assert!(
+                stepped.save_checkpoint() == *payload,
+                "{run:?}: stepped to cycle {t}"
+            );
+            let mut direct = build();
+            direct.advance_until(t);
+            assert!(
+                direct.save_checkpoint() == *payload,
+                "{run:?}: jumped to cycle {t}"
+            );
+        }
+        let mut fast = build();
+        fast.advance_until(Cycle::MAX);
+        assert!(
+            fast.counters.private_ops >= 100,
+            "{run:?}: the run must be coalesced ({:?})",
+            fast.counters
+        );
+        assert_eq!(fast.into_parts().0, naive.into_parts().0, "{run:?}");
+    }
+
+    #[test]
+    fn invalidations_in_the_middle_of_private_runs_are_engine_exact() {
+        // One run of each private kind: compute ops, re-read hits of line 0
+        // and write hits on it. The fast engine settles the run lazily and
+        // must replay exactly the ops issued before the delivery.
+        for run in [Op::Compute(1), Op::Read(0), Op::Write(0)] {
+            assert_private_run_invalidation_is_exact(run, || NoGating);
+            assert_private_run_invalidation_is_exact(run, || FixedWindowGate::new(2, 50));
+        }
     }
 
     #[test]
