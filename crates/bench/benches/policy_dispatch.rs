@@ -13,8 +13,6 @@
 //! where a wake or commit that walks every directory's table instead of the
 //! victim's logged entries costs a thousand cache misses.
 
-use std::time::Duration;
-
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -108,10 +106,6 @@ fn bench(c: &mut Criterion) {
         "dispatch must not change the simulated outcome"
     );
     let mut group = c.benchmark_group("policy_dispatch");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(500))
-        .measurement_time(Duration::from_secs(3));
     for engine in [EngineKind::FastForward, EngineKind::Naive] {
         group.bench_function(format!("clock_gate_16p_mono_{}", engine.label()), |b| {
             b.iter(|| black_box(run_monomorphized(engine)));

@@ -8,8 +8,6 @@
 //! one-step-per-cycle reference engine it is differentially tested against —
 //! the ratio between the two is the engine speedup recorded in CHANGES.md.
 
-use std::time::Duration;
-
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -30,10 +28,6 @@ fn simulated_cycles(procs: usize, engine: EngineKind) -> u64 {
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulator_throughput");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(500))
-        .measurement_time(Duration::from_secs(3));
     for engine in [EngineKind::FastForward, EngineKind::Naive] {
         for procs in [4usize, 16] {
             let cycles = simulated_cycles(procs, engine);

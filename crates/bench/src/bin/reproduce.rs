@@ -22,7 +22,7 @@
 //!   runs the smoke matrices on both and fails on any divergence.
 //! * `--topology bus|sharded[:BANKS[:mesh|xbar]]` swaps the interconnect
 //!   (default `bus`, the paper's machine; see `docs/SCALING.md`).
-//! * `--threads N` caps the process-wide worker pool: at most `N` matrix
+//! * `--threads N` sets the process-wide thread budget: at most `N` matrix
 //!   cells or Fig. 7 runs execute at once. Purely a wall-clock knob —
 //!   output bytes are identical for every `N`.
 //! * `--scale-smoke` is the large-machine CI gate: tiny workloads

@@ -26,9 +26,9 @@ run options (shared by reproduce and sweep):
                   directory); off the bus, run and cell keys carry a
                   topology segment, so bus and sharded runs never mix
                   on resume; see docs/SCALING.md
-  --threads N     cap the process-wide worker pool at N threads
-                  (default: the host's available parallelism);
-                  matrix or sweep cells run in parallel on it.
+  --threads N     run at most N simulations at once (default: the
+                  host's available parallelism); matrix or sweep
+                  cells run in parallel up to that budget.
                   Affects wall-clock only — artifacts are
                   byte-identical for every N
   --checkpoint-every N  checkpoint every simulation run every N
@@ -191,12 +191,12 @@ impl RunFlags {
         Ok(true)
     }
 
-    /// Size the process-wide worker pool from `--threads`. Call once, after
-    /// parsing and before anything touches the pool.
+    /// Set the process-wide thread budget from `--threads`. Call once,
+    /// after parsing and before the first batch of runs reads the budget.
     pub fn configure_pool(&self) {
         if let Some(n) = self.threads {
             let configured = WorkerPool::configure_global(n);
-            debug_assert!(configured, "the worker pool was sized before --threads");
+            debug_assert!(configured, "the thread budget was set before --threads");
         }
     }
 

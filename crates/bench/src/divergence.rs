@@ -35,12 +35,15 @@
 //! shrink (see the `--inject-bug` flag of the `divergence` binary and the
 //! `divergence_cases` integration test).
 
+use std::collections::BTreeMap;
+
 use clockgate_htm::report::to_json;
 use clockgate_htm::sim::{EngineKind, GatingMode, SimReport, SimulationBuilder};
 use htm_sim::rng::DeterministicRng;
 use htm_sim::topology::TopologyConfig;
 use htm_tcc::system::SimError;
 use htm_tcc::txn::{Op, ThreadTrace, Transaction, WorkloadTrace};
+use serde_json::Value;
 
 /// Cycle bound for fuzz runs; the generated traces are tiny, so hitting the
 /// bound means the case deadlocked the protocol — itself a reportable bug.
@@ -528,153 +531,44 @@ pub fn diff_reports(reference: &str, candidate: &str) -> Vec<FieldDiff> {
         .collect()
 }
 
-/// Flatten a JSON document to `dotted.path[index] → atom` pairs. Hand
-/// rolled because the vendored serde compat crate serializes but does not
-/// deserialize. Accepts exactly the JSON the report serializer emits; any
-/// unparseable remainder is surfaced as a `<parse-error>` entry so a
+/// Flatten a JSON document to `dotted.path[index] → atom` pairs, each atom
+/// rendered back to JSON text so that `-0.0` and `0.0` stay distinct. A
+/// document that does not parse yields a `<parse-error>` entry, so a
 /// corrupted report can never masquerade as "no differences".
-fn flatten_json(text: &str) -> std::collections::BTreeMap<String, String> {
-    let mut out = std::collections::BTreeMap::new();
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    if !flatten_value(bytes, &mut pos, String::new(), &mut out) {
-        out.insert("<parse-error>".to_string(), format!("at byte {pos}"));
+fn flatten_json(text: &str) -> BTreeMap<String, String> {
+    let mut out = BTreeMap::new();
+    match serde_json::from_str(text) {
+        Ok(value) => flatten_value(&value, String::new(), &mut out),
+        Err(err) => {
+            out.insert("<parse-error>".to_string(), err.to_string());
+        }
     }
     out
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn flatten_value(
-    bytes: &[u8],
-    pos: &mut usize,
-    path: String,
-    out: &mut std::collections::BTreeMap<String, String>,
-) -> bool {
-    skip_ws(bytes, pos);
-    let Some(&c) = bytes.get(*pos) else {
-        return false;
-    };
-    match c {
-        b'{' => {
-            *pos += 1;
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                out.insert(path, "{}".to_string());
-                return true;
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let Some(key) = parse_string(bytes, pos) else {
-                    return false;
-                };
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return false;
-                }
-                *pos += 1;
-                let child = if path.is_empty() {
-                    key
+fn flatten_value(value: &Value, path: String, out: &mut BTreeMap<String, String>) {
+    match value {
+        Value::Map(entries) if !entries.is_empty() => {
+            for (key, child) in entries {
+                let child_path = if path.is_empty() {
+                    key.clone()
                 } else {
                     format!("{path}.{key}")
                 };
-                if !flatten_value(bytes, pos, child, out) {
-                    return false;
-                }
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(&b',') => *pos += 1,
-                    Some(&b'}') => {
-                        *pos += 1;
-                        return true;
-                    }
-                    _ => return false,
-                }
+                flatten_value(child, child_path, out);
             }
         }
-        b'[' => {
-            *pos += 1;
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                out.insert(path, "[]".to_string());
-                return true;
-            }
-            let mut index = 0usize;
-            loop {
-                if !flatten_value(bytes, pos, format!("{path}[{index}]"), out) {
-                    return false;
-                }
-                index += 1;
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(&b',') => *pos += 1,
-                    Some(&b']') => {
-                        *pos += 1;
-                        return true;
-                    }
-                    _ => return false,
-                }
+        Value::Seq(items) if !items.is_empty() => {
+            for (index, item) in items.iter().enumerate() {
+                flatten_value(item, format!("{path}[{index}]"), out);
             }
         }
-        b'"' => {
-            let start = *pos;
-            if parse_string(bytes, pos).is_none() {
-                return false;
-            }
-            out.insert(
-                path,
-                String::from_utf8_lossy(&bytes[start..*pos]).into_owned(),
-            );
-            true
-        }
+        // An atom, or an empty object or array.
         _ => {
-            // Number, true, false or null: read the atom up to a delimiter.
-            let start = *pos;
-            while *pos < bytes.len()
-                && !matches!(bytes[*pos], b',' | b'}' | b']')
-                && !bytes[*pos].is_ascii_whitespace()
-            {
-                *pos += 1;
-            }
-            if *pos == start {
-                return false;
-            }
-            out.insert(
-                path,
-                String::from_utf8_lossy(&bytes[start..*pos]).into_owned(),
-            );
-            true
+            let atom = serde_json::to_string(value).expect("the encoder is total over Value");
+            out.insert(path, atom);
         }
     }
-}
-
-/// Parse a JSON string literal at `pos`, returning its unescaped-enough
-/// content (escapes are kept verbatim — only the closing quote matters for
-/// equality comparison) and advancing past the closing quote.
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Option<String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return None;
-    }
-    let start = *pos + 1;
-    let mut i = start;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => {
-                let content = String::from_utf8_lossy(&bytes[start..i]).into_owned();
-                *pos = i + 1;
-                return Some(content);
-            }
-            _ => i += 1,
-        }
-    }
-    None
 }
 
 // ---------------------------------------------------------------------------
@@ -860,6 +754,29 @@ mod tests {
         assert_eq!(paths, ["outcome.cycles", "outcome.per[1]"]);
         assert_eq!(diffs[0].reference, "10");
         assert_eq!(diffs[0].diverging, "11");
+    }
+
+    #[test]
+    fn diff_reports_compare_rendered_atoms_and_empty_containers() {
+        // `-0.0 == 0.0` as f64, yet the two reports differ.
+        let diffs = diff_reports(r#"{"x": 0.0}"#, r#"{"x": -0.0}"#);
+        assert_eq!(diffs.len(), 1);
+        assert_eq!(diffs[0].path, "x");
+        assert_eq!(
+            (diffs[0].reference.as_str(), diffs[0].diverging.as_str()),
+            ("0.0", "-0.0")
+        );
+        let escaped = r#"{"s": "a\"b\\n"}"#;
+        assert!(diff_reports(escaped, escaped).is_empty());
+        for (empty, full, expected) in [
+            (r#"{"o": {}}"#, r#"{"o": {"k": 1}}"#, ["o", "o.k"]),
+            (r#"{"v": []}"#, r#"{"v": [1]}"#, ["v", "v[0]"]),
+        ] {
+            let diffs = diff_reports(empty, full);
+            let paths: Vec<&str> = diffs.iter().map(|d| d.path.as_str()).collect();
+            assert_eq!(paths, expected);
+            assert_eq!(diffs[0].diverging, "<absent>");
+        }
     }
 
     #[test]

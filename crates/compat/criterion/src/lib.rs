@@ -3,21 +3,15 @@
 //! Provides the authoring API the workspace's benches use — [`Criterion`],
 //! [`BenchmarkGroup`], [`Bencher`], [`Throughput`], [`criterion_group!`] and
 //! [`criterion_main!`] — backed by a deliberately simple harness: each
-//! benchmark is warmed up once, then timed over a fixed number of samples
-//! whose mean and min/max are printed. No statistical analysis, no HTML
+//! benchmark takes ten samples, each one untimed warm-up call and one timed
+//! call, and prints their mean and min/max. No statistical analysis, no HTML
 //! reports, no `target/criterion` output; the point is that `cargo bench`
 //! compiles and produces usable wall-clock numbers in an offline container.
 
 #![warn(missing_docs)]
 
-use std::hint::black_box as std_black_box;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-/// Opaque-to-the-optimiser identity function, re-exported for benches that
-/// import it from `criterion` rather than `std::hint`.
-pub fn black_box<T>(x: T) -> T {
-    std_black_box(x)
-}
 
 /// Throughput annotation for a benchmark, mirroring `criterion::Throughput`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,21 +23,17 @@ pub enum Throughput {
 }
 
 /// Timing loop handle passed to benchmark closures.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Bencher {
     elapsed: Duration,
-    iters: u64,
 }
 
 impl Bencher {
-    /// Time `routine`, running it repeatedly and recording the total.
+    /// Time one call of `routine`, after one untimed warm-up call.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        // One untimed warm-up call, then a fixed sample of timed calls.
-        std_black_box(routine());
+        black_box(routine());
         let start = Instant::now();
-        for _ in 0..self.iters {
-            std_black_box(routine());
-        }
+        black_box(routine());
         self.elapsed = start.elapsed();
     }
 }
@@ -68,52 +58,32 @@ impl Default for Criterion {
 }
 
 impl Criterion {
-    /// Benchmark a single function under `id`.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(
-        &mut self,
-        id: impl Into<String>,
-        f: F,
-    ) -> &mut Self {
-        let id = id.into();
-        let sample_size = self.sample_size;
-        self.run_one(&id, sample_size, None, f);
-        self
-    }
-
     /// Open a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
             criterion: self,
             name: name.into(),
-            sample_size: None,
             throughput: None,
         }
     }
 
-    fn run_one<F: FnMut(&mut Bencher)>(
-        &mut self,
-        id: &str,
-        sample_size: usize,
-        throughput: Option<Throughput>,
-        mut f: F,
-    ) {
+    fn run_one<F: FnMut(&mut Bencher)>(&self, id: &str, throughput: Option<Throughput>, mut f: F) {
         if let Some(filter) = &self.filter {
             if !id.contains(filter.as_str()) {
                 return;
             }
         }
-        let mut per_iter = Vec::with_capacity(sample_size);
-        for _ in 0..sample_size.max(1) {
+        let mut samples = Vec::with_capacity(self.sample_size);
+        for _ in 0..self.sample_size.max(1) {
             let mut b = Bencher {
                 elapsed: Duration::ZERO,
-                iters: 1,
             };
             f(&mut b);
-            per_iter.push(b.elapsed.as_secs_f64() / b.iters as f64);
+            samples.push(b.elapsed.as_secs_f64());
         }
-        let mean = per_iter.iter().sum::<f64>() / per_iter.len() as f64;
-        let min = per_iter.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = per_iter.iter().cloned().fold(0.0f64, f64::max);
+        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+        let min = samples.iter().cloned().fold(f64::INFINITY, f64::min);
+        let max = samples.iter().cloned().fold(0.0f64, f64::max);
         print!(
             "bench: {id:<50} mean {:>12}  [min {}, max {}]",
             fmt_time(mean),
@@ -138,29 +108,10 @@ impl Criterion {
 pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     name: String,
-    sample_size: Option<usize>,
     throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
-    /// Set the number of timed samples per benchmark.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = Some(n);
-        self
-    }
-
-    /// Accepted for API compatibility; the stand-in harness always does a
-    /// single untimed warm-up call instead of a timed warm-up window.
-    pub fn warm_up_time(&mut self, _d: Duration) -> &mut Self {
-        self
-    }
-
-    /// Accepted for API compatibility; the stand-in harness times a fixed
-    /// sample count rather than a wall-clock window.
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
-        self
-    }
-
     /// Annotate subsequent benchmarks in this group with a throughput.
     pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
         self.throughput = Some(throughput);
@@ -174,9 +125,8 @@ impl BenchmarkGroup<'_> {
         f: F,
     ) -> &mut Self {
         let full = format!("{}/{}", self.name, id.into());
-        let sample_size = self.sample_size.unwrap_or(self.criterion.sample_size);
         let throughput = self.throughput;
-        self.criterion.run_one(&full, sample_size, throughput, f);
+        self.criterion.run_one(&full, throughput, f);
         self
     }
 
@@ -229,7 +179,9 @@ mod tests {
             filter: None,
         };
         let mut calls = 0u32;
-        c.bench_function("smoke", |b| b.iter(|| calls += 1));
+        let mut g = c.benchmark_group("g");
+        g.bench_function("smoke", |b| b.iter(|| calls += 1));
+        g.finish();
         // 2 samples x (1 warm-up + 1 timed) = 4 calls.
         assert_eq!(calls, 4);
     }

@@ -10,7 +10,9 @@
 
 use std::fmt;
 
-use serde::{Serialize, Value};
+use serde::Serialize;
+/// The dynamic JSON tree, re-exported as `serde_json::Value` like the real crate.
+pub use serde::Value;
 
 /// Serialization error.
 ///

@@ -71,8 +71,8 @@ impl Default for ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// A reduced configuration for unit tests and Criterion benchmarks
-    /// (single processor count, small workloads).
+    /// A reduced configuration for unit tests (one processor count,
+    /// test-scale workloads).
     #[must_use]
     pub fn quick() -> Self {
         Self {

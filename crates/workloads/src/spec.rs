@@ -21,7 +21,7 @@ use crate::layout::AddressLayout;
 pub enum WorkloadScale {
     /// Tiny runs for unit tests (a handful of transactions per thread).
     Test,
-    /// Small runs for quick examples and Criterion benchmarks.
+    /// Small runs for `reproduce --quick` (the full matrix at reduced size).
     Small,
     /// The default evaluation size used by the figure-reproduction harness.
     Full,
